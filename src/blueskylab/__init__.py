@@ -63,6 +63,7 @@ from .model import (
     EscapedTube,
     InvalidModel,
     ModelConfig,
+    NoTrappingRadius,
     NotInPositiveHalf,
     RawSectionPoint,
     Section,

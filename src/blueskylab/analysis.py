@@ -27,7 +27,14 @@ from .conditions import (
     check_case,
 )
 from .fourier import TWO_PI
-from .model import EscapedTube, TorusPoint, ValidatedModel, angle_diff, reduce_angle
+from .model import (
+    EscapedTube,
+    NoTrappingRadius,
+    TorusPoint,
+    ValidatedModel,
+    angle_diff,
+    reduce_angle,
+)
 
 __all__ = [
     "AnnulusDiagnostic",
@@ -57,6 +64,8 @@ __all__ = [
 ]
 
 LYAPUNOV_FLOOR = -50.0
+# orbits the Lyapunov cocycle advances together
+LYAPUNOV_ENSEMBLE = 256
 
 
 class NoConvergence(RuntimeError):
@@ -627,12 +636,14 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
 
 @dataclass
 class LyapunovSpectrum:
-    """QR-cocycle averages along one orbit, sorted descending.
+    """QR-cocycle averages over an ensemble of orbits, sorted descending.
 
     Directions whose growth rate falls below -50 (total contraction to
     numerical zero, e.g. vanishing couplings) are reported as -inf.
-    ``confidence_halfwidth`` is the block-averaging half-width of the top
-    exponent.
+    ``orbit_length`` is the number of averaged returns summed over the
+    ensemble, ``transient_discarded`` the number each orbit discards
+    first.  ``confidence_halfwidth`` is 1.96 times the across-orbit
+    standard error of the top exponent (nan with a single orbit).
     """
 
     exponents: list[float]
@@ -653,151 +664,79 @@ class LyapunovSpectrum:
         }
 
 
-def _cocycle_run(kcos, ksin, cos_mat, sin_mat, k, m, gamma, nu, bg, d, mu,
-                 X0, Y0, th0, transient, warmup, iterations, n_blocks):
-    """Orbit + QR cocycle on flattened model data (numba-compiled when available).
-
-    The last ``warmup`` transient steps already evolve the orthonormal
-    frame (without accumulating), so the averaged growth rates carry no
-    initial-alignment bias.  Returns (acc, blocks, escaped) where acc is
-    the summed log |diag R| per direction and blocks the per-block sums.
-    """
-    two_pi = 2.0 * np.pi
-    n = 2 + k
-    mu_nu = mu ** nu
-    c_x = d ** (1.0 - nu) * mu_nu
-    c_y = mu ** (bg - nu)
-    log_d = np.log(d)
-
-    X = X0
-    Y = Y0.copy()
-    th = th0
-    Q = np.eye(n)
-    jac = np.zeros((n, n))
-    y0 = np.zeros(k)
-    acc = np.zeros(n)
-    blocks = np.zeros((n_blocks, n))
-    block_len = max(1, iterations // n_blocks)
-    dof = 4 + 3 * k
-
-    for step in range(transient + iterations):
-        cb = np.cos(kcos * th)
-        sb = np.sin(ksin * th)
-        vals = cos_mat @ cb + sin_mat @ sb
-        a = vals[0]
-        hv = vals[1]
-        fx = vals[2]
-        hx = vals[3]
-        sfy = 0.0
-        shy = 0.0
-        for i in range(k):
-            sfy += vals[4 + i] * Y[i]
-            shy += vals[4 + k + i] * Y[i]
-        x = c_x * X
-        z0 = mu * a + x * fx + mu_nu * sfy
-        if z0 <= 0.0:
-            return acc, blocks, True
-        u = z0 / mu
-        Xb = u ** nu
-        u_bg = u ** bg
-        q = c_y * u_bg
-        for i in range(k):
-            y0[i] = vals[4 + 2 * k + i] + x * vals[4 + i] + mu_nu * vals[4 + k + i] * Y[i]
-        lift = m * th + hv + x * hx + mu_nu * shy + (log_d - np.log(z0)) / gamma
-
-        if step >= transient - warmup:
-            a1 = vals[dof]
-            hv1 = vals[dof + 1]
-            fx1 = vals[dof + 2]
-            hx1 = vals[dof + 3]
-            sfy1 = 0.0
-            shy1 = 0.0
-            for i in range(k):
-                sfy1 += vals[dof + 4 + i] * Y[i]
-                shy1 += vals[dof + 4 + k + i] * Y[i]
-            dz0_dth = mu * a1 + x * fx1 + mu_nu * sfy1
-            w = nu * u ** (nu - 1.0) / mu
-            v = c_y * bg * u ** (bg - 1.0) / mu
-            inv_gz = 1.0 / (gamma * z0)
-            jac[0, 0] = w * c_x * fx
-            jac[0, n - 1] = w * dz0_dth
-            jac[n - 1, 0] = c_x * hx - c_x * fx * inv_gz
-            jac[n - 1, n - 1] = m + hv1 + x * hx1 + mu_nu * shy1 - dz0_dth * inv_gz
-            for i in range(k):
-                fy_i = vals[4 + i]
-                hy_i = vals[4 + k + i]
-                jac[0, 1 + i] = w * mu_nu * fy_i
-                jac[n - 1, 1 + i] = mu_nu * hy_i - mu_nu * fy_i * inv_gz
-                jac[1 + i, 0] = v * y0[i] * c_x * fx + q * c_x * fy_i
-                dy0_dth = vals[dof + 4 + 2 * k + i] + x * vals[dof + 4 + i] \
-                    + mu_nu * vals[dof + 4 + k + i] * Y[i]
-                jac[1 + i, n - 1] = v * y0[i] * dz0_dth + q * dy0_dth
-                for j in range(k):
-                    jac[1 + i, 1 + j] = v * y0[i] * mu_nu * vals[4 + j]
-                jac[1 + i, 1 + i] += q * mu_nu * hy_i
-            Q, R = np.linalg.qr(np.dot(jac, np.ascontiguousarray(Q)))
-            if step >= transient:
-                logs = np.log(np.abs(np.diag(R)))
-                acc += logs
-                bi = min((step - transient) // block_len, n_blocks - 1)
-                blocks[bi] += logs
-
-        X = Xb
-        for i in range(k):
-            Y[i] = q * y0[i]
-        th = lift % two_pi
-    return acc, blocks, False
-
-
-try:  # pragma: no cover - exercised when numba is installed
-    from numba import njit as _njit
-
-    _cocycle_kernel = _njit(cache=True)(_cocycle_run)
-except ImportError:  # pragma: no cover
-    _cocycle_kernel = _cocycle_run
-
-
 def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
                       transient: int = 1000, seed: TorusPoint | None = None,
-                      blocks: int = 20, qr_warmup: int | None = None) -> LyapunovSpectrum:
-    """Lyapunov exponents of the return map by QR cocycle averaging.
+                      qr_warmup: int | None = None) -> LyapunovSpectrum:
+    """Lyapunov exponents of the return map by ensemble QR cocycle averaging.
 
-    One orbit is advanced past the transient (whose tail also warms up the
-    orthonormal frame), then the analytic Jacobians are accumulated with
-    per-step QR re-orthonormalization; the exponents are the average log
-    diagonal growth, sorted descending.
+    ``B = min(LYAPUNOV_ENSEMBLE, iterations)`` orbits start on the limit
+    curve at the equally spaced angles ``seed.theta + 2*pi*j/B`` (only the
+    seed's angle is used; the default seed angle is 0.5) and are advanced
+    together, one ``rescaled_step`` call per return.  Each orbit discards
+    ``transient`` returns, the last ``qr_warmup`` of which (default
+    ``min(200, transient)``) already evolve its orthonormal frame, so the
+    averages carry no initial-alignment bias.  Then the analytic
+    Jacobians are accumulated with one stacked QR re-orthonormalization
+    per return (Benettin et al., Meccanica 15, 1980).  Exactly
+    ``iterations`` returns are averaged: ``ceil(iterations / B)`` per
+    orbit, the last step counting only the first orbits.  On the
+    uniformly hyperbolic solenoid the ensemble average equals the time
+    average along one orbit.  Nothing is random, so repeated calls give
+    bit-identical exponents.
+
+    Raises ValueError for ``iterations < 1``, a negative ``transient`` or
+    ``qr_warmup``, a non-finite or non-positive ``mu`` or a non-finite
+    seed, EscapedTube if any orbit escapes, and
+    FloatingPointError if a growth rate comes out NaN.
     """
+    iterations, transient = int(iterations), int(transient)
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if transient < 0 or (qr_warmup is not None and qr_warmup < 0):
+        raise ValueError("transient and qr_warmup must be non-negative")
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"lyapunov_spectrum requires a finite mu > 0, got {mu!r}")
     if seed is None:
         seed = model.seed_point(0.5)
-    if qr_warmup is None:
-        qr_warmup = min(200, int(transient))
-    bank = model._bank
-    n_blocks = max(1, min(int(blocks), int(iterations)))
-    with np.errstate(divide="ignore"):
-        acc, block_sums, escaped = _cocycle_kernel(
-            bank.k_cos, bank.k_sin, bank.cos_mat, bank.sin_mat,
-            model.ydim, float(model.m), model.gamma, model.nu,
-            model.beta_over_gamma, model.d, float(mu),
-            float(seed.X), np.asarray(seed.Y, dtype=float), float(seed.theta),
-            int(transient), min(int(qr_warmup), int(transient)), int(iterations), n_blocks,
-        )
-    if escaped:
-        raise EscapedTube(f"orbit escaped during the Lyapunov run at mu={mu!r}")
+    if not np.all(np.isfinite(seed.as_vector())):
+        raise ValueError(f"non-finite seed point {seed!r}")
+    warmup = min(200 if qr_warmup is None else int(qr_warmup), transient)
+    B = min(LYAPUNOV_ENSEMBLE, iterations)
+    steps = -(-iterations // B)
+    last = iterations - B * (steps - 1)
 
-    rates = acc / iterations
+    th = reduce_angle(seed.theta + TWO_PI * np.arange(B) / B)
+    X = model.limit_radial(th)
+    Y = np.zeros((model.ydim, B))
+    for _ in range(transient - warmup):
+        X, Y, lift, _ = model.rescaled_step(X, Y, th, mu)
+        th = reduce_angle(lift)
+    Q = np.eye(model.n)
+    acc = np.zeros((B, model.n))
+    with np.errstate(divide="ignore"):
+        for step in range(warmup + steps):
+            X, Y, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
+            th = reduce_angle(lift)
+            Q, R = np.linalg.qr(jac @ Q)
+            if step >= warmup:
+                counted = last if step == warmup + steps - 1 else B
+                acc[:counted] += np.log(np.abs(np.diagonal(R, axis1=1, axis2=2)[:counted]))
+
+    rates = acc.sum(axis=0) / iterations
+    if np.any(np.isnan(rates)):
+        raise FloatingPointError(f"NaN Lyapunov growth rate at mu={mu!r}")
     order = np.argsort(rates)[::-1]
     exponents = [float(r) if r >= LYAPUNOV_FLOOR else -np.inf for r in rates[order]]
 
-    block_len = max(1, int(iterations) // n_blocks)
-    top_blocks = block_sums[:, order[0]] / block_len
-    top_blocks = top_blocks[np.isfinite(top_blocks)]
-    if top_blocks.size > 1:
-        half = 1.96 * float(np.std(top_blocks, ddof=1)) / np.sqrt(top_blocks.size)
+    counts = np.full(B, steps - 1)
+    counts[:last] += 1
+    top_orbits = acc[:, order[0]] / counts
+    top_orbits = top_orbits[np.isfinite(top_orbits)]
+    if top_orbits.size > 1:
+        half = 1.96 * float(np.std(top_orbits, ddof=1) / np.sqrt(top_orbits.size))
     else:
         half = float("nan")
-    return LyapunovSpectrum(exponents, int(iterations), int(transient), half)
+    return LyapunovSpectrum(exponents, iterations, transient, half)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,7 +1022,7 @@ def classify_attractor(model: ValidatedModel, mu: float, *,
 
     try:
         certificate = cone_certify(model, mu, cone_grid)
-    except (Inconclusive, NotExpandingInTheta) as exc:
+    except (Inconclusive, NotExpandingInTheta, NoTrappingRadius) as exc:
         return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
                                     reason=f"cone certification inconclusive: {exc}")
     if not certificate.verdict:

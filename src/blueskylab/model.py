@@ -48,6 +48,7 @@ __all__ = [
     "EscapedTube",
     "InvalidModel",
     "ModelConfig",
+    "NoTrappingRadius",
     "NotInPositiveHalf",
     "RawSectionPoint",
     "Section",
@@ -86,6 +87,11 @@ class NotInPositiveHalf(ValueError):
 
 class EscapedTube(RuntimeError):
     """An orbit left the homoclinic tube: the global map produced z0 <= 0."""
+
+
+class NoTrappingRadius(ValueError):
+    """No trapping solid torus can be certified at this mu (mu too large
+    for the couplings)."""
 
 
 class Section(Enum):
@@ -511,8 +517,8 @@ class ValidatedModel:
 
         K is the oscillation of alpha^nu plus a worst-case bound, derived
         from the coupling amplitudes, on how far images deviate from the
-        limit curve.  Raises ValueError if no radius can be certified at
-        this mu (mu too large for the given couplings).
+        limit curve.  Raises NoTrappingRadius if no radius can be certified
+        at this mu (mu too large for the given couplings).
         """
         if mu <= 0.0:
             raise ValueError("trapping radius requires mu > 0")
@@ -531,7 +537,7 @@ class ValidatedModel:
             u_hi = a_hi + delta
             u_lo = self.alpha_min - delta
             if u_lo <= 0.0:
-                raise ValueError(f"no trapping radius certified at mu={mu!r}")
+                raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
             x_dev = nu * u_hi ** (nu - 1.0) * delta
             if self.ydim:
                 y0_max = sup["g0"] + mu ** nu * (
@@ -543,7 +549,7 @@ class ValidatedModel:
             if osc + x_dev < K and y_bound < K:
                 return float(K)
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
-        raise ValueError(f"no trapping radius certified at mu={mu!r}")
+        raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
 
     def trapping_samples(self, mu: float, n_theta: int = 128, K: float | None = None):
         """Grid over the trapping solid torus: boundary levels plus the core.

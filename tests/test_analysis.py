@@ -314,23 +314,77 @@ def test_cone_certificate_serialization_fields():
     assert low > 0.0 and (high is None or high > low)
 
 
-def test_cocycle_fallback_matches_kernel():
-    """The pure-python cocycle and the compiled kernel run the same algorithm."""
-    from blueskylab.analysis import _cocycle_kernel, _cocycle_run
+def _single_orbit_top_exponent(model, mu, iterations, transient, warmup=200, blocks=20):
+    """Reference QR cocycle along one orbit, one return per rescaled_step
+    call; the half-width comes from block averaging."""
+    p = model.seed_point(0.5)
+    X, Y, th = np.array([p.X]), p.Y.reshape(-1, 1), np.array([p.theta])
+    Q = np.eye(model.n)
+    logs = np.empty((iterations, model.n))
+    for step in range(transient + iterations):
+        if step < transient - warmup:
+            X, Y, lift, _ = model.rescaled_step(X, Y, th, mu)
+        else:
+            X, Y, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
+            Q, R = np.linalg.qr(jac[0] @ Q)
+            if step >= transient:
+                logs[step - transient] = np.log(np.abs(np.diag(R)))
+        th = reduce_angle(lift)
+    top = int(np.argmax(logs.mean(axis=0)))
+    block_means = logs[:, top].reshape(blocks, -1).mean(axis=1)
+    half = 1.96 * np.std(block_means, ddof=1) / np.sqrt(blocks)
+    return logs[:, top].mean(), half
 
-    if _cocycle_kernel is _cocycle_run:
-        pytest.skip("numba not installed; only one implementation present")
+
+def test_lyapunov_ensemble_matches_single_orbit():
     model = demo_model("demo_m2")
-    bank = model._bank
-    args = (bank.k_cos, bank.k_sin, bank.cos_mat, bank.sin_mat,
-            model.ydim, float(model.m), model.gamma, model.nu,
-            model.beta_over_gamma, model.d, 1e-5,
-            1.0, np.zeros(model.ydim), 0.5, 100, 50, 500, 5)
-    acc_a, blocks_a, esc_a = _cocycle_run(*args)
-    acc_b, blocks_b, esc_b = _cocycle_kernel(*args)
-    assert esc_a == esc_b is False
-    assert np.allclose(acc_a, acc_b, rtol=1e-12)
-    assert np.allclose(blocks_a, blocks_b, rtol=1e-12)
+    mu, iterations, transient = 1e-5, 20_000, 1000
+    reference, reference_half = _single_orbit_top_exponent(model, mu, iterations, transient)
+    spectrum = lyapunov_spectrum(model, mu, iterations, transient=transient)
+    assert spectrum.orbit_length == iterations
+    assert 0.0 < spectrum.confidence_halfwidth < 0.05
+    assert abs(spectrum.top - reference) <= spectrum.confidence_halfwidth + reference_half
+
+
+def test_lyapunov_is_deterministic():
+    model = demo_model("demo_m2")
+    first = lyapunov_spectrum(model, 1e-5, 3000, transient=300)
+    second = lyapunov_spectrum(model, 1e-5, 3000, transient=300)
+    assert first.exponents == second.exponents
+    assert first.confidence_halfwidth == second.confidence_halfwidth
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_lyapunov_rejects_bad_mu(mu):
+    with pytest.raises(ValueError, match="mu"):
+        lyapunov_spectrum(demo_model("demo_m2"), mu, 100, transient=10)
+
+
+@pytest.mark.parametrize("lengths", [dict(transient=-1), dict(transient=10, qr_warmup=-1)])
+def test_lyapunov_rejects_negative_lengths(lengths):
+    with pytest.raises(ValueError, match="non-negative"):
+        lyapunov_spectrum(demo_model("demo_m2"), 1e-5, 100, **lengths)
+
+
+def test_lyapunov_rejects_non_finite_seed():
+    with pytest.raises(ValueError, match="seed"):
+        lyapunov_spectrum(demo_model("demo_m2"), 1e-5, 100, transient=10,
+                          seed=TorusPoint(theta=float("nan"), X=1.0, Y=np.zeros(2)))
+
+
+def test_lyapunov_nan_rate_raises(monkeypatch):
+    model = demo_model("demo_m2")
+    step = model.rescaled_step
+
+    def nan_jacobian(*args, **kwargs):
+        out = step(*args, **kwargs)
+        if kwargs.get("with_jacobian"):
+            out[4][..., 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(model, "rescaled_step", nan_jacobian)
+    with pytest.raises(FloatingPointError):
+        lyapunov_spectrum(model, 1e-5, 100, transient=10)
 
 
 def test_find_fixed_point_saddle_at_degree_two():

@@ -124,6 +124,17 @@ def test_sweep_all_escaped_exit_code(tmp_path):
     assert "Escaped" in text
 
 
+def test_sweep_survives_mu_without_trapping_region(tmp_path):
+    # no trapping radius can be certified at the large-mu end of this grid;
+    # those rows are Indeterminate and the rest of the sweep still runs
+    code = run("sweep", config("demo_m2"), "--set", "coupling_fx.constant=0.5",
+               "--mu-min", "1e-2", "--mu-max", "0.9", "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith("0.9,Indeterminate,")
+    assert rows[-1].startswith("0.01,Solenoid,")
+
+
 def test_sweep_determinism(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
