@@ -37,7 +37,7 @@ def main():
     print(f"  |(dq/dtheta)^-1| <= {cert.sup_qtheta_inv:.4f}   |dq/dr| <= {cert.sup_qr:.3e}")
     low, high = cert.L_interval
     high_txt = "inf" if np.isinf(high) else f"{high:.4g}"
-    print(f"  admissible cone apertures: L in ({low:.4g}, {high_txt})")
+    print(f"  certified admissible cone apertures: L in ({low:.4g}, {high_txt})")
     print(f"  certified angular expansion >= {cert.expansion_lower_bound:.4f}")
     print(f"  verdict: {cert.verdict}")
 

@@ -291,7 +291,8 @@ class AnnulusDiagnostic:
 
     ``lhs`` is 1 - sup|dp/dr| * sup|(dq/dtheta)^-1| and ``rhs`` is
     2 sqrt(sup|(dq/dtheta)^-1| * sup|dq/dr| * sup|dp/dtheta (dq/dtheta)^-1|),
-    with suprema over the sampled trapping torus; ``satisfied`` means
+    with suprema over the trapping samples (the core and the radial face
+    centres at each grid angle); ``satisfied`` means
     lhs > rhs.  Diagnostic only: the certified angular condition
     1 + m*s > 0 is the effective criterion for this map family.
     """
@@ -366,11 +367,12 @@ class ConeCertificate:
     """Sup-norms of the solid-torus map partials and the cone verdict.
 
     The ``sup_*`` and ``cross_sup_*`` fields are suprema over the sample
-    grid; the verdict additionally uses the ``certified`` upper bounds
-    (worst-case over the whole trapping region) so that a true verdict has
-    positive certified margins.  ``L_interval`` is the admissible cone
-    aperture range computed from the cross-form suprema, with +inf for an
-    unbounded upper end and None when empty.
+    grid, kept as diagnostics; the verdict uses the ``certified`` upper
+    bounds (worst-case over the whole trapping region) so that a true
+    verdict has positive certified margins.  ``L_interval`` is the
+    certified admissible cone aperture range, computed from those bounds
+    (``certified["L_interval"]``), with +inf for an unbounded upper end
+    and None when empty.
     """
 
     sup_pr: float
@@ -511,7 +513,6 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
     cert["L_interval"] = cert_interval
     certified_ok = c_forward and c_cross and cert_interval is not None
 
-    interval = _interval_from(cross_sup_pr, cross_sup_pt, cross_sup_qt, cross_sup_qr)
     if certified_ok:
         verdict = True
     elif not grid_ok:
@@ -525,7 +526,7 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
         sup_pr=sup_pr, sup_ptheta=sup_ptheta, sup_qtheta_inv=sup_qtheta_inv, sup_qr=sup_qr,
         cross_sup_pr=cross_sup_pr, cross_sup_ptheta_bar=cross_sup_pt,
         cross_sup_qtheta_bar=cross_sup_qt, cross_sup_qr=cross_sup_qr,
-        L_interval=interval, verdict=verdict, certified=cert,
+        L_interval=cert_interval, verdict=verdict, certified=cert,
     )
 
 
@@ -546,21 +547,11 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> tuple[dict
     mu_nu = mu ** nu
     c_y = mu ** (bg - nu)
     d_pow = d ** (1.0 - nu)
-    x_abs = a_hi ** nu + K
-    fy_norm = float(np.sqrt(np.sum(sup["fy"] ** 2))) if k else 0.0
+    x_abs, c_max, delta, u_lo, u_hi, y0_max = model._excursion_bounds(mu, K)
     fy1_norm = float(np.sqrt(np.sum(sup["fy1"] ** 2))) if k else 0.0
-    hy1_norm = float(np.sqrt(np.sum(sup["hy1"] ** 2))) if k else 0.0
-
-    c_max = d_pow * sup["fx"] * x_abs + fy_norm * K
     ct_max = d_pow * sup["fx1"] * x_abs + fy1_norm * K
-    delta = mu ** (nu - 1.0) * c_max
-    u_hi = a_hi + delta
-    u_lo = a_lo - delta
-    if u_lo <= 0.0:
-        raise ValueError(f"trapping torus not separated from the stable manifold at mu={mu!r}")
     ut_max = a1 + mu ** (nu - 1.0) * ct_max
 
-    y0_max = sup["g0"] + mu_nu * (d_pow * sup["fy"] * x_abs + sup["hy"] * K) if k else np.zeros(0)
     y0t_max = sup["g01"] + mu_nu * (d_pow * sup["fy1"] * x_abs + sup["hy1"] * K) if k else np.zeros(0)
 
     # radial block, entrywise bounds -> Frobenius dominates the operator norm
@@ -611,11 +602,12 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> tuple[dict
 def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCertificate:
     """Cone-condition certificate of uniform hyperbolicity at degree |m| >= 2.
 
-    Samples the trapping solid torus (``grid`` angles times radial corner
-    levels), computes the analytic return-map derivatives, and checks the
-    forward and cross-form inequalities; the verdict uses worst-case
-    upper bounds over the whole region, so it is true only with positive
-    certified margins.
+    Samples the trapping solid torus (``grid`` angles times the core and
+    the 2(n-1) radial face centres), computes the analytic return-map
+    derivatives, and checks the forward and cross-form inequalities.  The
+    verdict and ``L_interval`` use worst-case upper bounds over the whole
+    region, so a true verdict has positive certified margins; the samples
+    only tell a violated condition (False) from an Inconclusive one.
     """
     if abs(model.m) < 2:
         raise CaseMismatch(f"cone certification requires |m| >= 2, got m={model.m}")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AttractorLabel, classify_attractor, cone_certify
+from .analysis import AttractorLabel, NotExpandingInTheta, classify_attractor, cone_certify
 from .conditions import CaseMismatch, Inconclusive
 from .experiments import (
     fit_period_scaling,
@@ -26,7 +26,7 @@ from .experiments import (
     mu_sweep,
     sweep_csv_text,
 )
-from .model import EscapedTube, InvalidModel, parse_config, validate_config
+from .model import EscapedTube, InvalidModel, NoTrappingRadius, parse_config, validate_config
 
 __all__ = ["RunManifest", "cmd_certify", "cmd_classify", "cmd_sweep", "cmd_validate", "main"]
 
@@ -235,6 +235,9 @@ def cmd_certify(manifest: RunManifest, mu: float, grid: int = 256) -> int:
         return 2
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
+    except (NoTrappingRadius, NotExpandingInTheta) as exc:
+        print(f"indeterminate: {exc}", file=sys.stderr)
         return 3
     except EscapedTube as exc:
         print(f"error: orbit escaped the homoclinic tube: {exc}", file=sys.stderr)

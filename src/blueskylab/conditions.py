@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fourier import TWO_PI
+from .fourier import lipschitz_grid_extrema
 from .model import ValidatedModel
 
 __all__ = [
@@ -73,14 +73,15 @@ class Inconclusive(RuntimeError):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionReport:
     """Certified min/max of a case criterion over the circle.
 
     ``margin`` is the certified distance from the threshold, the grid
     margin minus the Lipschitz inflation; a true verdict always has
     margin > 0, a false verdict has a grid angle violating the strict
-    inequality outright.
+    inequality outright.  Frozen: one report is shared by every caller
+    that checks the same model.
     """
 
     case_tag: CaseTag
@@ -132,18 +133,18 @@ def criterion_lipschitz(model: ValidatedModel) -> float:
     return h2 + (a2 / a_lo + (a1 / a_lo) ** 2) / model.gamma
 
 
-def _case_values(case_tag: CaseTag, s: np.ndarray, m: int):
-    """Per-case criterion values and the raw (uninflated) grid margin."""
+def _case_criterion(case_tag: CaseTag, model: ValidatedModel):
+    """The case criterion as a function of the angle (s, 1 + m*s or |m + s|),
+    and its uninflated grid margin as a function of its grid extrema."""
+    m = model.m
     if case_tag is CaseTag.BLUE_SKY:
-        crit = s
-        raw_margin = 1.0 - max(abs(float(np.min(s))), abs(float(np.max(s))))
-    elif case_tag is CaseTag.TORUS_OR_KLEIN:
-        crit = 1.0 + m * s
-        raw_margin = float(np.min(crit))
-    else:
-        crit = np.abs(m + s)
-        raw_margin = float(np.min(crit)) - 1.0
-    return crit, raw_margin
+        return (lambda theta: criterion_function(theta, model),
+                lambda cmin, cmax: 1.0 - max(abs(cmin), abs(cmax)))
+    if case_tag is CaseTag.TORUS_OR_KLEIN:
+        return (lambda theta: 1.0 + m * criterion_function(theta, model),
+                lambda cmin, cmax: cmin)
+    return (lambda theta: np.abs(m + criterion_function(theta, model)),
+            lambda cmin, cmax: cmin - 1.0)
 
 
 def check_case(case_tag: CaseTag, model: ValidatedModel,
@@ -155,29 +156,35 @@ def check_case(case_tag: CaseTag, model: ValidatedModel,
     inequality yields verdict False immediately; a margin exceeding the
     inflation yields verdict True; otherwise the grid doubles up to the
     cap, after which Inconclusive is raised (equality with the threshold
-    within the inflation is never turned into a verdict).
+    within the inflation is never turned into a verdict).  The outcome
+    does not depend on mu, so it is computed once per model, grid and
+    cap; a repeated Inconclusive is raised afresh with the same fields.
     """
     case_tag = CaseTag(case_tag)
     m = model.m
     if case_tag is not case_for_degree(m):
         raise CaseMismatch(f"{case_tag.value} is inconsistent with degree m={m}")
 
-    lip_s = criterion_lipschitz(model)
-    lip = abs(m) * lip_s if case_tag is CaseTag.TORUS_OR_KLEIN else lip_s
+    def compute():
+        lip_s = criterion_lipschitz(model)
+        lip = abs(m) * lip_s if case_tag is CaseTag.TORUS_OR_KLEIN else lip_s
+        values, margin = _case_criterion(case_tag, model)
 
-    grid = max(8, int(grid_size))
-    while True:
-        theta = np.arange(grid) * (TWO_PI / grid)
-        crit, raw_margin = _case_values(case_tag, criterion_function(theta, model), m)
-        inflation = lip * np.pi / grid
-        cmin, cmax = float(np.min(crit)), float(np.max(crit))
+        def decided(cmin, cmax, inflation):
+            return margin(cmin, cmax) < 0.0 or margin(cmin, cmax) > inflation
+
+        cmin, cmax, grid, inflation, _ = lipschitz_grid_extrema(values, lip, grid_size, cap, decided)
+        raw_margin = margin(cmin, cmax)
         if raw_margin < 0.0:
             return ConditionReport(case_tag, cmin, cmax, raw_margin, False, grid, lip)
         if raw_margin > inflation:
             return ConditionReport(case_tag, cmin, cmax, raw_margin - inflation, True, grid, lip)
-        if grid >= cap:
-            raise Inconclusive(case_tag, raw_margin, inflation, grid)
-        grid *= 2
+        return case_tag, raw_margin, inflation, grid
+
+    outcome = model.memoized(("check_case", case_tag, int(grid_size), int(cap)), compute)
+    if isinstance(outcome, ConditionReport):
+        return outcome
+    raise Inconclusive(*outcome)
 
 
 def certified_angular_expansion(model: ValidatedModel,
@@ -186,16 +193,13 @@ def certified_angular_expansion(model: ValidatedModel,
     """Certified lower bound of inf |m + s(theta)| over the circle.
 
     The angular expansion rate of the limit return map; > 1 exactly when
-    the solenoid condition holds.  Raises Inconclusive only if the bound
-    cannot be separated from the grid values at the cap.
+    the solenoid condition holds.  Returns the bound at the cap if it
+    never became positive.  It does not depend on mu, so it is computed
+    once per model, grid and cap.
     """
-    lip = criterion_lipschitz(model)
-    grid = max(8, int(grid_size))
-    while True:
-        theta = np.arange(grid) * (TWO_PI / grid)
-        vals = np.abs(model.m + criterion_function(theta, model))
-        inflation = lip * np.pi / grid
-        lower = float(np.min(vals)) - inflation
-        if lower > 0.0 or grid >= cap:
-            return lower
-        grid *= 2
+    def compute():
+        vmin, _, _, inflation, _ = lipschitz_grid_extrema(
+            _case_criterion(CaseTag.SOLENOID, model)[0], criterion_lipschitz(model),
+            grid_size, cap, lambda vmin, vmax, inflation: vmin - inflation > 0.0)
+        return vmin - inflation
+    return model.memoized(("certified_angular_expansion", int(grid_size), int(cap)), compute)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FourierSeries"]
+__all__ = ["FourierSeries", "lipschitz_grid_extrema"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -116,3 +116,22 @@ class FourierSeries:
             tuple(data.get("cos", ())),
             tuple(data.get("sin", ())),
         )
+
+
+def lipschitz_grid_extrema(values, lip: float, grid_size: int, cap: int, done):
+    """Extrema of ``values(theta)`` on a uniform grid of the circle, doubled
+    until ``done(vmin, vmax, inflation)`` holds or the grid reaches ``cap``.
+    A function with Lipschitz constant ``lip`` lies within ``inflation`` =
+    lip * (half grid spacing) of its grid values.  Returns (vmin, vmax,
+    grid, inflation, status), ``status`` False when stopped by the cap."""
+    grid = max(8, int(grid_size))
+    while True:
+        theta = np.arange(grid) * (TWO_PI / grid)
+        vals = values(theta)
+        vmin, vmax = float(np.min(vals)), float(np.max(vals))
+        inflation = lip * np.pi / grid
+        if done(vmin, vmax, inflation):
+            return vmin, vmax, grid, inflation, True
+        if grid >= cap:
+            return vmin, vmax, grid, inflation, False
+        grid *= 2

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierSeries
+from .fourier import TWO_PI, FourierSeries, lipschitz_grid_extrema
 
 __all__ = [
     "EscapedTube",
@@ -256,18 +256,10 @@ def certified_series_min(series: FourierSeries, grid_size: int = 4096,
     certified) where ``certified`` is False only if the cap was reached
     with the sign still straddling zero.
     """
-    lip = series.deriv_sup_bound()
-    grid = max(8, int(grid_size))
-    while True:
-        theta = np.arange(grid) * (TWO_PI / grid)
-        grid_min = float(np.min(series.eval(theta)))
-        inflation = lip * np.pi / grid
-        lower = grid_min - inflation
-        if grid_min <= 0.0 or lower > 0.0:
-            return lower, grid, True
-        if grid >= cap:
-            return lower, grid, False
-        grid *= 2
+    grid_min, _, grid, inflation, certified = lipschitz_grid_extrema(
+        series.eval, series.deriv_sup_bound(), grid_size, cap,
+        lambda vmin, vmax, inflation: vmin <= 0.0 or vmin - inflation > 0.0)
+    return grid_min - inflation, grid, certified
 
 
 class _SeriesBank:
@@ -298,8 +290,8 @@ class _SeriesBank:
 
 class ValidatedModel:
     """A ModelConfig whose invariants have been checked, plus cached
-    evaluation machinery.  Immutable after construction; every map
-    evaluation is side-effect free.
+    evaluation machinery.  Immutable after construction but for the memo
+    of mu-free certified results; every map evaluation is side-effect free.
     """
 
     def __init__(self, cfg: ModelConfig, alpha_min: float, alpha_min_grid: int):
@@ -316,6 +308,7 @@ class ValidatedModel:
         self.alpha_min = alpha_min          # certified positive lower bound
         self.alpha_min_grid = alpha_min_grid
         self.alpha_sup = cfg.alpha.sup_bound()
+        self._memo: dict = {}
 
         k = self.ydim
         self._bank = _SeriesBank(
@@ -327,6 +320,14 @@ class ValidatedModel:
         self._sHY = slice(4 + k, 4 + 2 * k)
         self._sG0 = slice(4 + 2 * k, 4 + 3 * k)
         self._doff = 4 + 3 * k
+
+    def memoized(self, key, compute):
+        """``compute()``, evaluated once per model and ``key`` (for the mu-free
+        certified quantities).  Store plain results, never an exception: its
+        traceback would keep the frames that raised it alive."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- derived multipliers of the saddle orbit ---------------------------
 
@@ -497,8 +498,9 @@ class ValidatedModel:
     # -- trapping region -------------------------------------------------------
 
     def coupling_sup_bounds(self) -> dict:
+        """Sup bounds of every coupling profile and its derivative (shared; do not mutate)."""
         cfg = self.cfg
-        return {
+        return self.memoized("coupling_sup_bounds", lambda: {
             "fx": cfg.coupling_fx.sup_bound(),
             "hx": cfg.coupling_hx.sup_bound(),
             "fy": np.array([s.sup_bound() for s in cfg.coupling_fy]),
@@ -509,7 +511,25 @@ class ValidatedModel:
             "fy1": np.array([s.deriv_sup_bound() for s in cfg.coupling_fy]),
             "hy1": np.array([s.deriv_sup_bound() for s in cfg.coupling_hy]),
             "g01": np.array([s.deriv_sup_bound() for s in cfg.g0]),
-        }
+        })
+
+    def _excursion_bounds(self, mu: float, K: float) -> tuple:
+        """(x_abs, c_max, delta, u_lo, u_hi, y0_max), bounds over the torus of
+        radius K: |X| <= x_abs, the coupling part of z0 / mu^nu <= c_max,
+        u_lo <= u = z0 / mu <= u_hi with |u - alpha| <= delta, and
+        |y0_i| <= y0_max[i].  Raises NoTrappingRadius when u_lo <= 0."""
+        nu, d = self.nu, self.d
+        sup = self.coupling_sup_bounds()
+        d_pow = d ** (1.0 - nu)
+        fy_norm = float(np.sqrt(np.sum(sup["fy"] ** 2))) if self.ydim else 0.0
+        x_abs = self.alpha_sup ** nu + K
+        c_max = d_pow * sup["fx"] * x_abs + fy_norm * K
+        delta = mu ** (nu - 1.0) * c_max
+        u_lo = self.alpha_min - delta
+        if u_lo <= 0.0:
+            raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
+        y0_max = sup["g0"] + mu ** nu * (d_pow * sup["fy"] * x_abs + sup["hy"] * K)
+        return x_abs, c_max, delta, u_lo, self.alpha_sup + delta, y0_max
 
     def trapping_radius(self, mu: float) -> float:
         """Radius K of a solid torus {|X - alpha(theta)^nu| < K, |Y| < K}
@@ -522,64 +542,43 @@ class ValidatedModel:
         """
         if mu <= 0.0:
             raise ValueError("trapping radius requires mu > 0")
-        nu, bg, d, gamma = self.nu, self.beta_over_gamma, self.d, self.gamma
-        sup = self.coupling_sup_bounds()
+        nu, bg = self.nu, self.beta_over_gamma
         a_hi = self.alpha_sup
         osc = a_hi ** nu - self.alpha_min ** nu
         floor = 1e-3 * (1.0 + a_hi ** nu)
-        fy_norm = float(np.sqrt(np.sum(sup["fy"] ** 2))) if self.ydim else 0.0
 
         K = osc + floor
         for _ in range(8):
-            x_abs = a_hi ** nu + K
-            c_max = d ** (1.0 - nu) * sup["fx"] * x_abs + fy_norm * K
-            delta = mu ** (nu - 1.0) * c_max
-            u_hi = a_hi + delta
-            u_lo = self.alpha_min - delta
-            if u_lo <= 0.0:
-                raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
+            _, _, delta, _, u_hi, y0_max = self._excursion_bounds(mu, K)
             x_dev = nu * u_hi ** (nu - 1.0) * delta
-            if self.ydim:
-                y0_max = sup["g0"] + mu ** nu * (
-                    d ** (1.0 - nu) * sup["fy"] * x_abs + sup["hy"] * K
-                )
-                y_bound = mu ** (bg - nu) * u_hi ** bg * float(np.sqrt(np.sum(y0_max ** 2)))
-            else:
-                y_bound = 0.0
+            y_bound = mu ** (bg - nu) * u_hi ** bg * float(np.sqrt(np.sum(y0_max ** 2)))
             if osc + x_dev < K and y_bound < K:
                 return float(K)
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
         raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
 
     def trapping_samples(self, mu: float, n_theta: int = 128, K: float | None = None):
-        """Grid over the trapping solid torus: boundary levels plus the core.
+        """Grid over the trapping solid torus: the core plus the face centres.
 
         Returns (theta, X, Y, K) with theta shape (M,), X shape (M,),
-        Y shape (n-2, M); the sample set is the product of the theta grid
-        with radial offsets {-K, 0, +K} in X and per-component offsets
-        {-K/sqrt(k), 0, +K/sqrt(k)} in Y.
+        Y shape (n-2, M), M = n_theta * (2(n-1) + 1): at each grid angle
+        the core point and the points at -K and +K along each of the n-1
+        radial axes, all in the closed torus {|X - alpha^nu| <= K, |Y| <= K}.
         """
         if K is None:
             K = self.trapping_radius(mu)
         theta = np.arange(n_theta) * (TWO_PI / n_theta)
-        base = self.limit_radial(theta)
-        levels = np.array([-K, 0.0, K])
-        k = self.ydim
-        if k:
-            y_levels = levels / np.sqrt(k)
-            grids = np.meshgrid(levels, *([y_levels] * k), indexing="ij")
-            offsets = np.stack([g.ravel() for g in grids])  # (1+k, 27...)
-        else:
-            offsets = levels[None, :]
+        r = self.n - 1
+        offsets = np.hstack((np.zeros((r, 1)), -K * np.eye(r), K * np.eye(r)))
         n_off = offsets.shape[1]
         th = np.repeat(theta, n_off)
-        X = np.repeat(base, n_off) + np.tile(offsets[0], n_theta)
+        X = np.repeat(self.limit_radial(theta), n_off) + np.tile(offsets[0], n_theta)
         Y = np.tile(offsets[1:], n_theta)
         return th, X, Y, K
 
     def check_trapping(self, mu: float, n_theta: int = 128, K: float | None = None) -> bool:
-        """Sample the trapping torus on a grid and test that every image
-        lies strictly inside it."""
+        """Test that the image of every ``trapping_samples`` point (core and
+        face centres) lies strictly inside the trapping torus."""
         th, X, Y, K = self.trapping_samples(mu, n_theta=n_theta, K=K)
         Xb, Yb, th_lift, _ = self.rescaled_step(X, Y, th, mu)
         dev = np.abs(Xb - self.limit_radial(reduce_angle(th_lift)))

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -197,9 +200,38 @@ def test_cone_certify_coupled_demo():
     assert cert.L_interval is not None
     low, high = cert.L_interval
     assert 0.0 < low < high
+    # the public interval is the certified one, not the sample suprema's
+    assert cert.L_interval == cert.certified["L_interval"]
     # certified expansion agrees with the angular condition bound
     assert cert.expansion_lower_bound > 1.0
     assert cert.certified["pr"] < 1e-3
+
+
+def test_cone_certify_high_dimension():
+    """n = 12 (demo_m2 plus 8 small strong-stable components): the samples
+    grow linearly in n, where a product of radial levels would hold 3^11
+    points per angle."""
+    base = demo_model("demo_m2").cfg
+    extra = 8
+    cfg = bsl.ModelConfig(
+        m=base.m, gamma=base.gamma, lam=base.lam, beta=base.beta, d=base.d, n=base.n + extra,
+        alpha=base.alpha, h=base.h, coupling_fx=base.coupling_fx, coupling_hx=base.coupling_hx,
+        coupling_fy=base.coupling_fy + tuple(F(5e-4, (), (3e-4 * (-1) ** i,)) for i in range(extra)),
+        coupling_hy=base.coupling_hy + tuple(F(5e-4, (2e-4,), ()) for _ in range(extra)),
+        g0=base.g0 + tuple(F(0.03 * (-1) ** i, (), (0.02,)) for i in range(extra)),
+    )
+    model = validate_config(cfg)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cert = cone_certify(model, 1e-5, grid=256)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict is True
+    assert elapsed < 10.0
+    assert peak < 64 * 2 ** 20
 
 
 def test_cone_certify_not_expanding():

@@ -96,6 +96,20 @@ def test_certify_case_mismatch(capsys):
     assert run("certify", config("demo_m1"), "--mu", "1e-4") == 2
 
 
+def test_certify_without_trapping_region_is_indeterminate(capsys):
+    code = run("certify", config("demo_m2"), "--mu", "0.9", "--set", "coupling_fx.constant=0.5")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no trapping radius" in err
+
+
+def test_certify_not_expanding_is_indeterminate(capsys):
+    code = run("certify", config("demo_m2"), "--mu", "1e-5", "--set", "h.sin.0=1.5")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "angular-derivative lower bound" in err
+
+
 def test_sweep_writes_csv_and_fit(capsys, tmp_path):
     code = run("sweep", config("demo_m0"), "--mu-min", "1e-8", "--mu-max", "1e-3",
                "--per-decade", "4", "--out", str(tmp_path))

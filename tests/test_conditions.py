@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import blueskylab.conditions as conditions
 from blueskylab import (
     CaseMismatch,
     CaseTag,
@@ -140,3 +143,49 @@ def test_report_serialization_fields():
     assert set(payload) == {"case_tag", "criterion_min", "criterion_max",
                             "margin", "verdict", "grid_size", "lipschitz_bound"}
     assert payload["case_tag"] == "BlueSky"
+
+
+@pytest.fixture
+def criterion_calls(monkeypatch):
+    """Counts the grid evaluations of the criterion function."""
+    calls = []
+    original = conditions.criterion_function
+
+    def counted(theta, model):
+        calls.append(np.size(theta))
+        return original(theta, model)
+
+    monkeypatch.setattr(conditions, "criterion_function", counted)
+    return calls
+
+
+def test_mu_free_conditions_are_computed_once_per_model(criterion_calls):
+    model = validate_config(
+        uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (0.3,))))
+    report = check_case(CaseTag.SOLENOID, model)
+    bound = certified_angular_expansion(model)
+    sups = model.coupling_sup_bounds()
+    evaluations = len(criterion_calls)
+    assert check_case(CaseTag.SOLENOID, model) is report
+    assert certified_angular_expansion(model) == bound
+    assert model.coupling_sup_bounds() is sups
+    assert len(criterion_calls) == evaluations
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.margin = 0.0
+    # another grid is another certificate
+    assert check_case(CaseTag.SOLENOID, model, grid_size=8192).grid_size == 8192
+    assert len(criterion_calls) > evaluations
+
+
+def test_cached_inconclusive_is_raised_afresh(criterion_calls):
+    model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (1.0,))))
+    with pytest.raises(Inconclusive) as first:
+        check_case(CaseTag.BLUE_SKY, model)
+    evaluations = len(criterion_calls)
+    with pytest.raises(Inconclusive) as second:
+        check_case(CaseTag.BLUE_SKY, model)
+    assert len(criterion_calls) == evaluations
+    assert second.value is not first.value
+    for name in ("case_tag", "raw_margin", "inflation", "grid_size"):
+        assert getattr(second.value, name) == getattr(first.value, name)
+

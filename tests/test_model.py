@@ -303,6 +303,22 @@ def test_trapping_region_maps_into_itself():
         assert model.check_trapping(mu)
 
 
+def test_trapping_samples_are_the_core_and_face_centres():
+    for name, mu in (("demo_m0", 1e-4), ("demo_m1", 1e-4), ("demo_m2", 1e-5)):
+        model = demo_model(name)
+        th, X, Y, K = model.trapping_samples(mu, n_theta=64)
+        r = model.n - 1
+        assert th.shape == X.shape == (64 * (2 * r + 1),)
+        assert Y.shape == (model.ydim, th.size)
+        offsets = np.vstack((X - model.limit_radial(th), Y))
+        # every sample in the closed torus, on at most one radial axis
+        assert np.all(np.abs(offsets[0]) <= K * (1.0 + 1e-12))
+        assert np.all(np.sqrt(np.sum(offsets[1:] ** 2, axis=0)) <= K * (1.0 + 1e-12))
+        assert np.all(np.count_nonzero(offsets, axis=0) <= 1)
+        for axis in range(r):
+            assert np.sum(offsets[axis] > 0.5 * K) == np.sum(offsets[axis] < -0.5 * K) == 64
+
+
 def test_diffeomorphism_along_orbits():
     rng = np.random.default_rng(9)
     model = demo_model("demo_m2")
