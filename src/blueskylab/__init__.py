@@ -60,6 +60,7 @@ from .experiments import (
 )
 from .fourier import FourierSeries
 from .model import (
+    DomainError,
     EscapedTube,
     InvalidModel,
     ModelConfig,
@@ -68,6 +69,7 @@ from .model import (
     RawSectionPoint,
     Section,
     TorusPoint,
+    Undecided,
     ValidatedModel,
     certified_series_min,
     global_map_T1,
@@ -75,6 +77,7 @@ from .model import (
     load_model,
     local_map_T0,
     parse_config,
+    require_mu,
     return_map,
     return_map_jacobian,
     validate_config,

@@ -28,12 +28,12 @@ from .conditions import (
 )
 from .fourier import TWO_PI
 from .model import (
-    EscapedTube,
-    NoTrappingRadius,
     TorusPoint,
+    Undecided,
     ValidatedModel,
     angle_diff,
     reduce_angle,
+    require_mu,
 )
 
 __all__ = [
@@ -68,19 +68,19 @@ LYAPUNOV_FLOOR = -50.0
 LYAPUNOV_ENSEMBLE = 256
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(Undecided, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class NotACircleMap(RuntimeError):
+class NotACircleMap(Undecided, RuntimeError):
     """The angular component failed strict monotonicity along the curve."""
 
 
-class NotExpandingInTheta(RuntimeError):
+class NotExpandingInTheta(Undecided, RuntimeError):
     """The certified lower bound of the angular derivative is <= 1."""
 
 
-class BranchAmbiguity(RuntimeError):
+class BranchAmbiguity(Undecided, RuntimeError):
     """An orbit angle stayed within tolerance of a branch boundary after resampling."""
 
 
@@ -203,21 +203,22 @@ class InvariantCurve:
 
     def radial_at(self, theta):
         """Linear interpolation of (X, Y) at arbitrary angles; shape (..., 1+ydim)."""
-        n = len(self.theta_grid)
-        pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / n)
-        i0 = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
-        return (1.0 - frac)[..., None] * self.radial_values[i0] \
-            + frac[..., None] * self.radial_values[(i0 + 1) % n]
+        return _periodic_interp(self.radial_values, theta)
 
 
-def _curve_residual(theta, radial, Xb, Yb, lift):
-    """Distance from mapped nodes to the linearly interpolated curve at the image angles."""
-    n = len(theta)
-    pos = reduce_angle(lift) / (TWO_PI / n)
+def _periodic_interp(radial, theta):
+    """Linear interpolation at ``theta`` of node rows ``radial`` given on a
+    uniform grid over one turn; shape theta.shape + radial.shape[1:]."""
+    n = len(radial)
+    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / n)
     i0 = np.floor(pos).astype(int) % n
     frac = pos - np.floor(pos)
-    interp = (1.0 - frac)[:, None] * radial[i0] + frac[:, None] * radial[(i0 + 1) % n]
+    return (1.0 - frac)[..., None] * radial[i0] + frac[..., None] * radial[(i0 + 1) % n]
+
+
+def _curve_residual(radial, Xb, Yb, lift):
+    """Distance from mapped nodes to the linearly interpolated curve at the image angles."""
+    interp = _periodic_interp(radial, lift)
     dx = Xb - interp[:, 0]
     dy = Yb.T - interp[:, 1:]
     return float(np.max(np.sqrt(dx ** 2 + np.sum(dy ** 2, axis=1))))
@@ -256,7 +257,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
             sign = -1.0
         else:
             raise NotACircleMap("angular component is not strictly monotone along the curve")
-        residual = _curve_residual(theta, radial, Xb, Yb, lift)
+        residual = _curve_residual(radial, Xb, Yb, lift)
         if residual < tol:
             break
         # the piecewise-linear residual cannot drop below ~h^2/8 * curvature;
@@ -323,8 +324,7 @@ def annulus_diagnostic(model: ValidatedModel, mu: float, grid: int = 256) -> Ann
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"annulus diagnostic requires |m| = 1, got m={model.m}")
-    K = model.trapping_radius(mu)
-    th, X, Y, K = model.trapping_samples(mu, n_theta=grid, K=K)
+    th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
     *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     r = model.n - 1
     p_r = jac[:, :r, :r]
@@ -343,6 +343,14 @@ def annulus_diagnostic(model: ValidatedModel, mu: float, grid: int = 256) -> Ann
     return AnnulusDiagnostic(sup_pr, sup_ptheta, sup_qtinv, sup_qr, lhs, rhs)
 
 
+def _reference_lift(model: ValidatedModel, mu: float, theta):
+    """Angular lift along the limit curve (X, Y) = (alpha^nu, 0)."""
+    theta = np.asarray(theta, dtype=float)
+    X = model.limit_radial(theta)
+    Y = np.zeros((model.ydim,) + theta.shape)
+    return model.rescaled_step(X, Y, theta, mu)[2]
+
+
 def circle_degree(model: ValidatedModel, mu: float, grid_size: int = 4096) -> int:
     """Winding number of the angular image along the limit curve.
 
@@ -350,10 +358,7 @@ def circle_degree(model: ValidatedModel, mu: float, grid_size: int = 4096) -> in
     input angle; equals the model degree m for every valid configuration.
     """
     theta = np.linspace(0.0, TWO_PI, int(grid_size) + 1)
-    X = model.limit_radial(theta)
-    Y = np.zeros((model.ydim, theta.size))
-    _, _, lift, _ = model.rescaled_step(X, Y, theta, mu)
-    unwrapped = np.unwrap(reduce_angle(lift))
+    unwrapped = np.unwrap(reduce_angle(_reference_lift(model, mu, theta)))
     return int(np.round((unwrapped[-1] - unwrapped[0]) / TWO_PI))
 
 
@@ -412,21 +417,19 @@ class ConeCertificate:
         }
 
 
-def _interval_from(cross_pr, cross_pt, cross_qt, cross_qr):
-    """Admissible cone apertures: cross_pt/(1-cross_pr) < L < (1-cross_qt)/cross_qr."""
-    if cross_pr >= 1.0 or cross_qt >= 1.0:
-        return None
-    low = cross_pt / (1.0 - cross_pr)
-    high = np.inf if cross_qr == 0.0 else (1.0 - cross_qt) / cross_qr
-    return (float(low), float(high)) if low < high else None
-
-
 def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt, cross_qt, cross_qr):
-    """The forward conditions, the cross-form conditions, and the aperture interval."""
+    """The forward conditions, the cross-form conditions, and the admissible
+    cone apertures cross_pt/(1-cross_pr) < L < (1-cross_qt)/cross_qr (None
+    when empty)."""
     c_forward = pr < 1.0 and (1.0 - pr) * (1.0 - qt_inv) > ptheta * qr_over_qt
     c_cross = cross_pr < 1.0 and cross_qt < 1.0 and \
         (1.0 - cross_pr) * (1.0 - cross_qt) >= cross_pt * cross_qr
-    interval = _interval_from(cross_pr, cross_pt, cross_qt, cross_qr)
+    interval = None
+    if cross_pr < 1.0 and cross_qt < 1.0:
+        low = cross_pt / (1.0 - cross_pr)
+        high = np.inf if cross_qr == 0.0 else (1.0 - cross_qt) / cross_qr
+        if low < high:
+            interval = (float(low), float(high))
     return c_forward, c_cross, interval
 
 
@@ -489,9 +492,10 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
     cross_sup_qr = float(np.max(cross_qr_s))
 
     grid_qr_over_qt = float(np.max(np.linalg.norm(q_r, axis=1) / np.abs(q_t)))
-    grid_ok = all(_cone_checks(sup_pr, sup_ptheta, sup_qtheta_inv, grid_qr_over_qt,
-                               cross_sup_pr, cross_sup_pt, cross_sup_qt, cross_sup_qr)[:2]) \
-        and _interval_from(cross_sup_pr, cross_sup_pt, cross_sup_qt, cross_sup_qr) is not None
+    g_forward, g_cross, g_interval = _cone_checks(
+        sup_pr, sup_ptheta, sup_qtheta_inv, grid_qr_over_qt,
+        cross_sup_pr, cross_sup_pt, cross_sup_qt, cross_sup_qr)
+    grid_ok = g_forward and g_cross and g_interval is not None
 
     ub = dict(upper_bounds or {})
     cert = {
@@ -611,8 +615,7 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
     """
     if abs(model.m) < 2:
         raise CaseMismatch(f"cone certification requires |m| >= 2, got m={model.m}")
-    K = model.trapping_radius(mu)
-    th, X, Y, K = model.trapping_samples(mu, n_theta=grid, K=K)
+    th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
     *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     upper, qtheta_lo = _cone_upper_bounds(model, mu, K)
     if qtheta_lo <= 1.0:
@@ -686,8 +689,7 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
         raise ValueError("iterations must be positive")
     if transient < 0 or (qr_warmup is not None and qr_warmup < 0):
         raise ValueError("transient and qr_warmup must be non-negative")
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"lyapunov_spectrum requires a finite mu > 0, got {mu!r}")
+    require_mu(mu)
     if seed is None:
         seed = model.seed_point(0.5)
     if not np.all(np.isfinite(seed.as_vector())):
@@ -772,14 +774,6 @@ class ItineraryReport:
             "expansion_lower_bound": self.expansion_lower_bound,
             "resampled": self.resampled,
         }
-
-
-def _reference_lift(model: ValidatedModel, mu: float, theta):
-    """Angular lift along the limit curve (X, Y) = (alpha^nu, 0)."""
-    theta = np.asarray(theta, dtype=float)
-    X = model.limit_radial(theta)
-    Y = np.zeros((model.ydim,) + theta.shape)
-    return model.rescaled_step(X, Y, theta, mu)[2]
 
 
 def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, float]:
@@ -981,42 +975,42 @@ def classify_attractor(model: ValidatedModel, mu: float, *,
     """Run the case condition and the case-appropriate computation.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
-    Solenoid, or Indeterminate whenever a certification is inconclusive
-    or a hypothesis fails (never a guess).
+    Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
+    certificate or solver is ``Undecided`` (never a guess; the reason then
+    names the exception class).  An EscapedTube propagates.
     """
     m = model.m
     case = case_for_degree(m)
+    condition = None
     try:
         condition = check_case(case, model, grid_size)
-    except Inconclusive as exc:
-        return ClassificationRecord(AttractorLabel.INDETERMINATE, mu,
-                                    reason=f"condition inconclusive: {exc}")
-    if not condition.verdict:
-        return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
-                                    reason="case condition violated")
-
-    if case is CaseTag.BLUE_SKY:
-        fp = find_fixed_point(model, mu)
-        if not fp.stable:
+        if not condition.verdict:
             return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
-                                        fixed_point=fp, reason="fixed point not stable")
-        return ClassificationRecord(AttractorLabel.STABLE_PERIODIC_ORBIT, mu,
-                                    condition=condition, fixed_point=fp)
+                                        reason="case condition violated")
 
-    if case is CaseTag.TORUS_OR_KLEIN:
-        curve = graph_transform_curve(model, mu, curve_grid)
-        expected = Orientation.PRESERVING if m == 1 else Orientation.REVERSING
-        if curve.orientation is not expected:
-            return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
-                                        curve=curve, reason="unexpected orientation")
-        label = AttractorLabel.INVARIANT_TORUS if m == 1 else AttractorLabel.KLEIN_BOTTLE
-        return ClassificationRecord(label, mu, condition=condition, curve=curve)
+        if case is CaseTag.BLUE_SKY:
+            fp = find_fixed_point(model, mu)
+            if not fp.stable:
+                return ClassificationRecord(AttractorLabel.INDETERMINATE, mu,
+                                            condition=condition, fixed_point=fp,
+                                            reason="fixed point not stable")
+            return ClassificationRecord(AttractorLabel.STABLE_PERIODIC_ORBIT, mu,
+                                        condition=condition, fixed_point=fp)
 
-    try:
+        if case is CaseTag.TORUS_OR_KLEIN:
+            curve = graph_transform_curve(model, mu, curve_grid)
+            expected = Orientation.PRESERVING if m == 1 else Orientation.REVERSING
+            if curve.orientation is not expected:
+                return ClassificationRecord(AttractorLabel.INDETERMINATE, mu,
+                                            condition=condition, curve=curve,
+                                            reason="unexpected orientation")
+            label = AttractorLabel.INVARIANT_TORUS if m == 1 else AttractorLabel.KLEIN_BOTTLE
+            return ClassificationRecord(label, mu, condition=condition, curve=curve)
+
         certificate = cone_certify(model, mu, cone_grid)
-    except (Inconclusive, NotExpandingInTheta, NoTrappingRadius) as exc:
+    except Undecided as exc:
         return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
-                                    reason=f"cone certification inconclusive: {exc}")
+                                    reason=f"{type(exc).__name__}: {exc}")
     if not certificate.verdict:
         return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
                                     certificate=certificate, reason="cone conditions violated")

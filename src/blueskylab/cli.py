@@ -1,11 +1,12 @@
 """Command-line front end: validate, classify, sweep, certify.
 
-Exit codes: 0 success, 1 domain failure (invalid model, failed
-certificate, all records escaped), 2 usage or parse error, 3 inconclusive
-or indeterminate outcome.  All randomness flows from the manifest seed
-through a counter-based generator, and CSV floats use the shortest
-round-trip representation, so identical manifests produce byte-identical
-outputs.
+Exit codes: 0 success; 1 domain failure (invalid model, escaped orbit,
+false certificate, all records escaped); 2 usage or parse error; 3
+undecided (an inconclusive condition or certificate, a solver that did not
+converge, an indeterminate classification).  ``main`` maps exceptions to
+these codes with one table, ``EXIT_CODES``.  Nothing is random, and CSV
+floats use the shortest round-trip representation, so identical manifests
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,28 +19,44 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AttractorLabel, NotExpandingInTheta, classify_attractor, cone_certify
-from .conditions import CaseMismatch, Inconclusive
+from .analysis import AttractorLabel, classify_attractor, cone_certify
 from .experiments import (
+    InsufficientData,
     fit_period_scaling,
     geometric_mu_grid,
     mu_sweep,
-    sweep_csv_text,
+    write_sweep_csv,
 )
-from .model import EscapedTube, InvalidModel, NoTrappingRadius, parse_config, validate_config
+from .model import (
+    DomainError,
+    InvalidModel,
+    Undecided,
+    ValidatedModel,
+    parse_config,
+    require_mu,
+    validate_config,
+)
 
-__all__ = ["RunManifest", "cmd_certify", "cmd_classify", "cmd_sweep", "cmd_validate", "main"]
+__all__ = ["EXIT_CODES", "RunManifest", "cmd_certify", "cmd_classify", "cmd_sweep",
+           "cmd_validate", "main"]
+
+# exception class -> exit code and stderr prefix; the first match wins, and
+# any other exception propagates
+EXIT_CODES = (
+    (Undecided, 3, "undecided"),
+    (DomainError, 1, "error"),
+    (ValueError, 2, "usage error"),
+)
 
 
 @dataclass
 class RunManifest:
-    """Everything a command run depends on; identical manifests (and seed)
-    produce bit-identical file outputs."""
+    """Everything a command run depends on; identical manifests produce
+    bit-identical file outputs."""
 
     config_path: str
     command: str
     output_dir: str | None = None
-    seed: int = 0
     overrides: list[str] = field(default_factory=list)
 
 
@@ -88,8 +105,9 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     return data
 
 
-def _load(manifest: RunManifest):
-    """Read + override + parse; returns the ModelConfig (exit-2 class errors raise ValueError)."""
+def _load_model(manifest: RunManifest) -> ValidatedModel:
+    """Read, override, parse and validate the config.  An unreadable or
+    malformed file raises ValueError; a rule violation, InvalidModel."""
     path = Path(manifest.config_path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,7 +117,7 @@ def _load(manifest: RunManifest):
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed config {path}: {exc}") from exc
     apply_overrides(data, manifest.overrides)
-    return parse_config(data)
+    return validate_config(parse_config(data))
 
 
 def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
@@ -115,12 +133,7 @@ def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
 def cmd_validate(manifest: RunManifest) -> int:
     """Exit 0 iff the config satisfies every model-family rule."""
     try:
-        cfg = _load(manifest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = validate_config(cfg)
+        model = _load_model(manifest)
     except InvalidModel as exc:
         print("invalid model; violated rules:")
         for name in exc.violations:
@@ -140,21 +153,8 @@ def _format_interval(interval) -> str:
 
 def cmd_classify(manifest: RunManifest, mu: float, grid: int = 4096) -> int:
     """Classify the attractor at mu; exit 3 when indeterminate."""
-    try:
-        cfg = _load(manifest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = validate_config(cfg)
-    except InvalidModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        record = classify_attractor(model, mu, grid_size=grid)
-    except EscapedTube as exc:
-        print(f"error: orbit escaped the homoclinic tube: {exc}", file=sys.stderr)
-        return 1
+    require_mu(mu)
+    record = classify_attractor(_load_model(manifest), mu, grid_size=grid)
     print(record.label.value)
     if record.condition is not None:
         cond = record.condition
@@ -180,31 +180,20 @@ def cmd_classify(manifest: RunManifest, mu: float, grid: int = 4096) -> int:
 def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float,
               per_decade: int = 10) -> int:
     """Sweep mu, write the CSV and the scaling fit; exit 1 if all escaped."""
-    try:
-        cfg = _load(manifest)
-        if not 0.0 < mu_min < mu_max:
-            raise ValueError("need 0 < mu_min < mu_max")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = validate_config(cfg)
-    except InvalidModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    records = mu_sweep(model, geometric_mu_grid(mu_min, mu_max, per_decade))
+    mus = geometric_mu_grid(mu_min, mu_max, per_decade)
+    model = _load_model(manifest)
+    records = mu_sweep(model, mus)
     out_dir = Path(manifest.output_dir) if manifest.output_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep_csv_text(records))
+    write_sweep_csv(records, csv_path)
     print(f"wrote {csv_path} ({len(records)} records)")
     if all(r.escape_flag for r in records):
         print("error: every record escaped", file=sys.stderr)
         return 1
     try:
         fit = fit_period_scaling(records)
-    except Exception as exc:  # fit is advisory for non stable-orbit sweeps
+    except InsufficientData as exc:  # the fit is advisory outside the stable-orbit regime
         print(f"no period-scaling fit: {exc}")
         return 0
     _write_json(str(out_dir), "scaling_fit.json", fit.to_dict())
@@ -215,33 +204,8 @@ def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float,
 
 def cmd_certify(manifest: RunManifest, mu: float, grid: int = 256) -> int:
     """Write the cone certificate; exit 0 iff the verdict is true."""
-    try:
-        cfg = _load(manifest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = validate_config(cfg)
-    except InvalidModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if abs(model.m) < 2:
-        print(f"error: certify requires |m| >= 2, config has m={model.m}", file=sys.stderr)
-        return 2
-    try:
-        cert = cone_certify(model, mu, grid)
-    except CaseMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
-    except (NoTrappingRadius, NotExpandingInTheta) as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return 3
-    except EscapedTube as exc:
-        print(f"error: orbit escaped the homoclinic tube: {exc}", file=sys.stderr)
-        return 1
+    require_mu(mu)
+    cert = cone_certify(_load_model(manifest), mu, grid)
     print(f"verdict: {cert.verdict}")
     print(f"sup|dp/dr|={cert.sup_pr:.6g} sup|dp/dtheta|={cert.sup_ptheta:.6g} "
           f"sup|(dq/dtheta)^-1|={cert.sup_qtheta_inv:.6g} sup|dq/dr|={cert.sup_qr:.6g}")
@@ -263,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry (repeatable)")
         p.add_argument("--out", dest="out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="manifest seed for orbit sampling")
 
     p = sub.add_parser("validate", help="check the model-family rules")
     common(p)
@@ -292,22 +255,21 @@ def main(argv: list[str] | None = None) -> int:
         config_path=args.config,
         command=args.command,
         output_dir=args.out,
-        seed=args.seed,
         overrides=list(args.overrides),
     )
+    commands = {
+        "validate": lambda: cmd_validate(manifest),
+        "classify": lambda: cmd_classify(manifest, args.mu, args.grid),
+        "sweep": lambda: cmd_sweep(manifest, args.mu_min, args.mu_max, args.per_decade),
+        "certify": lambda: cmd_certify(manifest, args.mu, args.grid),
+    }
     try:
-        if args.command == "validate":
-            return cmd_validate(manifest)
-        if args.command == "classify":
-            return cmd_classify(manifest, args.mu, args.grid)
-        if args.command == "sweep":
-            return cmd_sweep(manifest, args.mu_min, args.mu_max, args.per_decade)
-        if args.command == "certify":
-            return cmd_certify(manifest, args.mu, args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
+        return commands[args.command]()
+    except (DomainError, ValueError) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in EXIT_CODES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .fourier import lipschitz_grid_extrema
-from .model import ValidatedModel
+from .model import Undecided, ValidatedModel
 
 __all__ = [
     "CaseMismatch",
@@ -55,7 +55,7 @@ class CaseMismatch(ValueError):
     """The requested case tag is inconsistent with the model's degree m."""
 
 
-class Inconclusive(RuntimeError):
+class Inconclusive(Undecided, RuntimeError):
     """The grid cap was reached with the margin still inside the inflation.
 
     Distinct from a false verdict: no violating angle was found, but the

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import AttractorLabel, ClassificationRecord, classify_attractor
-from .conditions import CaseTag, ConditionReport, Inconclusive, check_case
-from .model import EscapedTube, ValidatedModel, reduce_angle
+from .conditions import CaseTag, Inconclusive, check_case
+from .model import EscapedTube, ValidatedModel, reduce_angle, require_mu
 
 __all__ = [
     "GLOBAL_TRANSIT_TIME",
@@ -81,7 +81,7 @@ class ScalingFit:
 
 def geometric_mu_grid(mu_min: float, mu_max: float, per_decade: int = 10) -> np.ndarray:
     """Geometric mu grid, descending, ``per_decade`` points per decade."""
-    if not 0.0 < mu_min < mu_max:
+    if not require_mu(mu_min) < require_mu(mu_max):
         raise ValueError("need 0 < mu_min < mu_max")
     decades = np.log10(mu_max / mu_min)
     count = max(2, int(round(decades * per_decade)) + 1)
@@ -224,15 +224,13 @@ class ThresholdStudy:
     bracket: tuple[float, float] | None
 
 
-def _condition_outcome(family: Callable[[float], ValidatedModel], a: float,
-                       case_tag: CaseTag, grid_size: int) -> tuple[str, float | None,
-                                                                   ConditionReport | None]:
-    model = family(a)
+def _condition_outcome(model: ValidatedModel, case_tag: CaseTag,
+                       grid_size: int) -> tuple[str, float | None]:
     try:
         report = check_case(case_tag, model, grid_size)
     except Inconclusive:
-        return "inconclusive", None, None
-    return ("true" if report.verdict else "false"), report.margin, report
+        return "inconclusive", None
+    return ("true" if report.verdict else "false"), report.margin
 
 
 def threshold_study(family: Callable[[float], ValidatedModel], case_tag: CaseTag,
@@ -250,10 +248,11 @@ def threshold_study(family: Callable[[float], ValidatedModel], case_tag: CaseTag
     case_tag = CaseTag(case_tag)
     rows: list[ThresholdRow] = []
     for a in a_values:
-        outcome, margin, _ = _condition_outcome(family, a, case_tag, grid_size)
+        model = family(a)
+        outcome, margin = _condition_outcome(model, case_tag, grid_size)
         label = None
         if mu is not None:
-            label = classify_attractor(family(a), mu).label.value
+            label = classify_attractor(model, mu).label.value
         rows.append(ThresholdRow(float(a), outcome, margin, label))
 
     lo = hi = None
@@ -267,7 +266,7 @@ def threshold_study(family: Callable[[float], ValidatedModel], case_tag: CaseTag
 
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
-        outcome, _, _ = _condition_outcome(family, mid, case_tag, grid_size)
+        outcome, _ = _condition_outcome(family(mid), case_tag, grid_size)
         if outcome == "false":
             hi = mid
         else:

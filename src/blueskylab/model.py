@@ -45,6 +45,7 @@ import numpy as np
 from .fourier import TWO_PI, FourierSeries, lipschitz_grid_extrema
 
 __all__ = [
+    "DomainError",
     "EscapedTube",
     "InvalidModel",
     "ModelConfig",
@@ -53,6 +54,7 @@ __all__ = [
     "RawSectionPoint",
     "Section",
     "TorusPoint",
+    "Undecided",
     "ValidatedModel",
     "certified_series_min",
     "global_map_T1",
@@ -60,6 +62,7 @@ __all__ = [
     "load_model",
     "local_map_T0",
     "parse_config",
+    "require_mu",
     "return_map",
     "return_map_jacobian",
     "validate_config",
@@ -73,7 +76,16 @@ CONFIG_KEYS = (
 )
 
 
-class InvalidModel(ValueError):
+class DomainError(Exception):
+    """A failure inside the model's domain, as opposed to a usage error."""
+
+
+class Undecided(DomainError):
+    """A certificate or solver could not decide: the outcome is neither
+    certified nor refuted, and must be reported as undecided."""
+
+
+class InvalidModel(DomainError, ValueError):
     """Raised by ``validate_config``; carries every violated rule by name."""
 
     def __init__(self, violations: list[str]):
@@ -81,15 +93,16 @@ class InvalidModel(ValueError):
         super().__init__("invalid model: " + ", ".join(self.violations))
 
 
-class NotInPositiveHalf(ValueError):
+class NotInPositiveHalf(DomainError, ValueError):
     """A point handed to the local map lies on the wrong side of the stable manifold (z0 <= 0)."""
 
 
-class EscapedTube(RuntimeError):
-    """An orbit left the homoclinic tube: the global map produced z0 <= 0."""
+class EscapedTube(DomainError, RuntimeError):
+    """An orbit left the homoclinic tube: the global map produced a z0 that
+    is not finite and positive."""
 
 
-class NoTrappingRadius(ValueError):
+class NoTrappingRadius(Undecided, ValueError):
     """No trapping solid torus can be certified at this mu (mu too large
     for the couplings)."""
 
@@ -97,6 +110,14 @@ class NoTrappingRadius(ValueError):
 class Section(Enum):
     S0 = "S0"
     S1 = "S1"
+
+
+def require_mu(mu: float) -> float:
+    """The input rule for the splitting parameter: 0 < mu < inf (so NaN fails).
+    Returns ``mu``; raises ValueError otherwise."""
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    return mu
 
 
 def reduce_angle(theta):
@@ -178,6 +199,11 @@ class ModelConfig:
         self.coupling_fy = tuple(self.coupling_fy)
         self.coupling_hy = tuple(self.coupling_hy)
         self.g0 = tuple(self.g0)
+
+    def all_series(self) -> list[FourierSeries]:
+        """Every angular profile, in the order of the model's series bank."""
+        return [self.alpha, self.h, self.coupling_fx, self.coupling_hx,
+                *self.coupling_fy, *self.coupling_hy, *self.g0]
 
     def to_dict(self) -> dict:
         return {
@@ -294,7 +320,7 @@ class ValidatedModel:
     of mu-free certified results; every map evaluation is side-effect free.
     """
 
-    def __init__(self, cfg: ModelConfig, alpha_min: float, alpha_min_grid: int):
+    def __init__(self, cfg: ModelConfig, alpha_min: float):
         self.cfg = cfg
         self.m = int(cfg.m)
         self.gamma = cfg.gamma
@@ -306,15 +332,11 @@ class ValidatedModel:
         self.nu = cfg.lam / cfg.gamma
         self.beta_over_gamma = cfg.beta / cfg.gamma
         self.alpha_min = alpha_min          # certified positive lower bound
-        self.alpha_min_grid = alpha_min_grid
         self.alpha_sup = cfg.alpha.sup_bound()
         self._memo: dict = {}
 
         k = self.ydim
-        self._bank = _SeriesBank(
-            [cfg.alpha, cfg.h, cfg.coupling_fx, cfg.coupling_hx]
-            + list(cfg.coupling_fy) + list(cfg.coupling_hy) + list(cfg.g0)
-        )
+        self._bank = _SeriesBank(cfg.all_series())
         self._iA, self._iH, self._iFX, self._iHX = 0, 1, 2, 3
         self._sFY = slice(4, 4 + k)
         self._sHY = slice(4 + k, 4 + 2 * k)
@@ -366,13 +388,15 @@ class ValidatedModel:
         x1 = np.asarray(x1, dtype=float)
         y1 = np.asarray(y1, dtype=float)
         theta1 = np.asarray(theta1, dtype=float)
-        vals = self._bank.eval(theta1)
-        a, hv = vals[self._iA], vals[self._iH]
-        fx, hx = vals[self._iFX], vals[self._iHX]
-        fy, hy, g0 = vals[self._sFY], vals[self._sHY], vals[self._sG0]
-        z0 = mu * a + x1 * fx + np.sum(fy * y1, axis=0)
-        y0 = g0 + x1 * fy + hy * y1
-        theta0 = self.m * theta1 + hv + x1 * hx + np.sum(hy * y1, axis=0)
+        return self._t1(self._bank.eval(theta1), x1, y1, theta1, mu)
+
+    def _t1(self, vals, x1, y1, theta1, mu):
+        """The global map on the series-bank values ``vals`` at ``theta1``."""
+        fy, hy = vals[self._sFY], vals[self._sHY]
+        z0 = mu * vals[self._iA] + x1 * vals[self._iFX] + np.sum(fy * y1, axis=0)
+        y0 = vals[self._sG0] + x1 * fy + hy * y1
+        theta0 = self.m * theta1 + vals[self._iH] + x1 * vals[self._iHX] \
+            + np.sum(hy * y1, axis=0)
         return z0, y0, theta0
 
     # -- rescaled return map -------------------------------------------------
@@ -398,10 +422,9 @@ class ValidatedModel:
 
         Raises
         ------
-        EscapedTube if any intermediate z0 <= 0.
+        EscapedTube if any intermediate z0 is not finite and positive.
         """
-        if mu <= 0.0:
-            raise ValueError("rescaled return map requires mu > 0")
+        require_mu(mu)
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -417,22 +440,10 @@ class ValidatedModel:
         c_x = d ** (1.0 - nu) * mu_nu
 
         vals = self._bank.eval(theta)
-        a, hv = vals[self._iA], vals[self._iH]
-        fx, hx = vals[self._iFX], vals[self._iHX]
-        fy, hy, g0 = vals[self._sFY], vals[self._sHY], vals[self._sG0]
-        do = self._doff
-        a1, hv1 = vals[do + self._iA], vals[do + self._iH]
-        fx1, hx1 = vals[do + self._iFX], vals[do + self._iHX]
-        fy1 = vals[do + self._sFY.start : do + self._sFY.stop]
-        hy1 = vals[do + self._sHY.start : do + self._sHY.stop]
-        g01 = vals[do + self._sG0.start : do + self._sG0.stop]
-
         x = c_x * X
-        z0 = mu * a + x * fx + mu_nu * np.sum(fy * Y, axis=0)
-        if np.any(z0 <= 0.0):
-            raise EscapedTube(f"z0 <= 0 under the global map at mu={mu!r}")
-        y0 = g0 + x * fy + mu_nu * hy * Y
-        th0 = m * theta + hv + x * hx + mu_nu * np.sum(hy * Y, axis=0)
+        z0, y0, th0 = self._t1(vals, x, mu_nu * Y, theta, mu)
+        if not np.all((z0 > 0.0) & (z0 < np.inf)):
+            raise EscapedTube(f"z0 not finite and positive under the global map at mu={mu!r}")
 
         u = z0 / mu
         Xb = u ** nu
@@ -445,6 +456,14 @@ class ValidatedModel:
         if not with_jacobian:
             return Xb, Yb, theta_lift, flight
 
+        a, fx, hx = vals[self._iA], vals[self._iFX], vals[self._iHX]
+        fy, hy = vals[self._sFY], vals[self._sHY]
+        do = self._doff
+        a1, hv1 = vals[do + self._iA], vals[do + self._iH]
+        fx1, hx1 = vals[do + self._iFX], vals[do + self._iHX]
+        fy1 = vals[do + self._sFY.start : do + self._sFY.stop]
+        hy1 = vals[do + self._sHY.start : do + self._sHY.stop]
+        g01 = vals[do + self._sG0.start : do + self._sG0.stop]
         # first-stage partials (z0, y0, theta0) w.r.t. (X, Y, theta)
         dz0_dX = c_x * fx
         dz0_dY = mu_nu * fy
@@ -540,8 +559,7 @@ class ValidatedModel:
         limit curve.  Raises NoTrappingRadius if no radius can be certified
         at this mu (mu too large for the given couplings).
         """
-        if mu <= 0.0:
-            raise ValueError("trapping radius requires mu > 0")
+        require_mu(mu)
         nu, bg = self.nu, self.beta_over_gamma
         a_hi = self.alpha_sup
         osc = a_hi ** nu - self.alpha_min ** nu
@@ -589,12 +607,19 @@ class ValidatedModel:
 def validate_config(cfg: ModelConfig) -> ValidatedModel:
     """Check every model-family rule; raise InvalidModel naming all violations.
 
-    Rules: nu = lam/gamma > 1; beta > lam (strong-stable block dominated);
-    alpha strictly positive on the circle (simultaneous splitting); m an
+    Rules: every scalar and series coefficient finite; nu = lam/gamma > 1;
+    beta > lam (strong-stable block dominated); alpha strictly positive on
+    the circle (simultaneous splitting, checked only on finite input); m an
     integer; and the dimension constraint on m (n = 2 forces m = 1, n = 3
     allows |m| <= 1, n >= 4 allows any integer).
     """
     violations: list[str] = []
+    numbers = [cfg.m, cfg.gamma, cfg.lam, cfg.beta, cfg.d, cfg.n]
+    for s in cfg.all_series():
+        numbers += [s.constant_term, *s.cosine_coeffs, *s.sine_coeffs]
+    finite = bool(np.all(np.isfinite(numbers)))
+    if not finite:
+        violations.append("NonFinite")
     if not float(cfg.n).is_integer() or cfg.n < 2:
         violations.append("NTooSmall")
     if cfg.gamma <= 0.0:
@@ -626,13 +651,14 @@ def validate_config(cfg: ModelConfig) -> ValidatedModel:
                 violations.append("YProfileLengthMismatch")
                 break
 
-    alpha_min, alpha_grid, certified = certified_series_min(cfg.alpha)
-    if alpha_min <= 0.0 or not certified:
-        violations.append("AlphaNotPositive")
+    if finite:
+        alpha_min, _, certified = certified_series_min(cfg.alpha)
+        if alpha_min <= 0.0 or not certified:
+            violations.append("AlphaNotPositive")
 
     if violations:
         raise InvalidModel(violations)
-    return ValidatedModel(cfg, alpha_min=alpha_min, alpha_min_grid=alpha_grid)
+    return ValidatedModel(cfg, alpha_min=alpha_min)
 
 
 # -- operation-style wrappers ---------------------------------------------

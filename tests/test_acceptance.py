@@ -222,7 +222,7 @@ def test_c10_sweep_determinism(tmp_path):
         for sub in ("a", "b"):
             out = tmp_path / sub
             code = cli_main(["sweep", cfg, "--mu-min", "1e-7", "--mu-max", "1e-3",
-                             "--per-decade", "5", "--out", str(out), "--seed", "11"])
+                             "--per-decade", "5", "--out", str(out)])
             assert code == 0
             assert (out / "scaling_fit.json").exists()
             outputs.append((out / "sweep.csv").read_bytes())

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -139,14 +140,55 @@ def test_sweep_all_escaped_exit_code(tmp_path):
 
 
 def test_sweep_survives_mu_without_trapping_region(tmp_path):
-    # no trapping radius can be certified at the large-mu end of this grid;
-    # those rows are Indeterminate and the rest of the sweep still runs
+    # at the large-mu end of this grid the orbit overflows (an escape), and
+    # below it no trapping radius can be certified (Indeterminate rows);
+    # the rest of the sweep still runs
     code = run("sweep", config("demo_m2"), "--set", "coupling_fx.constant=0.5",
                "--mu-min", "1e-2", "--mu-max", "0.9", "--out", str(tmp_path))
     assert code == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert rows[1].startswith("0.9,Indeterminate,")
+    assert rows[1] == "0.9,Escaped,nan,,,true"
+    assert any(row.split(",")[1] == "Indeterminate" and math.isfinite(float(row.split(",")[2]))
+               for row in rows[1:])
     assert rows[-1].startswith("0.01,Solenoid,")
+
+
+def test_sweep_survives_not_a_circle_map(tmp_path):
+    # the graph transform fails the circle-map property at mu = 0.425: that
+    # row is Indeterminate, and the sweep writes every row
+    code = run("sweep", config("demo_m1"), "--set", "coupling_fx.constant=0.5",
+               "--mu-min", "1e-2", "--mu-max", "0.9", "--per-decade", "3",
+               "--out", str(tmp_path))
+    assert code == 0
+    labels = [row.split(",")[1] for row in
+              (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert labels == ["Escaped", "Indeterminate"] + ["InvariantTorus"] * 5
+
+
+def test_classify_not_a_circle_map_is_undecided(capsys):
+    code = run("classify", config("demo_m1"), "--mu", "0.9", "--set", "coupling_fx.constant=0.5")
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "Indeterminate" in out and "reason: NotACircleMap" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "demo_m0", "--mu", "nan"],
+    ["certify", "demo_m2", "--mu", "inf"],
+    ["sweep", "demo_m0", "--mu-min", "1e-3", "--mu-max", "inf"],
+])
+def test_non_finite_mu_is_usage_error(capsys, tmp_path, argv):
+    command, name, *rest = argv
+    assert run(command, config(name), *rest, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mu must be finite and positive" in err
+
+
+def test_non_finite_config_is_invalid_model(capsys):
+    code = run("classify", config("demo_m0"), "--mu", "1e-6", "--set", "gamma=NaN")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NonFinite" in err
 
 
 def test_sweep_determinism(tmp_path):
@@ -154,7 +196,7 @@ def test_sweep_determinism(tmp_path):
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
         assert run("sweep", config("demo_m0"), "--mu-min", "1e-5", "--mu-max", "1e-3",
-                   "--per-decade", "3", "--out", str(out), "--seed", "7") == 0
+                   "--per-decade", "3", "--out", str(out)) == 0
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 

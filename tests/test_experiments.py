@@ -139,6 +139,19 @@ def test_threshold_with_classification_column():
     assert study.rows[1].classification == "Indeterminate"
 
 
+def test_threshold_builds_one_model_per_value():
+    calls = []
+
+    def family(a):
+        calls.append(a)
+        return validate_config(uncoupled_config(m=0, h=F(0.0, (), (a,))))
+
+    # 3 tabulated values, each classified on the model its condition used,
+    # then 20 bisection steps
+    threshold_study(family, CaseTag.BLUE_SKY, [0.5, 0.9, 1.5], mu=1e-5)
+    assert len(calls) == 23
+
+
 def test_threshold_no_bracket():
     def family(a):
         return validate_config(uncoupled_config(m=0, h=F(0.0, (), (a,))))

@@ -80,6 +80,36 @@ def test_beta_rule_and_multiple_violations():
     assert {"NuNotGreaterThanOne", "AlphaNotPositive"} <= set(v)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("gamma", float("nan")),
+    ("d", float("inf")),
+    ("h", F(0.0, (), (float("nan"),))),
+    ("alpha", F(float("inf"))),
+    ("coupling_hy", (F.zero(), F(0.0, (float("nan"),), ()))),
+])
+def test_non_finite_inputs_rejected(field, value):
+    cfg = uncoupled_config(n=4)
+    setattr(cfg, field, value)
+    with pytest.raises(InvalidModel) as err:
+        validate_config(cfg)
+    assert err.value.violations == ["NonFinite"]
+
+
+def test_failure_classes_share_two_bases():
+    undecided = (bsl.Inconclusive, bsl.NoTrappingRadius, bsl.NotExpandingInTheta,
+                 bsl.NoConvergence, bsl.NotACircleMap, bsl.BranchAmbiguity)
+    for cls in undecided:
+        assert issubclass(cls, bsl.Undecided)
+    for cls in (InvalidModel, EscapedTube, NotInPositiveHalf):
+        assert issubclass(cls, bsl.DomainError) and not issubclass(cls, bsl.Undecided)
+    # usage errors stay outside the domain hierarchy
+    for cls in (bsl.CaseMismatch, bsl.InsufficientData):
+        assert issubclass(cls, ValueError) and not issubclass(cls, bsl.DomainError)
+    # the builtin bases are kept
+    assert issubclass(bsl.NoTrappingRadius, ValueError)
+    assert issubclass(bsl.NoConvergence, RuntimeError)
+
+
 def test_y_profile_length_mismatch():
     cfg = uncoupled_config(n=4)  # builder gives 2 series per list
     cfg.g0 = cfg.g0[:1]
@@ -183,12 +213,31 @@ def test_return_map_requires_positive_mu():
         return_map(TorusPoint(0.0, 1.0, [0.0]), 0.0, model)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1e-3])
+def test_mu_input_rule(mu):
+    model = validate_config(uncoupled_config())
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        return_map(TorusPoint(0.0, 1.0, [0.0]), mu, model)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        model.trapping_radius(mu)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        bsl.geometric_mu_grid(1e-6, mu)
+
+
 def test_escape_reported():
     cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
     cfg.coupling_fx = F.constant(-4.0)
     model = validate_config(cfg)
     with pytest.raises(EscapedTube):
         return_map(TorusPoint(0.0, 1.0, [0.0]), 0.9, model)
+
+
+def test_overflow_is_an_escape():
+    model = validate_config(uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X in (np.inf, np.nan):
+            with pytest.raises(EscapedTube):
+                model.rescaled_step(X, np.zeros(1), 0.0, 0.5)
 
 
 def test_return_map_converges_to_limit_formula():
