@@ -10,6 +10,7 @@ against the degree-m expanding circle factor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,6 +65,11 @@ __all__ = [
 ]
 
 LYAPUNOV_FLOOR = -50.0
+# nodes copied from each end of the turn to pad the graph transform's PCHIP
+# periodically: a slope reads one neighbour on each side, so only the
+# outermost pad nodes take the one-sided end slope, and every interval the
+# inverse evaluates has the slopes of the whole periodic curve
+PCHIP_PAD = 4
 # orbits the Lyapunov cocycle advances together
 LYAPUNOV_ENSEMBLE = 256
 
@@ -211,9 +217,12 @@ def _periodic_interp(radial, theta):
     uniform grid over one turn; shape theta.shape + radial.shape[1:]."""
     n = len(radial)
     pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / n)
-    i0 = np.floor(pos).astype(int) % n
-    frac = pos - np.floor(pos)
-    return (1.0 - frac)[..., None] * radial[i0] + frac[..., None] * radial[(i0 + 1) % n]
+    base = np.floor(pos)
+    frac = pos - base
+    # pos lies in [0, n], so the node indices i0 and i0 + 1 wrap at most once
+    i0 = base.astype(np.intp)
+    return (1.0 - frac)[..., None] * radial.take(i0, axis=0, mode="wrap") \
+        + frac[..., None] * radial.take(i0 + 1, axis=0, mode="wrap")
 
 
 def _curve_residual(radial, Xb, Yb, lift):
@@ -232,12 +241,26 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     maps the graph and reparametrizes it by the image angle; the angular
     lift along the curve must be strictly monotone (the circle-map
     property guaranteed by the torus condition), and its inverse is taken
-    with monotone cubic (PCHIP) interpolation on the lift.  Iterates until
-    the invariance residual drops below ``tol``.
+    with monotone cubic (PCHIP) interpolation on the lift, padded
+    periodically by ``PCHIP_PAD`` nodes from the other end of the turn on
+    each side.  Iterates until the invariance residual drops below ``tol``.
+
+    Raises ValueError unless ``grid_size`` is an integer of at least
+    2 * PCHIP_PAD, ``tol`` is finite and positive and ``max_iter`` >= 1.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
-    n = int(grid_size)
+    try:
+        n = operator.index(grid_size)
+        max_iter = operator.index(max_iter)
+    except TypeError as exc:
+        raise ValueError(f"grid_size and max_iter must be integers: {exc}") from None
+    if n < 2 * PCHIP_PAD:
+        raise ValueError(f"grid_size must be at least {2 * PCHIP_PAD}, got {n}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     k = model.ydim
     theta = np.arange(n) * (TWO_PI / n)
     radial = np.empty((n, 1 + k))
@@ -271,9 +294,9 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
 
         w = sign * lift
         values = np.column_stack([Xb, Yb.T]) if k else Xb[:, None]
-        # periodic extension so the interpolation stencil covers one full turn
-        w_ext = np.concatenate([w - TWO_PI, w, w + TWO_PI])
-        v_ext = np.vstack([values, values, values])
+        p = PCHIP_PAD
+        w_ext = np.concatenate([w[-p:] - TWO_PI, w, w[:p] + TWO_PI])
+        v_ext = np.concatenate([values[-p:], values, values[:p]])
         interp = PchipInterpolator(w_ext, v_ext, axis=0)
         targets = sign * theta
         targets = targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI)

@@ -306,12 +306,17 @@ class _SeriesBank:
         self.k_cos = np.arange(deg + 1, dtype=float)
         self.k_sin = np.arange(1, deg + 1, dtype=float)
 
-    def eval(self, theta) -> np.ndarray:
-        """Values of all rows at ``theta``; shape (n_rows,) + theta.shape."""
+    def eval(self, theta, derivatives: bool = False) -> np.ndarray:
+        """Values of the profiles at ``theta``, shape (n_base,) + theta.shape;
+        with ``derivatives`` all rows, shape (n_rows,) + theta.shape."""
         theta = np.asarray(theta, dtype=float)
-        cb = np.cos(np.multiply.outer(self.k_cos, theta))
-        sb = np.sin(np.multiply.outer(self.k_sin, theta))
-        return np.tensordot(self.cos_mat, cb, axes=1) + np.tensordot(self.sin_mat, sb, axes=1)
+        rows = self.n_rows if derivatives else self.n_base
+        # np.dot on flattened angles: the product tensordot makes, without
+        # its per-call overhead (most of a single-point evaluation)
+        cb = np.cos(np.multiply.outer(self.k_cos, theta)).reshape(len(self.k_cos), theta.size)
+        sb = np.sin(np.multiply.outer(self.k_sin, theta)).reshape(len(self.k_sin), theta.size)
+        vals = np.dot(self.cos_mat[:rows], cb) + np.dot(self.sin_mat[:rows], sb)
+        return vals.reshape((rows,) + theta.shape)
 
 
 class ValidatedModel:
@@ -422,7 +427,8 @@ class ValidatedModel:
 
         Raises
         ------
-        EscapedTube if any intermediate z0 is not finite and positive.
+        EscapedTube if any intermediate z0 is not finite and positive, or
+        any image Xb, Yb is not finite.
         """
         require_mu(mu)
         X = np.asarray(X, dtype=float)
@@ -439,17 +445,21 @@ class ValidatedModel:
         mu_nu = mu ** nu
         c_x = d ** (1.0 - nu) * mu_nu
 
-        vals = self._bank.eval(theta)
+        vals = self._bank.eval(theta, derivatives=with_jacobian)
         x = c_x * X
         z0, y0, th0 = self._t1(vals, x, mu_nu * Y, theta, mu)
         if not np.all((z0 > 0.0) & (z0 < np.inf)):
             raise EscapedTube(f"z0 not finite and positive under the global map at mu={mu!r}")
 
-        u = z0 / mu
-        Xb = u ** nu
-        c_y = mu ** (bg - nu)
-        u_bg = u ** bg
-        Yb = c_y * u_bg * y0
+        # an orbit that overflows here has left the tube: flag it on this step
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = z0 / mu
+            Xb = u ** nu
+            c_y = mu ** (bg - nu)
+            u_bg = u ** bg
+            Yb = c_y * u_bg * y0
+        if not (np.isfinite(Xb).all() and np.isfinite(Yb).all()):
+            raise EscapedTube(f"image not finite under the local map at mu={mu!r}")
         flight = (np.log(d) - np.log(z0)) / gamma
         theta_lift = th0 + flight
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import blueskylab as bsl
@@ -127,6 +128,78 @@ def test_curve_requires_unit_degree():
     model = demo_model("demo_m2")
     with pytest.raises(CaseMismatch):
         graph_transform_curve(model, 1e-5)
+
+
+def _graph_transform_step_3n(model, mu, theta, radial):
+    """One graph-transform step with PCHIP on the full 3N-node periodic
+    extension (w - 2 pi, w, w + 2 pi) of the mapped curve."""
+    Xb, Yb, lift, _ = model.rescaled_step(radial[:, 0], radial[:, 1:].T, theta, mu)
+    sign = 1.0 if lift[1] > lift[0] else -1.0
+    w = sign * lift
+    values = np.column_stack([Xb, Yb.T])
+    interp = PchipInterpolator(np.concatenate([w - TWO_PI, w, w + TWO_PI]),
+                               np.vstack([values] * 3), axis=0)
+    targets = sign * theta
+    return interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
+
+
+@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1"])
+def test_curve_equals_the_3n_extension_bit_for_bit(name):
+    # the solve at 2^12 nodes takes two interpolation steps; the padded PCHIP
+    # must reproduce the 3N-extension iterate exactly, not just closely
+    model = demo_model(name)
+    mu = 1e-4
+    curve = graph_transform_curve(model, mu, grid_size=2 ** 12, tol=1e-6)
+    theta = curve.theta_grid
+    radial = np.column_stack([model.limit_radial(theta), np.zeros((len(theta), model.ydim))])
+    iterates = []
+    for _ in range(4):
+        radial = _graph_transform_step_3n(model, mu, theta, radial)
+        iterates.append(radial)
+    assert not np.array_equal(iterates[0], curve.radial_values)
+    assert any(np.array_equal(it, curve.radial_values) for it in iterates)
+
+
+def _linear_periodic(values, theta):
+    """Linear interpolation on a uniform grid over one turn, one angle at a time."""
+    n = len(values)
+    h = TWO_PI / n
+    out = []
+    for t in np.ravel(theta):
+        t = float(t) % TWO_PI
+        i = int(t // h)
+        frac = t / h - i
+        out.append((1.0 - frac) * values[i % n] + frac * values[(i + 1) % n])
+    return np.reshape(out, np.shape(theta) + values.shape[1:])
+
+
+def test_radial_at_scalar_and_array_angles():
+    model = demo_model("demo_m1")
+    curve = graph_transform_curve(model, 1e-4, grid_size=2 ** 12, tol=1e-6)
+    cases = [2.5, -0.7, TWO_PI, 9.0, np.float64(-13.1), np.array(7.25),
+             [0.0, -1e-17, TWO_PI - 1e-15, 3.3],
+             np.linspace(-8.0, 15.0, 42).reshape(6, 7)]
+    for theta in cases:
+        got = curve.radial_at(theta)
+        assert got.shape == np.shape(theta) + (1 + model.ydim,)
+        np.testing.assert_allclose(got, _linear_periodic(curve.radial_values, theta),
+                                   rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("grid_size", 0),
+    ("grid_size", 1),
+    ("grid_size", 7),
+    ("grid_size", 1024.7),
+    ("tol", 0.0),
+    ("tol", -1.0),
+    ("tol", float("nan")),
+    ("max_iter", 0),
+])
+def test_curve_input_rule(arg, value):
+    model = validate_config(uncoupled_config(m=1, gamma=1.0, lam=1.6, beta=2.5))
+    with pytest.raises(ValueError):
+        graph_transform_curve(model, 1e-4, **{"grid_size": 1024, arg: value})
 
 
 def test_annulus_diagnostic_holds_for_curve_regimes():

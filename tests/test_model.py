@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,29 @@ def test_overflow_is_an_escape():
         for X in (np.inf, np.nan):
             with pytest.raises(EscapedTube):
                 model.rescaled_step(X, np.zeros(1), 0.0, 0.5)
+
+
+def test_overflowing_image_is_an_escape_without_warnings():
+    # z0 is finite here, but the local map's image u ** nu overflows: the
+    # escape is flagged on this step, and no numpy warning is printed
+    cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
+    cfg.coupling_fx = F.constant(1.0)
+    model = validate_config(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X in (1e200, np.array([1.0, 1e200])):
+            with pytest.raises(EscapedTube):
+                model.rescaled_step(X, np.zeros((1,) + np.shape(X)), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_series_bank_profile_rows_match_full_evaluation(path):
+    bank = bsl.load_model(path)._bank
+    theta = np.linspace(-4.0, 11.0, 4099)
+    full = bank.eval(theta, derivatives=True)
+    assert full.shape == (2 * bank.n_base,) + theta.shape
+    assert np.array_equal(bank.eval(theta), full[: bank.n_base])
+    assert np.array_equal(bank.eval(0.3), bank.eval(np.array([0.3]))[:, 0])
 
 
 def test_return_map_converges_to_limit_formula():
