@@ -30,9 +30,8 @@ def main():
     print(f"{'mu':>12} {'theta*':>10} {'X*':>8} {'max|mult|':>11} {'period':>10}")
     for mu in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
         fp = bsl.find_fixed_point(model, mu)
-        flight = model.rescaled_step(fp.point.X, fp.point.Y, fp.point.theta, mu)[3]
         print(f"{mu:12.1e} {fp.point.theta:10.6f} {fp.point.X:8.4f} "
-              f"{np.max(np.abs(fp.multipliers)):11.3e} {float(flight) + 1.0:10.4f}")
+              f"{np.max(np.abs(fp.multipliers)):11.3e} {fp.flight + 1.0:10.4f}")
 
     records = bsl.mu_sweep(model, bsl.geometric_mu_grid(1e-8, 1e-3))
     fit = bsl.fit_period_scaling(records)

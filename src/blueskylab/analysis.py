@@ -10,7 +10,6 @@ against the degree-m expanding circle factor.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +33,7 @@ from .model import (
     ValidatedModel,
     angle_diff,
     reduce_angle,
+    require_count,
     require_mu,
 )
 
@@ -121,6 +121,7 @@ class FixedPointResult:
     multipliers: np.ndarray        # eigenvalues of the return-map derivative
     residual: float
     newton_iterations: int
+    flight: float                  # flight time of the return from the point
 
     @property
     def stable(self) -> bool:
@@ -137,46 +138,41 @@ class FixedPointResult:
         }
 
 
-def find_fixed_point(model: ValidatedModel, mu: float,
-                     seed: TorusPoint | None = None,
-                     tol: float = 1e-13, max_iter: int = 100) -> FixedPointResult:
+def find_fixed_point(model: ValidatedModel, mu: float) -> FixedPointResult:
     """Newton iteration for a fixed point of the rescaled return map.
 
-    Works on (X, Y, theta-lift) with the angular residual wrapped to the
-    circle; uses the analytic Jacobian.  Intended for degree m = 0, where
-    the contracting limit map has a unique stable fixed point, but runs
-    for any degree.
+    Starts two forward steps (onto the attracting core) from the limit
+    curve at angle 0 and works on (X, Y, theta-lift) with the angular
+    residual wrapped to the circle, using the analytic Jacobian, until the
+    residual drops below 1e-13; NoConvergence after 100 Newton steps.
+    Intended for degree m = 0, where the contracting limit map has a
+    unique stable fixed point, but runs for any degree.
     """
-    if seed is None:
-        seed = model.seed_point()
-        # a couple of forward steps put the seed on the attracting core
-        for _ in range(2):
-            Xb, Yb, lift, _ = model.rescaled_step(seed.X, seed.Y, seed.theta, mu)
-            seed = TorusPoint(float(lift), float(Xb), Yb)
+    seed = model.seed_point()
+    X, Y, th, _ = model.advance(seed.X, seed.Y, seed.theta, mu, 2)
     k = model.ydim
-    X, Y, th = seed.X, seed.Y.copy(), seed.theta
     n = model.n
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):
         Xb, Yb, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
         g = np.concatenate(([float(Xb) - X], Yb - Y, [float(angle_diff(lift, th))]))
         residual = float(np.linalg.norm(g))
-        if residual < tol:
+        if residual < 1e-13:
             break
         step = np.linalg.solve(jac - np.eye(n), -g)
         X += step[0]
         Y = Y + step[1 : 1 + k]
         th += step[n - 1]
     else:
-        raise NoConvergence(f"Newton did not reach tol={tol} in {max_iter} iterations "
+        raise NoConvergence(f"Newton did not reach tol=1e-13 in 100 iterations "
                             f"(last residual {residual:.3e})")
     point = TorusPoint(th, X, Y)
-    jac = model.rescaled_step(X, Y, point.theta, mu, with_jacobian=True)[-1]
+    *_, flight, jac = model.rescaled_step(X, Y, point.theta, mu, with_jacobian=True)
     return FixedPointResult(
         point=point,
         multipliers=np.linalg.eigvals(jac),
         residual=residual,
         newton_iterations=iterations,
+        flight=float(flight),
     )
 
 
@@ -208,7 +204,11 @@ class InvariantCurve:
         return self.radial_values[:, 1:]
 
     def radial_at(self, theta):
-        """Linear interpolation of (X, Y) at arbitrary angles; shape (..., 1+ydim)."""
+        """Linear interpolation of (X, Y) at arbitrary finite angles; shape
+        (..., 1+ydim).  Raises ValueError for a non-finite angle."""
+        theta = np.asarray(theta, dtype=float)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("radial_at needs finite angles")
         return _periodic_interp(self.radial_values, theta)
 
 
@@ -250,22 +250,14 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
-    try:
-        n = operator.index(grid_size)
-        max_iter = operator.index(max_iter)
-    except TypeError as exc:
-        raise ValueError(f"grid_size and max_iter must be integers: {exc}") from None
-    if n < 2 * PCHIP_PAD:
-        raise ValueError(f"grid_size must be at least {2 * PCHIP_PAD}, got {n}")
+    n = require_count("grid_size", grid_size, 2 * PCHIP_PAD)
+    max_iter = require_count("max_iter", max_iter, 1)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     k = model.ydim
     theta = np.arange(n) * (TWO_PI / n)
-    radial = np.empty((n, 1 + k))
+    radial = np.zeros((n, 1 + k))
     radial[:, 0] = model.limit_radial(theta)
-    radial[:, 1:] = 0.0
 
     residual = np.inf
     best = np.inf
@@ -349,11 +341,7 @@ def annulus_diagnostic(model: ValidatedModel, mu: float, grid: int = 256) -> Ann
         raise CaseMismatch(f"annulus diagnostic requires |m| = 1, got m={model.m}")
     th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
     *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
-    r = model.n - 1
-    p_r = jac[:, :r, :r]
-    p_t = jac[:, :r, r]
-    q_r = jac[:, r, :r]
-    q_t = jac[:, r, r]
+    p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
     if np.any(q_t == 0.0):
         raise NotACircleMap("vanishing angular derivative on the trapping torus")
     sup_pr = float(np.max(np.linalg.svd(p_r, compute_uv=False)[:, 0]))
@@ -366,6 +354,13 @@ def annulus_diagnostic(model: ValidatedModel, mu: float, grid: int = 256) -> Ann
     return AnnulusDiagnostic(sup_pr, sup_ptheta, sup_qtinv, sup_qr, lhs, rhs)
 
 
+def _jacobian_blocks(jac):
+    """(dp/dr, dp/dtheta, dq/dr, dq/dtheta) of stacked (M, dim, dim)
+    derivatives of r_bar = p(r, theta), theta_bar = q(r, theta), angle last."""
+    r = jac.shape[1] - 1
+    return jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
+
+
 def _reference_lift(model: ValidatedModel, mu: float, theta):
     """Angular lift along the limit curve (X, Y) = (alpha^nu, 0)."""
     theta = np.asarray(theta, dtype=float)
@@ -374,13 +369,14 @@ def _reference_lift(model: ValidatedModel, mu: float, theta):
     return model.rescaled_step(X, Y, theta, mu)[2]
 
 
-def circle_degree(model: ValidatedModel, mu: float, grid_size: int = 4096) -> int:
+def circle_degree(model: ValidatedModel, mu: float) -> int:
     """Winding number of the angular image along the limit curve.
 
-    Measured by unwrapping the reduced image angles over one loop of the
-    input angle; equals the model degree m for every valid configuration.
+    Measured by unwrapping the reduced image angles at 4096 + 1 points over
+    one loop of the input angle; equals the model degree m for every valid
+    configuration.
     """
-    theta = np.linspace(0.0, TWO_PI, int(grid_size) + 1)
+    theta = np.linspace(0.0, TWO_PI, 4096 + 1)
     unwrapped = np.unwrap(reduce_angle(_reference_lift(model, mu, theta)))
     return int(np.round((unwrapped[-1] - unwrapped[0]) / TWO_PI))
 
@@ -484,11 +480,7 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
     if jac.ndim != 3 or jac.shape[1] != jac.shape[2]:
         raise ValueError("jacobians must have shape (M, dim, dim)")
     r = jac.shape[1] - 1
-
-    p_r = jac[:, :r, :r]
-    p_t = jac[:, :r, r]
-    q_r = jac[:, r, :r]
-    q_t = jac[:, r, r]
+    p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
 
     qt_min = float(np.min(np.abs(q_t)))
     qtheta_lo = qt_min if qtheta_lower is None else float(qtheta_lower)
@@ -641,9 +633,6 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
     th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
     *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     upper, qtheta_lo = _cone_upper_bounds(model, mu, K)
-    if qtheta_lo <= 1.0:
-        raise NotExpandingInTheta(
-            f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 1")
     return certify_jacobian_field(jac, upper_bounds=upper, qtheta_lower=qtheta_lo)
 
 
@@ -702,32 +691,27 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
     average along one orbit.  Nothing is random, so repeated calls give
     bit-identical exponents.
 
-    Raises ValueError for ``iterations < 1``, a negative ``transient`` or
-    ``qr_warmup``, a non-finite or non-positive ``mu`` or a non-finite
-    seed, EscapedTube if any orbit escapes, and
+    Raises ValueError unless ``iterations`` >= 1, ``transient`` >= 0 and
+    ``qr_warmup`` >= 0 are integers, and for a non-finite or non-positive
+    ``mu`` or a non-finite seed; EscapedTube if any orbit escapes, and
     FloatingPointError if a growth rate comes out NaN.
     """
-    iterations, transient = int(iterations), int(transient)
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
-    if transient < 0 or (qr_warmup is not None and qr_warmup < 0):
-        raise ValueError("transient and qr_warmup must be non-negative")
+    iterations = require_count("iterations", iterations, 1)
+    transient = require_count("transient", transient, 0)
     require_mu(mu)
     if seed is None:
         seed = model.seed_point(0.5)
     if not np.all(np.isfinite(seed.as_vector())):
         raise ValueError(f"non-finite seed point {seed!r}")
-    warmup = min(200 if qr_warmup is None else int(qr_warmup), transient)
+    warmup = min(200 if qr_warmup is None else require_count("qr_warmup", qr_warmup, 0),
+                 transient)
     B = min(LYAPUNOV_ENSEMBLE, iterations)
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
 
     th = reduce_angle(seed.theta + TWO_PI * np.arange(B) / B)
-    X = model.limit_radial(th)
-    Y = np.zeros((model.ydim, B))
-    for _ in range(transient - warmup):
-        X, Y, lift, _ = model.rescaled_step(X, Y, th, mu)
-        th = reduce_angle(lift)
+    X, Y, th, _ = model.advance(model.limit_radial(th), np.zeros((model.ydim, B)), th, mu,
+                                transient - warmup)
     Q = np.eye(model.n)
     acc = np.zeros((B, model.n))
     with np.errstate(divide="ignore"):
@@ -848,11 +832,30 @@ def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, flo
     return np.sort(reduce_angle(np.array(bounds))), float(targets[0])
 
 
-def _circular_diameter(angles: np.ndarray) -> float:
-    """Diameter of a set of angles: full circle minus the largest gap."""
-    a = np.sort(reduce_angle(angles))
-    gaps = np.diff(np.concatenate([a, [a[0] + TWO_PI]]))
-    return float(TWO_PI - np.max(gaps))
+def _prefix_diameters(angles: np.ndarray, symbols: np.ndarray,
+                      n_sym: int) -> list[tuple[int, float]]:
+    """[(k, largest diameter of the groups of ``angles`` sharing the first k
+    rows of ``symbols``)] up to the first k without a group of two; a
+    group's diameter is the full circle minus its largest gap (wrap included)."""
+    angles = reduce_angle(angles)
+    code = np.zeros(len(angles), dtype=np.int64)
+    out: list[tuple[int, float]] = []
+    for k in range(1, len(symbols) + 1):
+        code = code * n_sym + symbols[k - 1]
+        order = np.lexsort((angles, code))
+        a, c = angles[order], code[order]
+        start = np.r_[True, c[1:] != c[:-1]]
+        first = np.flatnonzero(start)
+        last = np.r_[first[1:], len(a)] - 1
+        multi = last > first
+        if not np.any(multi):
+            break
+        gaps = np.append(np.diff(a), 0.0)
+        gaps[last] = (a[first] + TWO_PI) - a[last]
+        widest = np.maximum.reduceat(gaps, first)
+        out.append((k, float(np.max(TWO_PI - widest[multi]))))
+        code[order] = np.cumsum(start) - 1     # group ranks keep the codes small
+    return out
 
 
 def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
@@ -885,22 +888,17 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
         th = rng.uniform(0.0, TWO_PI, count)
         X = model.limit_radial(th) * (1.0 + 0.01 * rng.uniform(-1, 1, count))
         Y = 0.01 * rng.uniform(-1, 1, (model.ydim, count))
-        for _ in range(transient):
-            Xb, Yb, lift, _ = model.rescaled_step(X, Y, th, mu)
-            X, Y, th = Xb, Yb, reduce_angle(lift)
-        return X, Y, th
+        return model.advance(X, Y, th, mu, transient)[:3]
 
     resampled = 0
     X, Y, th = draw(samples)
     for _ in range(max_resample_rounds):
         # symbols by arc membership and by the winding window of each step
-        th_path = np.empty((depth, samples))
         sym_arc = np.empty((depth, samples), dtype=int)
         sym_win = np.empty((depth, samples), dtype=int)
         ambiguous = np.zeros(samples, dtype=bool)
-        Xc, Yc, thc = X.copy(), Y.copy(), th.copy()
+        Xc, Yc, thc = X, Y, th
         for step in range(depth):
-            th_path[step] = thc
             dist = np.min(np.abs(angle_diff(thc[:, None], boundaries[None, :])), axis=1)
             ambiguous |= dist < boundary_tol
             sym_arc[step] = arc_labels[(np.searchsorted(boundaries, thc, side="right") - 1)
@@ -923,18 +921,7 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
 
     shift_consistent = bool(np.array_equal(sym_arc, sym_win))
 
-    # diameter of angle groups sharing an itinerary prefix
-    diam_by_depth: list[tuple[int, float]] = []
-    keys = [tuple() for _ in range(samples)]
-    for k in range(1, depth + 1):
-        keys = [keys[i] + (int(sym_arc[k - 1, i]),) for i in range(samples)]
-        groups: dict[tuple, list[int]] = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        diams = [_circular_diameter(th_path[0][idx]) for idx in groups.values() if len(idx) > 1]
-        if not diams:
-            break
-        diam_by_depth.append((k, max(diams)))
+    diam_by_depth = _prefix_diameters(th, sym_arc, n_sym)
 
     if len(diam_by_depth) >= 3:
         ks = np.array([k for k, _ in diam_by_depth], dtype=float)
@@ -993,9 +980,10 @@ class ClassificationRecord:
 
 
 def classify_attractor(model: ValidatedModel, mu: float, *,
-                       grid_size: int = 4096, curve_grid: int = 65536,
-                       cone_grid: int = 256) -> ClassificationRecord:
-    """Run the case condition and the case-appropriate computation.
+                       grid_size: int = 4096) -> ClassificationRecord:
+    """Run the case condition (on a starting grid of ``grid_size``) and the
+    case-appropriate computation: a Newton fixed point, a graph-transform
+    curve on 2^16 nodes, or a cone certificate on 256 angles.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
     Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
@@ -1021,7 +1009,7 @@ def classify_attractor(model: ValidatedModel, mu: float, *,
                                         condition=condition, fixed_point=fp)
 
         if case is CaseTag.TORUS_OR_KLEIN:
-            curve = graph_transform_curve(model, mu, curve_grid)
+            curve = graph_transform_curve(model, mu, 2 ** 16)
             expected = Orientation.PRESERVING if m == 1 else Orientation.REVERSING
             if curve.orientation is not expected:
                 return ClassificationRecord(AttractorLabel.INDETERMINATE, mu,
@@ -1030,7 +1018,7 @@ def classify_attractor(model: ValidatedModel, mu: float, *,
             label = AttractorLabel.INVARIANT_TORUS if m == 1 else AttractorLabel.KLEIN_BOTTLE
             return ClassificationRecord(label, mu, condition=condition, curve=curve)
 
-        certificate = cone_certify(model, mu, cone_grid)
+        certificate = cone_certify(model, mu)
     except Undecided as exc:
         return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
                                     reason=f"{type(exc).__name__}: {exc}")

@@ -55,7 +55,6 @@ class RunManifest:
     bit-identical file outputs."""
 
     config_path: str
-    command: str
     output_dir: str | None = None
     overrides: list[str] = field(default_factory=list)
 
@@ -253,7 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     manifest = RunManifest(
         config_path=args.config,
-        command=args.command,
         output_dir=args.out,
         overrides=list(args.overrides),
     )

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fourier import lipschitz_grid_extrema
+from .fourier import DEFAULT_GRID, lipschitz_grid_extrema
 from .model import Undecided, ValidatedModel
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "criterion_function",
     "criterion_lipschitz",
 ]
-
-DEFAULT_GRID = 4096
-GRID_CAP = 2 ** 20
 
 
 class CaseTag(Enum):
@@ -148,17 +145,17 @@ def _case_criterion(case_tag: CaseTag, model: ValidatedModel):
 
 
 def check_case(case_tag: CaseTag, model: ValidatedModel,
-               grid_size: int = DEFAULT_GRID, cap: int = GRID_CAP) -> ConditionReport:
+               grid_size: int = DEFAULT_GRID) -> ConditionReport:
     """Certify the case inequality for the model's criterion function.
 
     Evaluates the criterion on a uniform grid and inflates by
     lipschitz * (half spacing).  A grid angle violating the strict
     inequality yields verdict False immediately; a margin exceeding the
     inflation yields verdict True; otherwise the grid doubles up to the
-    cap, after which Inconclusive is raised (equality with the threshold
-    within the inflation is never turned into a verdict).  The outcome
-    does not depend on mu, so it is computed once per model, grid and
-    cap; a repeated Inconclusive is raised afresh with the same fields.
+    cap of 2^20 points, after which Inconclusive is raised (equality with
+    the threshold within the inflation is never turned into a verdict).
+    The outcome does not depend on mu, so it is computed once per model
+    and grid; a repeated Inconclusive is raised afresh with the same fields.
     """
     case_tag = CaseTag(case_tag)
     m = model.m
@@ -173,7 +170,7 @@ def check_case(case_tag: CaseTag, model: ValidatedModel,
         def decided(cmin, cmax, inflation):
             return margin(cmin, cmax) < 0.0 or margin(cmin, cmax) > inflation
 
-        cmin, cmax, grid, inflation, _ = lipschitz_grid_extrema(values, lip, grid_size, cap, decided)
+        cmin, cmax, grid, inflation, _ = lipschitz_grid_extrema(values, lip, grid_size, decided)
         raw_margin = margin(cmin, cmax)
         if raw_margin < 0.0:
             return ConditionReport(case_tag, cmin, cmax, raw_margin, False, grid, lip)
@@ -181,25 +178,24 @@ def check_case(case_tag: CaseTag, model: ValidatedModel,
             return ConditionReport(case_tag, cmin, cmax, raw_margin - inflation, True, grid, lip)
         return case_tag, raw_margin, inflation, grid
 
-    outcome = model.memoized(("check_case", case_tag, int(grid_size), int(cap)), compute)
+    outcome = model.memoized(("check_case", case_tag, int(grid_size)), compute)
     if isinstance(outcome, ConditionReport):
         return outcome
     raise Inconclusive(*outcome)
 
 
-def certified_angular_expansion(model: ValidatedModel,
-                                grid_size: int = DEFAULT_GRID,
-                                cap: int = GRID_CAP) -> float:
+def certified_angular_expansion(model: ValidatedModel) -> float:
     """Certified lower bound of inf |m + s(theta)| over the circle.
 
     The angular expansion rate of the limit return map; > 1 exactly when
-    the solenoid condition holds.  Returns the bound at the cap if it
-    never became positive.  It does not depend on mu, so it is computed
-    once per model, grid and cap.
+    the solenoid condition holds.  The grid starts at 4096 points and
+    doubles while the bound is not positive, up to 2^20 points, where the
+    bound is returned as it stands.  It does not depend on mu, so it is
+    computed once per model.
     """
     def compute():
         vmin, _, _, inflation, _ = lipschitz_grid_extrema(
             _case_criterion(CaseTag.SOLENOID, model)[0], criterion_lipschitz(model),
-            grid_size, cap, lambda vmin, vmax, inflation: vmin - inflation > 0.0)
+            DEFAULT_GRID, lambda vmin, vmax, inflation: vmin - inflation > 0.0)
         return vmin - inflation
-    return model.memoized(("certified_angular_expansion", int(grid_size), int(cap)), compute)
+    return model.memoized("certified_angular_expansion", compute)

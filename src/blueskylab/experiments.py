@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import AttractorLabel, ClassificationRecord, classify_attractor
+from .analysis import AttractorLabel, classify_attractor, lyapunov_spectrum
 from .conditions import CaseTag, Inconclusive, check_case
-from .model import EscapedTube, ValidatedModel, reduce_angle, require_mu
+from .model import EscapedTube, ValidatedModel, require_count, require_mu
 
 __all__ = [
     "GLOBAL_TRANSIT_TIME",
@@ -55,7 +55,6 @@ class SweepRecord:
     theta_at_fixed_point: float | None
     top_lyapunov: float | None
     escape_flag: bool
-    record: ClassificationRecord | None = None
 
 
 @dataclass
@@ -80,27 +79,21 @@ class ScalingFit:
 
 
 def geometric_mu_grid(mu_min: float, mu_max: float, per_decade: int = 10) -> np.ndarray:
-    """Geometric mu grid, descending, ``per_decade`` points per decade."""
+    """Geometric mu grid, descending, ``per_decade`` (>= 1) points per decade."""
     if not require_mu(mu_min) < require_mu(mu_max):
         raise ValueError("need 0 < mu_min < mu_max")
+    require_count("per_decade", per_decade, 1)
     decades = np.log10(mu_max / mu_min)
     count = max(2, int(round(decades * per_decade)) + 1)
     return np.geomspace(mu_max, mu_min, count)
 
 
-def _orbit_mean_flight(model: ValidatedModel, mu: float, steps: int = 256,
-                       transient: int = 64) -> float:
+def _orbit_mean_flight(model: ValidatedModel, mu: float) -> float:
+    """Flight time averaged over 256 returns, after 64 transient returns,
+    along the orbit of the limit-curve point at angle 0.5."""
     p = model.seed_point(0.5)
-    X, Y, th = p.X, p.Y, p.theta
-    for _ in range(transient):
-        Xb, Yb, lift, _ = model.rescaled_step(X, Y, th, mu)
-        X, Y, th = float(Xb), Yb, float(reduce_angle(lift))
-    total = 0.0
-    for _ in range(steps):
-        Xb, Yb, lift, flight = model.rescaled_step(X, Y, th, mu)
-        X, Y, th = float(Xb), Yb, float(reduce_angle(lift))
-        total += float(flight)
-    return total / steps
+    X, Y, th, _ = model.advance(p.X, p.Y, p.theta, mu, 64)
+    return float(model.advance(X, Y, th, mu, 256)[3]) / 256
 
 
 def mu_sweep(model: ValidatedModel, mu_values: Sequence[float], *,
@@ -123,15 +116,13 @@ def mu_sweep(model: ValidatedModel, mu_values: Sequence[float], *,
             top = None
             if rec.fixed_point is not None:
                 theta_fp = rec.fixed_point.point.theta
-                fp = rec.fixed_point.point
-                flight = float(model.rescaled_step(fp.X, fp.Y, fp.theta, mu)[3])
+                flight = rec.fixed_point.flight
                 moduli = np.abs(rec.fixed_point.multipliers)
                 with np.errstate(divide="ignore"):
                     top = float(np.max(np.log(moduli))) if moduli.size else None
             else:
                 flight = _orbit_mean_flight(model, mu)
                 if lyapunov_iterations > 0 and rec.label is AttractorLabel.SOLENOID:
-                    from .analysis import lyapunov_spectrum
                     top = lyapunov_spectrum(model, mu, lyapunov_iterations,
                                             transient=min(200, lyapunov_iterations)).top
             records.append(SweepRecord(
@@ -141,7 +132,6 @@ def mu_sweep(model: ValidatedModel, mu_values: Sequence[float], *,
                 theta_at_fixed_point=theta_fp,
                 top_lyapunov=top,
                 escape_flag=False,
-                record=rec,
             ))
         except EscapedTube:
             records.append(SweepRecord(
@@ -224,32 +214,31 @@ class ThresholdStudy:
     bracket: tuple[float, float] | None
 
 
-def _condition_outcome(model: ValidatedModel, case_tag: CaseTag,
-                       grid_size: int) -> tuple[str, float | None]:
+def _condition_outcome(model: ValidatedModel, case_tag: CaseTag) -> tuple[str, float | None]:
     try:
-        report = check_case(case_tag, model, grid_size)
+        report = check_case(case_tag, model)
     except Inconclusive:
         return "inconclusive", None
     return ("true" if report.verdict else "false"), report.margin
 
 
 def threshold_study(family: Callable[[float], ValidatedModel], case_tag: CaseTag,
-                    a_values: Sequence[float], *, mu: float | None = None,
-                    grid_size: int = 4096, bisect_tol: float = 1e-6) -> ThresholdStudy:
+                    a_values: Sequence[float], *, mu: float | None = None) -> ThresholdStudy:
     """Locate the condition-verdict flip along a one-parameter model family.
 
     Tabulates the condition outcome (and, when ``mu`` is given, the
-    attractor classification) at each ``a``, then bisects the boundary of
-    definite falsification: the smallest ``a`` at which some sampled angle
-    violates the strict inequality.  Near the analytic threshold the
-    certified-true region may stop an inflation-width early, so the
-    falsification edge is the sharp locator.
+    attractor classification) at each ``a``, then bisects, to a bracket
+    narrower than 1e-6, the boundary of definite falsification: the
+    smallest ``a`` at which some sampled angle violates the strict
+    inequality.  Near the analytic threshold the certified-true region
+    may stop an inflation-width early, so the falsification edge is the
+    sharp locator.
     """
     case_tag = CaseTag(case_tag)
     rows: list[ThresholdRow] = []
     for a in a_values:
         model = family(a)
-        outcome, margin = _condition_outcome(model, case_tag, grid_size)
+        outcome, margin = _condition_outcome(model, case_tag)
         label = None
         if mu is not None:
             label = classify_attractor(model, mu).label.value
@@ -264,9 +253,9 @@ def threshold_study(family: Callable[[float], ValidatedModel], case_tag: CaseTag
     if lo is None or hi is None or lo >= hi:
         return ThresholdStudy(rows, None, None)
 
-    while hi - lo > bisect_tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        outcome, _ = _condition_outcome(family(mid), case_tag, grid_size)
+        outcome, _ = _condition_outcome(family(mid), case_tag)
         if outcome == "false":
             hi = mid
         else:

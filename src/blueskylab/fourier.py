@@ -18,6 +18,8 @@ import numpy as np
 __all__ = ["FourierSeries", "lipschitz_grid_extrema"]
 
 TWO_PI = 2.0 * np.pi
+DEFAULT_GRID = 4096      # starting grid of the certified extrema
+GRID_CAP = 2 ** 20       # and the grid at which they stop
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,9 @@ class FourierSeries:
         )
 
 
-def lipschitz_grid_extrema(values, lip: float, grid_size: int, cap: int, done):
+def lipschitz_grid_extrema(values, lip: float, grid_size: int, done):
     """Extrema of ``values(theta)`` on a uniform grid of the circle, doubled
-    until ``done(vmin, vmax, inflation)`` holds or the grid reaches ``cap``.
+    until ``done(vmin, vmax, inflation)`` holds or the grid reaches GRID_CAP.
     A function with Lipschitz constant ``lip`` lies within ``inflation`` =
     lip * (half grid spacing) of its grid values.  Returns (vmin, vmax,
     grid, inflation, status), ``status`` False when stopped by the cap."""
@@ -132,6 +134,6 @@ def lipschitz_grid_extrema(values, lip: float, grid_size: int, cap: int, done):
         inflation = lip * np.pi / grid
         if done(vmin, vmax, inflation):
             return vmin, vmax, grid, inflation, True
-        if grid >= cap:
+        if grid >= GRID_CAP:
             return vmin, vmax, grid, inflation, False
         grid *= 2

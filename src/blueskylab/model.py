@@ -36,13 +36,14 @@ connection splits.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierSeries, lipschitz_grid_extrema
+from .fourier import DEFAULT_GRID, TWO_PI, FourierSeries, lipschitz_grid_extrema
 
 __all__ = [
     "DomainError",
@@ -62,6 +63,7 @@ __all__ = [
     "load_model",
     "local_map_T0",
     "parse_config",
+    "require_count",
     "require_mu",
     "return_map",
     "return_map_jacobian",
@@ -118,6 +120,19 @@ def require_mu(mu: float) -> float:
     if not 0.0 < mu < np.inf:
         raise ValueError(f"mu must be finite and positive, got {mu!r}")
     return mu
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """The input rule for a count: an integer (``operator.index``, so 10.7
+    fails) of at least ``minimum``.  Returns it; raises ValueError otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {count}")
+    return count
 
 
 def reduce_angle(theta):
@@ -272,18 +287,17 @@ def load_model(path) -> "ValidatedModel":
     return validate_config(load_config(path))
 
 
-def certified_series_min(series: FourierSeries, grid_size: int = 4096,
-                         cap: int = 2 ** 20) -> tuple[float, int, bool]:
+def certified_series_min(series: FourierSeries) -> tuple[float, int, bool]:
     """Certified lower bound for min of a trigonometric polynomial on the circle.
 
-    Evaluates on a uniform grid and subtracts the Lipschitz inflation
-    sup|f'| * (half grid spacing); the grid doubles while the bound stays
-    inconclusive about the sign.  Returns (lower_bound, grid_used,
-    certified) where ``certified`` is False only if the cap was reached
-    with the sign still straddling zero.
+    Evaluates on a uniform grid of 4096 points and subtracts the Lipschitz
+    inflation sup|f'| * (half grid spacing); the grid doubles while the
+    bound stays inconclusive about the sign.  Returns (lower_bound,
+    grid_used, certified) where ``certified`` is False only if the cap of
+    2^20 points was reached with the sign still straddling zero.
     """
     grid_min, _, grid, inflation, certified = lipschitz_grid_extrema(
-        series.eval, series.deriv_sup_bound(), grid_size, cap,
+        series.eval, series.deriv_sup_bound(), DEFAULT_GRID,
         lambda vmin, vmax, inflation: vmin <= 0.0 or vmin - inflation > 0.0)
     return grid_min - inflation, grid, certified
 
@@ -509,6 +523,17 @@ class ValidatedModel:
             jac[..., 1 : 1 + k, 1 : 1 + k] = yy
         return Xb, Yb, theta_lift, flight, jac
 
+    def advance(self, X, Y, theta, mu, steps: int):
+        """``steps`` (>= 0) applications of ``rescaled_step``, reducing the angle
+        to [0, 2*pi) after each.  Returns (X, Y, theta, flight): the image and
+        the flight time summed over the steps, per point."""
+        flight = 0.0
+        for _ in range(require_count("steps", steps, 0)):
+            X, Y, lift, step_flight = self.rescaled_step(X, Y, theta, mu)
+            theta = reduce_angle(lift)
+            flight = flight + step_flight
+        return X, Y, theta, flight
+
     # -- limit objects -------------------------------------------------------
 
     def omega(self, mu: float) -> float:
@@ -585,16 +610,17 @@ class ValidatedModel:
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
         raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
 
-    def trapping_samples(self, mu: float, n_theta: int = 128, K: float | None = None):
+    def trapping_samples(self, mu: float, n_theta: int = 128):
         """Grid over the trapping solid torus: the core plus the face centres.
 
-        Returns (theta, X, Y, K) with theta shape (M,), X shape (M,),
-        Y shape (n-2, M), M = n_theta * (2(n-1) + 1): at each grid angle
-        the core point and the points at -K and +K along each of the n-1
-        radial axes, all in the closed torus {|X - alpha^nu| <= K, |Y| <= K}.
+        Returns (theta, X, Y, K) with K = ``trapping_radius(mu)``, theta
+        shape (M,), X shape (M,), Y shape (n-2, M), M = n_theta * (2(n-1)
+        + 1): at each of the ``n_theta`` (>= 1) grid angles the core point
+        and the points at -K and +K along each of the n-1 radial axes, all
+        in the closed torus {|X - alpha^nu| <= K, |Y| <= K}.
         """
-        if K is None:
-            K = self.trapping_radius(mu)
+        require_count("n_theta", n_theta, 1)
+        K = self.trapping_radius(mu)
         theta = np.arange(n_theta) * (TWO_PI / n_theta)
         r = self.n - 1
         offsets = np.hstack((np.zeros((r, 1)), -K * np.eye(r), K * np.eye(r)))
@@ -604,10 +630,10 @@ class ValidatedModel:
         Y = np.tile(offsets[1:], n_theta)
         return th, X, Y, K
 
-    def check_trapping(self, mu: float, n_theta: int = 128, K: float | None = None) -> bool:
+    def check_trapping(self, mu: float) -> bool:
         """Test that the image of every ``trapping_samples`` point (core and
-        face centres) lies strictly inside the trapping torus."""
-        th, X, Y, K = self.trapping_samples(mu, n_theta=n_theta, K=K)
+        face centres, 128 angles) lies strictly inside the trapping torus."""
+        th, X, Y, K = self.trapping_samples(mu)
         Xb, Yb, th_lift, _ = self.rescaled_step(X, Y, th, mu)
         dev = np.abs(Xb - self.limit_radial(reduce_angle(th_lift)))
         y_norm = np.sqrt(np.sum(Yb ** 2, axis=0)) if self.ydim else np.zeros_like(Xb)

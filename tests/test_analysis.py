@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from blueskylab import (
     phase_distance,
     validate_config,
 )
+from blueskylab.analysis import _prefix_diameters
 from blueskylab.model import reduce_angle
 
 from helpers import advance, coupled_config, demo_model, random_region_points, uncoupled_config
@@ -598,3 +600,77 @@ def test_classify_record_serializes():
     assert payload["classification"] == "Solenoid"
     assert payload["certificate"]["verdict"] is True
     assert "condition" in payload
+
+
+# -- input rules and bit-for-bit pins ----------------------------------------------
+
+
+@pytest.mark.parametrize("name, mu", [("demo_m0", 1e-6), ("demo_m0", 1e-3), ("demo_m2", 1e-5)])
+def test_fixed_point_flight_is_the_step_at_the_point(name, mu):
+    model = demo_model(name)
+    fp = find_fixed_point(model, mu)
+    p = fp.point
+    assert fp.flight == float(model.rescaled_step(p.X, p.Y, p.theta, mu)[3])
+    assert "flight" not in fp.to_dict()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_radial_at_rejects_non_finite_angles(bad):
+    theta = np.arange(64) * (TWO_PI / 64)
+    curve = bsl.InvariantCurve(theta, np.column_stack([1.0 + 0.1 * np.cos(theta), 0.0 * theta]),
+                               0.0, Orientation.PRESERVING)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert curve.radial_at(1e300).shape == (2,)     # finite, however large
+    with pytest.raises(ValueError, match="finite"):
+        curve.radial_at(bad)
+    with pytest.raises(ValueError, match="finite"):
+        curve.radial_at(np.array([0.5, bad, 1.0]))
+
+
+@pytest.mark.parametrize("lengths", [dict(iterations=10.7), dict(transient=10.5),
+                                     dict(qr_warmup=2.5), dict(iterations=0)])
+def test_lyapunov_count_rule(lengths):
+    kwargs = dict(iterations=100, transient=10) | lengths
+    with pytest.raises(ValueError, match=next(iter(lengths))):
+        lyapunov_spectrum(demo_model("demo_m2"), 1e-5, **kwargs)
+
+
+def _dict_of_tuples_diameters(angles, symbols):
+    """Reference grouping: tuple keys, one list per group, sorted angles."""
+    out = []
+    keys = [()] * angles.size
+    for k in range(1, len(symbols) + 1):
+        keys = [keys[i] + (int(symbols[k - 1, i]),) for i in range(angles.size)]
+        groups = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        diams = []
+        for idx in groups.values():
+            if len(idx) > 1:
+                a = np.sort(reduce_angle(angles[idx]))
+                gaps = np.diff(np.concatenate([a, [a[0] + TWO_PI]]))
+                diams.append(float(TWO_PI - np.max(gaps)))
+        if not diams:
+            break
+        out.append((k, max(diams)))
+    return out
+
+
+@pytest.mark.parametrize("n_sym, depth, samples", [(2, 12, 500), (3, 8, 300), (7, 30, 200)])
+def test_prefix_diameters_match_a_tuple_grouping(n_sym, depth, samples):
+    rng = np.random.default_rng(n_sym)
+    angles = rng.uniform(0.0, TWO_PI, samples)
+    angles[:20] = angles[20:40]                  # repeated angles within a group
+    symbols = rng.integers(0, n_sym, (depth, samples))
+    symbols[:, 1::2] = symbols[:, ::2]           # pairs that share every prefix
+    got = _prefix_diameters(angles, symbols, n_sym)
+    want = _dict_of_tuples_diameters(angles, symbols)
+    assert got == want and len(want) == depth
+
+
+def test_prefix_diameters_of_an_itinerary():
+    model = demo_model("demo_m2")
+    report = itinerary_semiconjugacy(model, 1e-5, depth=10, samples=1024)
+    assert len(report.max_diameter_by_depth) == 10
+    assert all(0.0 < d < TWO_PI for _, d in report.max_diameter_by_depth)

@@ -221,3 +221,18 @@ def test_module_entry_point():
         [sys.executable, "-m", "blueskylab.cli", "validate", config("demo_m1")],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "demo_m2", "--mu", "1e-5", "--grid", "0"], "n_theta must be at least 1"),
+    (["sweep", "demo_m0", "--mu-min", "1e-6", "--mu-max", "1e-3", "--per-decade", "0"],
+     "per_decade must be at least 1"),
+    (["sweep", "demo_m0", "--mu-min", "1e-6", "--mu-max", "1e-3", "--per-decade", "-2"],
+     "per_decade must be at least 1"),
+])
+def test_empty_grid_is_usage_error(capsys, tmp_path, argv, message):
+    command, name, *rest = argv
+    assert run(command, config(name), *rest, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "sweep.csv").exists()

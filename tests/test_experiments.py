@@ -158,3 +158,9 @@ def test_threshold_no_bracket():
 
     study = threshold_study(family, CaseTag.BLUE_SKY, [0.1, 0.2])
     assert study.flip is None
+
+
+@pytest.mark.parametrize("per_decade", [0, -2, 2.5])
+def test_geometric_grid_count_rule(per_decade):
+    with pytest.raises(ValueError, match="per_decade"):
+        geometric_mu_grid(1e-6, 1e-3, per_decade)

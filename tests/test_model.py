@@ -20,7 +20,7 @@ from blueskylab import (
     return_map_jacobian,
     validate_config,
 )
-from blueskylab.model import reduce_angle
+from blueskylab.model import reduce_angle, require_count
 
 from helpers import (
     CONFIG_DIR,
@@ -459,3 +459,48 @@ def test_torus_point_reduces_angle():
     p = TorusPoint(7.0, 1.0, [0.0])
     assert 0.0 <= p.theta < TWO_PI
     assert p.theta == pytest.approx(7.0 - TWO_PI)
+
+
+@pytest.mark.parametrize("value, minimum", [(0, 1), (-2, 0), (10.7, 1), ("3", 1), (None, 0)])
+def test_count_rule_rejects(value, minimum):
+    with pytest.raises(ValueError, match="n_things"):
+        require_count("n_things", value, minimum)
+
+
+def test_count_rule_accepts_integers():
+    assert require_count("n", 0, 0) == 0
+    assert require_count("n", np.int64(7), 1) == 7
+
+
+def test_trapping_samples_need_an_angle():
+    for n_theta in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="n_theta"):
+            demo_model("demo_m2").trapping_samples(1e-5, n_theta=n_theta)
+    with pytest.raises(ValueError, match="n_theta"):
+        bsl.annulus_diagnostic(demo_model("demo_m1"), 1e-4, grid=0)
+
+
+@pytest.mark.parametrize("name, mu, shape", [
+    ("demo_m0", 1e-5, ()), ("demo_m2", 1e-5, ()),
+    ("demo_m2", 1e-5, (33,)), ("demo_m1", 1e-4, (5, 4)),
+])
+def test_advance_equals_a_step_loop(name, mu, shape):
+    model = demo_model(name)
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, TWO_PI, shape)
+    X = model.limit_radial(theta) * (1.0 + 0.01 * rng.uniform(-1, 1, shape))
+    Y = 0.01 * rng.uniform(-1, 1, (model.ydim,) + shape)
+    Xr, Yr, thr, total = X, Y, theta, 0.0
+    for _ in range(7):
+        Xr, Yr, lift, flight = model.rescaled_step(Xr, Yr, thr, mu)
+        thr = reduce_angle(lift)
+        total = total + flight
+    Xa, Ya, tha, flight_sum = model.advance(X, Y, theta, mu, 7)
+    for got, want in ((Xa, Xr), (Ya, Yr), (tha, thr), (flight_sum, total)):
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert np.all((tha >= 0.0) & (tha < TWO_PI))
+    X0, Y0, th0, flight0 = model.advance(X, Y, theta, mu, 0)
+    assert X0 is X and Y0 is Y and th0 is theta and flight0 == 0.0
+    with pytest.raises(ValueError, match="steps"):
+        model.advance(X, Y, theta, mu, -1)
