@@ -72,6 +72,11 @@ LYAPUNOV_FLOOR = -50.0
 PCHIP_PAD = 4
 # orbits the Lyapunov cocycle advances together
 LYAPUNOV_ENSEMBLE = 256
+# itinerary coding: transient returns of each drawn orbit, the distance to a
+# branch boundary below which an orbit is redrawn, and the redraw rounds
+ITINERARY_TRANSIENT = 64
+BOUNDARY_TOL = 1e-9
+MAX_RESAMPLE_ROUNDS = 8
 
 
 class NoConvergence(Undecided, RuntimeError):
@@ -144,7 +149,8 @@ def find_fixed_point(model: ValidatedModel, mu: float) -> FixedPointResult:
     Starts two forward steps (onto the attracting core) from the limit
     curve at angle 0 and works on (X, Y, theta-lift) with the angular
     residual wrapped to the circle, using the analytic Jacobian, until the
-    residual drops below 1e-13; NoConvergence after 100 Newton steps.
+    residual drops below 1e-13 (that step, at the returned point, gives the
+    flight and multipliers); NoConvergence after 100 Newton steps.
     Intended for degree m = 0, where the contracting limit map has a
     unique stable fixed point, but runs for any degree.
     """
@@ -153,7 +159,7 @@ def find_fixed_point(model: ValidatedModel, mu: float) -> FixedPointResult:
     k = model.ydim
     n = model.n
     for iterations in range(1, 101):
-        Xb, Yb, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
+        Xb, Yb, lift, flight, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
         g = np.concatenate(([float(Xb) - X], Yb - Y, [float(angle_diff(lift, th))]))
         residual = float(np.linalg.norm(g))
         if residual < 1e-13:
@@ -161,14 +167,12 @@ def find_fixed_point(model: ValidatedModel, mu: float) -> FixedPointResult:
         step = np.linalg.solve(jac - np.eye(n), -g)
         X += step[0]
         Y = Y + step[1 : 1 + k]
-        th += step[n - 1]
+        th = reduce_angle(th + step[n - 1])
     else:
         raise NoConvergence(f"Newton did not reach tol=1e-13 in 100 iterations "
                             f"(last residual {residual:.3e})")
-    point = TorusPoint(th, X, Y)
-    *_, flight, jac = model.rescaled_step(X, Y, point.theta, mu, with_jacobian=True)
     return FixedPointResult(
-        point=point,
+        point=TorusPoint(th, X, Y),
         multipliers=np.linalg.eigvals(jac),
         residual=residual,
         newton_iterations=iterations,
@@ -234,7 +238,7 @@ def _curve_residual(radial, Xb, Yb, lift):
 
 
 def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 1024,
-                          tol: float = 1e-8, max_iter: int = 10 ** 4) -> InvariantCurve:
+                          tol: float = 1e-8) -> InvariantCurve:
     """Graph transform for the attracting invariant curve at degree |m| = 1.
 
     Starting from the limit curve (X, Y) = (alpha(theta)^nu, 0), each step
@@ -243,15 +247,15 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     property guaranteed by the torus condition), and its inverse is taken
     with monotone cubic (PCHIP) interpolation on the lift, padded
     periodically by ``PCHIP_PAD`` nodes from the other end of the turn on
-    each side.  Iterates until the invariance residual drops below ``tol``.
+    each side.  Iterates until the invariance residual drops below ``tol``;
+    NoConvergence after 50 steps without improvement or 10^4 steps.
 
     Raises ValueError unless ``grid_size`` is an integer of at least
-    2 * PCHIP_PAD, ``tol`` is finite and positive and ``max_iter`` >= 1.
+    2 * PCHIP_PAD and ``tol`` is finite and positive.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
     n = require_count("grid_size", grid_size, 2 * PCHIP_PAD)
-    max_iter = require_count("max_iter", max_iter, 1)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     k = model.ydim
@@ -263,7 +267,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     best = np.inf
     stalled = 0
     sign = 0.0
-    for _ in range(max_iter):
+    for _ in range(10 ** 4):
         Xb, Yb, lift, _ = model.rescaled_step(radial[:, 0], radial[:, 1:].T, theta, mu)
         diffs = np.diff(lift)
         if np.all(diffs > 0.0) and lift[-1] < lift[0] + TWO_PI:
@@ -295,7 +299,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
         radial = interp(targets)
     else:
         raise NoConvergence(f"graph transform residual {residual:.3e} above tol={tol} "
-                            f"after {max_iter} iterations")
+                            f"after 10^4 iterations")
 
     orientation = Orientation.PRESERVING if sign > 0 else Orientation.REVERSING
     return InvariantCurve(theta, radial, residual, orientation)
@@ -329,8 +333,9 @@ class AnnulusDiagnostic:
         return self.lhs > self.rhs
 
 
-def annulus_diagnostic(model: ValidatedModel, mu: float, grid: int = 256) -> AnnulusDiagnostic:
-    """Evaluate the annulus contraction inequality at degree |m| = 1.
+def annulus_diagnostic(model: ValidatedModel, mu: float) -> AnnulusDiagnostic:
+    """Evaluate the annulus contraction inequality at degree |m| = 1, over
+    the trapping samples at 256 angles.
 
     Unlike the solenoid cone conditions this does not need angular
     expansion, so sup|(dq/dtheta)^-1| may exceed one; the inequality holds
@@ -339,15 +344,12 @@ def annulus_diagnostic(model: ValidatedModel, mu: float, grid: int = 256) -> Ann
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"annulus diagnostic requires |m| = 1, got m={model.m}")
-    th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
+    th, X, Y, K = model.trapping_samples(mu, n_theta=256)
     *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
     if np.any(q_t == 0.0):
         raise NotACircleMap("vanishing angular derivative on the trapping torus")
-    sup_pr = float(np.max(np.linalg.svd(p_r, compute_uv=False)[:, 0]))
-    sup_ptheta = float(np.max(np.linalg.norm(p_t, axis=1)))
-    sup_qtinv = float(np.max(1.0 / np.abs(q_t)))
-    sup_qr = float(np.max(np.linalg.norm(q_r, axis=1)))
+    sup_pr, sup_ptheta, sup_qtinv, sup_qr = _sample_sups(p_r, p_t, q_r, q_t)
     sup_pt_qtinv = float(np.max(np.linalg.norm(p_t, axis=1) / np.abs(q_t)))
     lhs = 1.0 - sup_qtinv * sup_pr
     rhs = 2.0 * float(np.sqrt(sup_qtinv * sup_qr * sup_pt_qtinv))
@@ -359,6 +361,15 @@ def _jacobian_blocks(jac):
     derivatives of r_bar = p(r, theta), theta_bar = q(r, theta), angle last."""
     r = jac.shape[1] - 1
     return jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
+
+
+def _sample_sups(p_r, p_t, q_r, q_t):
+    """Sample suprema of |dp/dr| (operator norm, 0 without a radial
+    coordinate), |dp/dtheta|, |(dq/dtheta)^-1| and |dq/dr| over the blocks
+    of ``_jacobian_blocks``."""
+    sup_pr = float(np.max(np.linalg.svd(p_r, compute_uv=False)[:, 0])) if p_r.shape[1] else 0.0
+    return (sup_pr, float(np.max(np.linalg.norm(p_t, axis=1))),
+            float(np.max(1.0 / np.abs(q_t))), float(np.max(np.linalg.norm(q_r, axis=1))))
 
 
 def _reference_lift(model: ValidatedModel, mu: float, theta):
@@ -414,7 +425,7 @@ class ConeCertificate:
     @property
     def expansion_lower_bound(self) -> float:
         """Certified lower bound on the angular derivative |dq/dtheta|."""
-        return self.certified.get("qtheta_lower", 1.0 / self.sup_qtheta_inv)
+        return self.certified["qtheta_lower"]
 
     def to_dict(self) -> dict:
         if self.L_interval is None:
@@ -452,8 +463,13 @@ def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt, cross_qt, c
     return c_forward, c_cross, interval
 
 
-def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None = None,
-                           qtheta_lower: float | None = None) -> ConeCertificate:
+def _require_expanding(qtheta_lower: float) -> None:
+    if qtheta_lower <= 1.0:
+        raise NotExpandingInTheta(
+            f"certified angular-derivative lower bound {qtheta_lower:.6g} <= 1")
+
+
+def certify_jacobian_field(jacobians: np.ndarray, bounds: dict | None = None) -> ConeCertificate:
     """Cone certificate from sampled derivatives of a solid-torus map.
 
     Parameters
@@ -462,19 +478,18 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
         Derivatives d(r_bar, theta_bar)/d(r, theta) at the sample points,
         with the angular coordinate LAST.  The map must be written
         r_bar = p(r, theta), theta_bar = q(r, theta).
-    upper_bounds : optional dict
-        Certified upper bounds over the whole region for keys ``pr``,
-        ``ptheta``, ``qr``, ``cross_pr``, ``cross_ptheta_bar``,
-        ``cross_qtheta_bar``, ``cross_qr``.  When absent, the grid suprema
-        themselves are used and rigor rests on the caller's sampling.
-    qtheta_lower : optional float
-        Certified lower bound of |dq/dtheta| over the region; defaults to
-        the grid minimum.
+    bounds : optional dict
+        The complete certified record over the whole region, as
+        ``_cone_upper_bounds`` returns it: upper bounds ``pr``, ``ptheta``,
+        ``qr``, ``cross_pr``, ``cross_ptheta_bar``, ``cross_qtheta_bar``,
+        ``cross_qr`` and the lower bound ``qtheta_lower`` > 1 of
+        |dq/dtheta|.  When absent, the sample values stand for every key
+        and rigor rests on the caller's sampling.
 
-    Raises NotExpandingInTheta when the angular-derivative lower bound is
-    <= 1 (the cross-form bookkeeping is not available), and Inconclusive
-    when the grid values satisfy the inequalities but the certified bounds
-    do not.
+    Raises NotExpandingInTheta when, without ``bounds``, the sample minimum
+    of |dq/dtheta| is <= 1 (the cross-form bookkeeping is not available),
+    and Inconclusive when the grid values satisfy the inequalities but the
+    certified bounds do not.
     """
     jac = np.asarray(jacobians, dtype=float)
     if jac.ndim != 3 or jac.shape[1] != jac.shape[2]:
@@ -482,16 +497,11 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
     r = jac.shape[1] - 1
     p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
 
-    qt_min = float(np.min(np.abs(q_t)))
-    qtheta_lo = qt_min if qtheta_lower is None else float(qtheta_lower)
-    if qtheta_lo <= 1.0:
-        raise NotExpandingInTheta(
-            f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 1")
+    if bounds is None:
+        qt_min = float(np.min(np.abs(q_t)))
+        _require_expanding(qt_min)
 
-    sup_pr = float(np.max(np.linalg.svd(p_r, compute_uv=False)[:, 0])) if r else 0.0
-    sup_ptheta = float(np.max(np.linalg.norm(p_t, axis=1)))
-    sup_qtheta_inv = float(np.max(1.0 / np.abs(q_t)))
-    sup_qr = float(np.max(np.linalg.norm(q_r, axis=1)))
+    sup_pr, sup_ptheta, sup_qtheta_inv, sup_qr = _sample_sups(p_r, p_t, q_r, q_t)
 
     # cross-form partials: theta solved from (r, theta_bar)
     inv_qt = 1.0 / q_t
@@ -512,17 +522,15 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
         cross_sup_pr, cross_sup_pt, cross_sup_qt, cross_sup_qr)
     grid_ok = g_forward and g_cross and g_interval is not None
 
-    ub = dict(upper_bounds or {})
-    cert = {
-        "pr": ub.get("pr", sup_pr),
-        "ptheta": ub.get("ptheta", sup_ptheta),
-        "qr": ub.get("qr", sup_qr),
-        "cross_pr": ub.get("cross_pr", cross_sup_pr),
-        "cross_ptheta_bar": ub.get("cross_ptheta_bar", cross_sup_pt),
-        "cross_qtheta_bar": ub.get("cross_qtheta_bar", cross_sup_qt),
-        "cross_qr": ub.get("cross_qr", cross_sup_qr),
-        "qtheta_lower": qtheta_lo,
-    }
+    if bounds is None:
+        cert = {
+            "pr": sup_pr, "ptheta": sup_ptheta, "qr": sup_qr,
+            "cross_pr": cross_sup_pr, "cross_ptheta_bar": cross_sup_pt,
+            "cross_qtheta_bar": cross_sup_qt, "cross_qr": cross_sup_qr,
+            "qtheta_lower": qt_min,
+        }
+    else:
+        cert = dict(bounds)
     c_forward, c_cross, cert_interval = _cone_checks(
         cert["pr"], cert["ptheta"], 1.0 / cert["qtheta_lower"],
         cert["qr"] / cert["qtheta_lower"],
@@ -549,12 +557,14 @@ def certify_jacobian_field(jacobians: np.ndarray, *, upper_bounds: dict | None =
     )
 
 
-def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> tuple[dict, float]:
+def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
     """Worst-case bounds of the return-map partials over the trapping torus.
 
     Built from Fourier coefficient sums, the certified minimum of alpha,
-    and the certified angular expansion; every bound dominates the true
-    supremum over {|X - alpha^nu| <= K, |Y| <= K}.
+    and the certified angular expansion; over {|X - alpha^nu| <= K,
+    |Y| <= K} every bound dominates the true supremum, and
+    ``qtheta_lower`` lies below the infimum of |dq/dtheta|.  Raises
+    NotExpandingInTheta when ``qtheta_lower`` <= 1.
     """
     nu, bg, d, gamma, m = model.nu, model.beta_over_gamma, model.d, model.gamma, model.m
     cfg = model.cfg
@@ -604,18 +614,17 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> tuple[dict
         + mu ** (nu - 1.0) * (a1 * c_max + a_hi * ct_max) / (gamma * a_lo * u_lo)
     expansion = certified_angular_expansion(model)
     qtheta_lo = expansion - corr
-
-    bounds = {
+    _require_expanding(qtheta_lo)
+    return {
         "pr": b_pr,
         "ptheta": b_ptheta,
         "qr": b_qr,
+        "cross_pr": b_pr + b_ptheta * b_qr / qtheta_lo,
+        "cross_ptheta_bar": b_ptheta / qtheta_lo,
+        "cross_qtheta_bar": 1.0 / qtheta_lo,
+        "cross_qr": b_qr / qtheta_lo,
+        "qtheta_lower": qtheta_lo,
     }
-    if qtheta_lo > 0.0:
-        bounds["cross_pr"] = b_pr + b_ptheta * b_qr / qtheta_lo
-        bounds["cross_ptheta_bar"] = b_ptheta / qtheta_lo
-        bounds["cross_qtheta_bar"] = 1.0 / qtheta_lo
-        bounds["cross_qr"] = b_qr / qtheta_lo
-    return bounds, qtheta_lo
 
 
 def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCertificate:
@@ -632,8 +641,7 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
         raise CaseMismatch(f"cone certification requires |m| >= 2, got m={model.m}")
     th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
     *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
-    upper, qtheta_lo = _cone_upper_bounds(model, mu, K)
-    return certify_jacobian_field(jac, upper_bounds=upper, qtheta_lower=qtheta_lo)
+    return certify_jacobian_field(jac, _cone_upper_bounds(model, mu, K))
 
 
 # ---------------------------------------------------------------------------
@@ -672,44 +680,36 @@ class LyapunovSpectrum:
 
 
 def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
-                      transient: int = 1000, seed: TorusPoint | None = None,
-                      qr_warmup: int | None = None) -> LyapunovSpectrum:
+                      transient: int = 1000) -> LyapunovSpectrum:
     """Lyapunov exponents of the return map by ensemble QR cocycle averaging.
 
     ``B = min(LYAPUNOV_ENSEMBLE, iterations)`` orbits start on the limit
-    curve at the equally spaced angles ``seed.theta + 2*pi*j/B`` (only the
-    seed's angle is used; the default seed angle is 0.5) and are advanced
+    curve at the equally spaced angles ``0.5 + 2*pi*j/B`` and are advanced
     together, one ``rescaled_step`` call per return.  Each orbit discards
-    ``transient`` returns, the last ``qr_warmup`` of which (default
-    ``min(200, transient)``) already evolve its orthonormal frame, so the
-    averages carry no initial-alignment bias.  Then the analytic
-    Jacobians are accumulated with one stacked QR re-orthonormalization
-    per return (Benettin et al., Meccanica 15, 1980).  Exactly
-    ``iterations`` returns are averaged: ``ceil(iterations / B)`` per
-    orbit, the last step counting only the first orbits.  On the
-    uniformly hyperbolic solenoid the ensemble average equals the time
-    average along one orbit.  Nothing is random, so repeated calls give
-    bit-identical exponents.
+    ``transient`` returns, the last ``min(200, transient)`` of which
+    already evolve its orthonormal frame, so the averages carry no
+    initial-alignment bias.  Then the analytic Jacobians are accumulated
+    with one stacked QR re-orthonormalization per return (Benettin et al.,
+    Meccanica 15, 1980).  Exactly ``iterations`` returns are averaged:
+    ``ceil(iterations / B)`` per orbit, the last step counting only the
+    first orbits.  On the uniformly hyperbolic solenoid the ensemble
+    average equals the time average along one orbit.  Nothing is random,
+    so repeated calls give bit-identical exponents.
 
-    Raises ValueError unless ``iterations`` >= 1, ``transient`` >= 0 and
-    ``qr_warmup`` >= 0 are integers, and for a non-finite or non-positive
-    ``mu`` or a non-finite seed; EscapedTube if any orbit escapes, and
-    FloatingPointError if a growth rate comes out NaN.
+    Raises ValueError unless ``iterations`` >= 1 and ``transient`` >= 0
+    are integers, and for a non-finite or non-positive ``mu``; EscapedTube
+    if any orbit escapes, and FloatingPointError if a growth rate comes
+    out NaN.
     """
     iterations = require_count("iterations", iterations, 1)
     transient = require_count("transient", transient, 0)
     require_mu(mu)
-    if seed is None:
-        seed = model.seed_point(0.5)
-    if not np.all(np.isfinite(seed.as_vector())):
-        raise ValueError(f"non-finite seed point {seed!r}")
-    warmup = min(200 if qr_warmup is None else require_count("qr_warmup", qr_warmup, 0),
-                 transient)
+    warmup = min(200, transient)
     B = min(LYAPUNOV_ENSEMBLE, iterations)
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
 
-    th = reduce_angle(seed.theta + TWO_PI * np.arange(B) / B)
+    th = reduce_angle(0.5 + TWO_PI * np.arange(B) / B)
     X, Y, th, _ = model.advance(model.limit_radial(th), np.zeros((model.ydim, B)), th, mu,
                                 transient - warmup)
     Q = np.eye(model.n)
@@ -859,18 +859,20 @@ def _prefix_diameters(angles: np.ndarray, symbols: np.ndarray,
 
 
 def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
-                            samples: int = 4096, transient: int = 64,
-                            rng_seed: int = 0, boundary_tol: float = 1e-9,
-                            max_resample_rounds: int = 8) -> ItineraryReport:
+                            samples: int = 4096, rng_seed: int = 0) -> ItineraryReport:
     """Code attractor orbits by the branches of the degree-m circle factor.
 
     Each sampled orbit is assigned, at every step, the index of the
     monotone pre-image branch containing its angle.  The report checks
     that this static assignment matches the winding window of the actual
     step (shift consistency), and fits diameter ~ C * rho^depth over the
-    groups of samples sharing an itinerary prefix.  Angles within
-    ``boundary_tol`` of a branch boundary are resampled.
+    groups of samples sharing an itinerary prefix.  Orbits within
+    BOUNDARY_TOL of a branch boundary are redrawn, at most
+    MAX_RESAMPLE_ROUNDS times.  Raises ValueError unless ``depth`` and
+    ``samples`` are integers >= 1.
     """
+    depth = require_count("depth", depth, 1)
+    samples = require_count("samples", samples, 1)
     m = model.m
     boundaries, t0 = branch_boundaries(model, mu)
     n_sym = abs(m)
@@ -888,11 +890,11 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
         th = rng.uniform(0.0, TWO_PI, count)
         X = model.limit_radial(th) * (1.0 + 0.01 * rng.uniform(-1, 1, count))
         Y = 0.01 * rng.uniform(-1, 1, (model.ydim, count))
-        return model.advance(X, Y, th, mu, transient)[:3]
+        return model.advance(X, Y, th, mu, ITINERARY_TRANSIENT)[:3]
 
     resampled = 0
     X, Y, th = draw(samples)
-    for _ in range(max_resample_rounds):
+    for _ in range(MAX_RESAMPLE_ROUNDS):
         # symbols by arc membership and by the winding window of each step
         sym_arc = np.empty((depth, samples), dtype=int)
         sym_win = np.empty((depth, samples), dtype=int)
@@ -900,7 +902,7 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
         Xc, Yc, thc = X, Y, th
         for step in range(depth):
             dist = np.min(np.abs(angle_diff(thc[:, None], boundaries[None, :])), axis=1)
-            ambiguous |= dist < boundary_tol
+            ambiguous |= dist < BOUNDARY_TOL
             sym_arc[step] = arc_labels[(np.searchsorted(boundaries, thc, side="right") - 1)
                                        % n_sym]
             Xb, Yb, lift, _ = model.rescaled_step(Xc, Yc, thc, mu)
@@ -916,8 +918,8 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
         th[idx] = thn
     else:
         raise BranchAmbiguity(
-            f"angles within {boundary_tol} of a branch boundary after "
-            f"{max_resample_rounds} resampling rounds")
+            f"angles within {BOUNDARY_TOL} of a branch boundary after "
+            f"{MAX_RESAMPLE_ROUNDS} resampling rounds")
 
     shift_consistent = bool(np.array_equal(sym_arc, sym_win))
 
@@ -979,11 +981,10 @@ class ClassificationRecord:
         return out
 
 
-def classify_attractor(model: ValidatedModel, mu: float, *,
-                       grid_size: int = 4096) -> ClassificationRecord:
-    """Run the case condition (on a starting grid of ``grid_size``) and the
-    case-appropriate computation: a Newton fixed point, a graph-transform
-    curve on 2^16 nodes, or a cone certificate on 256 angles.
+def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord:
+    """Run the case condition and the case-appropriate computation: a
+    Newton fixed point, a graph-transform curve on 2^16 nodes, or a cone
+    certificate on 256 angles.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
     Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
@@ -994,7 +995,7 @@ def classify_attractor(model: ValidatedModel, mu: float, *,
     case = case_for_degree(m)
     condition = None
     try:
-        condition = check_case(case, model, grid_size)
+        condition = check_case(case, model)
         if not condition.verdict:
             return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
                                         reason="case condition violated")

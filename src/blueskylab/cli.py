@@ -150,10 +150,10 @@ def _format_interval(interval) -> str:
     return f"({low:.6g}, {high_txt})"
 
 
-def cmd_classify(manifest: RunManifest, mu: float, grid: int = 4096) -> int:
+def cmd_classify(manifest: RunManifest, mu: float) -> int:
     """Classify the attractor at mu; exit 3 when indeterminate."""
     require_mu(mu)
-    record = classify_attractor(_load_model(manifest), mu, grid_size=grid)
+    record = classify_attractor(_load_model(manifest), mu)
     print(record.label.value)
     if record.condition is not None:
         cond = record.condition
@@ -233,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify the attractor at one mu")
     common(p)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--grid", type=int, default=4096, help="condition grid size")
 
     p = sub.add_parser("sweep", help="classify along a mu grid and fit the period scaling")
     common(p)
@@ -257,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     commands = {
         "validate": lambda: cmd_validate(manifest),
-        "classify": lambda: cmd_classify(manifest, args.mu, args.grid),
+        "classify": lambda: cmd_classify(manifest, args.mu),
         "sweep": lambda: cmd_sweep(manifest, args.mu_min, args.mu_max, args.per_decade),
         "certify": lambda: cmd_certify(manifest, args.mu, args.grid),
     }

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fourier import DEFAULT_GRID, lipschitz_grid_extrema
+from .fourier import lipschitz_grid_extrema
 from .model import Undecided, ValidatedModel
 
 __all__ = [
@@ -144,18 +144,17 @@ def _case_criterion(case_tag: CaseTag, model: ValidatedModel):
             lambda cmin, cmax: cmin - 1.0)
 
 
-def check_case(case_tag: CaseTag, model: ValidatedModel,
-               grid_size: int = DEFAULT_GRID) -> ConditionReport:
+def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
     """Certify the case inequality for the model's criterion function.
 
-    Evaluates the criterion on a uniform grid and inflates by
-    lipschitz * (half spacing).  A grid angle violating the strict
+    Evaluates the criterion on a uniform grid of 4096 points and inflates
+    by lipschitz * (half spacing).  A grid angle violating the strict
     inequality yields verdict False immediately; a margin exceeding the
     inflation yields verdict True; otherwise the grid doubles up to the
     cap of 2^20 points, after which Inconclusive is raised (equality with
     the threshold within the inflation is never turned into a verdict).
-    The outcome does not depend on mu, so it is computed once per model
-    and grid; a repeated Inconclusive is raised afresh with the same fields.
+    The outcome does not depend on mu, so it is computed once per model;
+    a repeated Inconclusive is raised afresh with the same fields.
     """
     case_tag = CaseTag(case_tag)
     m = model.m
@@ -170,7 +169,7 @@ def check_case(case_tag: CaseTag, model: ValidatedModel,
         def decided(cmin, cmax, inflation):
             return margin(cmin, cmax) < 0.0 or margin(cmin, cmax) > inflation
 
-        cmin, cmax, grid, inflation, _ = lipschitz_grid_extrema(values, lip, grid_size, decided)
+        cmin, cmax, grid, inflation, _ = lipschitz_grid_extrema(values, lip, decided)
         raw_margin = margin(cmin, cmax)
         if raw_margin < 0.0:
             return ConditionReport(case_tag, cmin, cmax, raw_margin, False, grid, lip)
@@ -178,7 +177,7 @@ def check_case(case_tag: CaseTag, model: ValidatedModel,
             return ConditionReport(case_tag, cmin, cmax, raw_margin - inflation, True, grid, lip)
         return case_tag, raw_margin, inflation, grid
 
-    outcome = model.memoized(("check_case", case_tag, int(grid_size)), compute)
+    outcome = model.memoized("check_case", compute)
     if isinstance(outcome, ConditionReport):
         return outcome
     raise Inconclusive(*outcome)
@@ -196,6 +195,6 @@ def certified_angular_expansion(model: ValidatedModel) -> float:
     def compute():
         vmin, _, _, inflation, _ = lipschitz_grid_extrema(
             _case_criterion(CaseTag.SOLENOID, model)[0], criterion_lipschitz(model),
-            DEFAULT_GRID, lambda vmin, vmax, inflation: vmin - inflation > 0.0)
+            lambda vmin, vmax, inflation: vmin - inflation > 0.0)
         return vmin - inflation
     return model.memoized("certified_angular_expansion", compute)

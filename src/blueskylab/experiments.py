@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import AttractorLabel, classify_attractor, lyapunov_spectrum
+from .analysis import AttractorLabel, classify_attractor
 from .conditions import CaseTag, Inconclusive, check_case
 from .model import EscapedTube, ValidatedModel, require_count, require_mu
 
@@ -96,16 +96,14 @@ def _orbit_mean_flight(model: ValidatedModel, mu: float) -> float:
     return float(model.advance(X, Y, th, mu, 256)[3]) / 256
 
 
-def mu_sweep(model: ValidatedModel, mu_values: Sequence[float], *,
-             lyapunov_iterations: int = 0) -> list[SweepRecord]:
+def mu_sweep(model: ValidatedModel, mu_values: Sequence[float]) -> list[SweepRecord]:
     """Classify the attractor at each mu and record the period proxy.
 
     For the stable-orbit regime the proxy is the fixed point's flight time
-    plus the global transit constant; otherwise the orbit-averaged flight
-    time is used.  Escapes are flagged per record and never abort the
-    sweep.  ``lyapunov_iterations`` > 0 adds a top-exponent estimate for
-    the solenoid regime (the stable-orbit regime reports the largest
-    log-multiplier instead).
+    plus the global transit constant, and ``top_lyapunov`` is the largest
+    log-multiplier; otherwise the orbit-averaged flight time is used and
+    ``top_lyapunov`` is None.  Escapes are flagged per record and never
+    abort the sweep.
     """
     records: list[SweepRecord] = []
     for mu in mu_values:
@@ -122,9 +120,6 @@ def mu_sweep(model: ValidatedModel, mu_values: Sequence[float], *,
                     top = float(np.max(np.log(moduli))) if moduli.size else None
             else:
                 flight = _orbit_mean_flight(model, mu)
-                if lyapunov_iterations > 0 and rec.label is AttractorLabel.SOLENOID:
-                    top = lyapunov_spectrum(model, mu, lyapunov_iterations,
-                                            transient=min(200, lyapunov_iterations)).top
             records.append(SweepRecord(
                 mu=mu,
                 classification=rec.label.value,

@@ -120,13 +120,14 @@ class FourierSeries:
         )
 
 
-def lipschitz_grid_extrema(values, lip: float, grid_size: int, done):
-    """Extrema of ``values(theta)`` on a uniform grid of the circle, doubled
-    until ``done(vmin, vmax, inflation)`` holds or the grid reaches GRID_CAP.
-    A function with Lipschitz constant ``lip`` lies within ``inflation`` =
-    lip * (half grid spacing) of its grid values.  Returns (vmin, vmax,
-    grid, inflation, status), ``status`` False when stopped by the cap."""
-    grid = max(8, int(grid_size))
+def lipschitz_grid_extrema(values, lip: float, done):
+    """Extrema of ``values(theta)`` on a uniform grid of the circle, starting
+    at DEFAULT_GRID points and doubled until ``done(vmin, vmax, inflation)``
+    holds or the grid reaches GRID_CAP.  A function with Lipschitz constant
+    ``lip`` lies within ``inflation`` = lip * (half grid spacing) of its grid
+    values.  Returns (vmin, vmax, grid, inflation, status), ``status`` False
+    when stopped by the cap."""
+    grid = DEFAULT_GRID
     while True:
         theta = np.arange(grid) * (TWO_PI / grid)
         vals = values(theta)

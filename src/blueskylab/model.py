@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import DEFAULT_GRID, TWO_PI, FourierSeries, lipschitz_grid_extrema
+from .fourier import TWO_PI, FourierSeries, lipschitz_grid_extrema
 
 __all__ = [
     "DomainError",
@@ -162,10 +162,6 @@ class TorusPoint:
         self.theta = float(reduce_angle(self.theta))
         self.X = float(self.X)
         self.Y = np.atleast_1d(np.asarray(self.Y, dtype=float))
-
-    def as_vector(self) -> np.ndarray:
-        """Flatten to (X, Y..., theta)."""
-        return np.concatenate(([self.X], self.Y, [self.theta]))
 
 
 @dataclass
@@ -297,7 +293,7 @@ def certified_series_min(series: FourierSeries) -> tuple[float, int, bool]:
     2^20 points was reached with the sign still straddling zero.
     """
     grid_min, _, grid, inflation, certified = lipschitz_grid_extrema(
-        series.eval, series.deriv_sup_bound(), DEFAULT_GRID,
+        series.eval, series.deriv_sup_bound(),
         lambda vmin, vmax, inflation: vmin <= 0.0 or vmin - inflation > 0.0)
     return grid_min - inflation, grid, certified
 

@@ -196,7 +196,6 @@ def test_radial_at_scalar_and_array_angles():
     ("tol", 0.0),
     ("tol", -1.0),
     ("tol", float("nan")),
-    ("max_iter", 0),
 ])
 def test_curve_input_rule(arg, value):
     model = validate_config(uncoupled_config(m=1, gamma=1.0, lam=1.6, beta=2.5))
@@ -206,7 +205,7 @@ def test_curve_input_rule(arg, value):
 
 def test_annulus_diagnostic_holds_for_curve_regimes():
     for name in ("demo_m1", "demo_m-1"):
-        diag = bsl.annulus_diagnostic(demo_model(name), 1e-4, grid=128)
+        diag = bsl.annulus_diagnostic(demo_model(name), 1e-4)
         assert diag.satisfied
         assert diag.gap > 0.9           # tiny couplings: contraction dominates
         assert diag.sup_pr < 1e-3
@@ -324,16 +323,17 @@ def test_cone_certify_case_mismatch():
 def test_certify_inconclusive_on_margin_failure():
     # grid values satisfy the inequalities but the caller's certified
     # bounds do not: no verdict either way
+    bounds = {"pr": 0.3, "ptheta": 0.1, "qr": 0.0, "cross_pr": 1.2, "cross_ptheta_bar": 0.05,
+              "cross_qtheta_bar": 0.5, "cross_qr": 0.0, "qtheta_lower": 2.0}
     with pytest.raises(bsl.Inconclusive):
-        certify_jacobian_field(_skew_map_jacobians(),
-                               upper_bounds={"cross_pr": 1.2}, qtheta_lower=2.0)
+        certify_jacobian_field(_skew_map_jacobians(), bounds)
 
 
-def test_itinerary_branch_ambiguity_error():
-    model = demo_model("demo_m2")
+def test_itinerary_branch_ambiguity_error(monkeypatch):
+    # every angle lies within pi < 3.2 of a boundary, so no redraw helps
+    monkeypatch.setattr(bsl.analysis, "BOUNDARY_TOL", 3.2)
     with pytest.raises(bsl.BranchAmbiguity):
-        itinerary_semiconjugacy(model, 1e-5, depth=3, samples=64,
-                                boundary_tol=3.2, max_resample_rounds=2)
+        itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=3, samples=64)
 
 
 def test_structural_stability_of_certificate():
@@ -467,16 +467,10 @@ def test_lyapunov_rejects_bad_mu(mu):
         lyapunov_spectrum(demo_model("demo_m2"), mu, 100, transient=10)
 
 
-@pytest.mark.parametrize("lengths", [dict(transient=-1), dict(transient=10, qr_warmup=-1)])
+@pytest.mark.parametrize("lengths", [dict(transient=-1)])
 def test_lyapunov_rejects_negative_lengths(lengths):
     with pytest.raises(ValueError, match="non-negative"):
         lyapunov_spectrum(demo_model("demo_m2"), 1e-5, 100, **lengths)
-
-
-def test_lyapunov_rejects_non_finite_seed():
-    with pytest.raises(ValueError, match="seed"):
-        lyapunov_spectrum(demo_model("demo_m2"), 1e-5, 100, transient=10,
-                          seed=TorusPoint(theta=float("nan"), X=1.0, Y=np.zeros(2)))
 
 
 def test_lyapunov_nan_rate_raises(monkeypatch):
@@ -567,6 +561,13 @@ def test_itinerary_three_symbols():
     assert report.contraction_ratio <= 1.0 / report.expansion_lower_bound + 0.02
 
 
+@pytest.mark.parametrize("size", [dict(depth=0), dict(samples=0), dict(depth=2.5),
+                                  dict(depth=-1)])
+def test_itinerary_count_rule(size):
+    with pytest.raises(ValueError, match=next(iter(size))):
+        itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, **size)
+
+
 def test_itinerary_requires_expanding_degree():
     with pytest.raises(CaseMismatch):
         itinerary_semiconjugacy(demo_model("demo_m0"), 1e-5)
@@ -614,6 +615,26 @@ def test_fixed_point_flight_is_the_step_at_the_point(name, mu):
     assert "flight" not in fp.to_dict()
 
 
+@pytest.mark.parametrize("name, mu", [("demo_m0", 1e-6), ("demo_m0", 1e-3), ("demo_m2", 1e-5)])
+def test_fixed_point_takes_the_converged_step(monkeypatch, name, mu):
+    """Two seed steps and one per Newton iteration; the multipliers are
+    those of the Jacobian at the returned point."""
+    model = demo_model(name)
+    step = model.rescaled_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(model, "rescaled_step", counted)
+    fp = find_fixed_point(model, mu)
+    assert len(calls) == fp.newton_iterations + 2
+    p = fp.point
+    jac = step(p.X, p.Y, p.theta, mu, with_jacobian=True)[4]
+    assert np.array_equal(fp.multipliers, np.linalg.eigvals(jac))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_radial_at_rejects_non_finite_angles(bad):
     theta = np.arange(64) * (TWO_PI / 64)
@@ -629,7 +650,7 @@ def test_radial_at_rejects_non_finite_angles(bad):
 
 
 @pytest.mark.parametrize("lengths", [dict(iterations=10.7), dict(transient=10.5),
-                                     dict(qr_warmup=2.5), dict(iterations=0)])
+                                     dict(iterations=0)])
 def test_lyapunov_count_rule(lengths):
     kwargs = dict(iterations=100, transient=10) | lengths
     with pytest.raises(ValueError, match=next(iter(lengths))):

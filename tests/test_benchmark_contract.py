@@ -35,13 +35,14 @@ def test_hook_argument_positions_match_the_signatures():
     spans = _spans()
     read = {
         "model.rescaled_step": {"X": 1, "theta": 3, "with_jacobian": 5},
-        "conditions.check_case": {"grid_size": 2},
         "cli.main": {"argv": 0},
     }
     for qual, positions in read.items():
         params = list(inspect.signature(_resolve(*spans.TRACED[qual])).parameters.values())
         for name, position in positions.items():
             assert params[position].name == name, (qual, name)
-    # the check_case hook assumes the default starting grid
-    grid = inspect.signature(_resolve(*spans.TRACED["conditions.check_case"])).parameters
-    assert grid["grid_size"].default == 4096
+    # the check_case hook falls back to a starting grid of 4096 when no
+    # grid_size is passed, which is always: the grid starts at DEFAULT_GRID
+    check_case = inspect.signature(_resolve(*spans.TRACED["conditions.check_case"])).parameters
+    assert "grid_size" not in check_case
+    assert importlib.import_module("blueskylab.fourier").DEFAULT_GRID == 4096

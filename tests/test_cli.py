@@ -56,6 +56,15 @@ def test_classify_stable_orbit(capsys, tmp_path):
     assert payload["classification"] == "StablePeriodicOrbit"
 
 
+@pytest.mark.parametrize("grid", ["0", "-5", "4096", "4194304"])
+def test_classify_has_no_grid_option(capsys, grid):
+    # the condition grid always starts at 4096 and stops at 2^20
+    with pytest.raises(SystemExit) as exit_info:
+        run("classify", config("demo_m0"), "--mu", "1e-6", "--grid", grid)
+    assert exit_info.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_classify_klein_bottle(capsys):
     assert run("classify", config("demo_m-1"), "--mu", "1e-4") == 0
     assert "KleinBottle" in capsys.readouterr().out

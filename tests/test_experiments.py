@@ -67,13 +67,7 @@ def test_solenoid_sweep_classification_constant():
     records = mu_sweep(model, geometric_mu_grid(1e-7, 1e-4, per_decade=2))
     assert all(r.classification == "Solenoid" for r in records)
     assert all(r.period_proxy > 0.0 for r in records)
-
-
-def test_sweep_records_top_lyapunov_for_solenoid():
-    model = demo_model("demo_m2")
-    records = mu_sweep(model, [1e-5], lyapunov_iterations=2000)
-    assert records[0].top_lyapunov is not None
-    assert records[0].top_lyapunov > 0.0
+    assert all(r.top_lyapunov is None for r in records)
 
 
 def test_escape_flag_does_not_abort():

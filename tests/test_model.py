@@ -476,8 +476,6 @@ def test_trapping_samples_need_an_angle():
     for n_theta in (0, -1, 2.0):
         with pytest.raises(ValueError, match="n_theta"):
             demo_model("demo_m2").trapping_samples(1e-5, n_theta=n_theta)
-    with pytest.raises(ValueError, match="n_theta"):
-        bsl.annulus_diagnostic(demo_model("demo_m1"), 1e-4, grid=0)
 
 
 @pytest.mark.parametrize("name, mu, shape", [
