@@ -650,7 +650,7 @@ def test_radial_at_rejects_non_finite_angles(bad):
 
 
 @pytest.mark.parametrize("lengths", [dict(iterations=10.7), dict(transient=10.5),
-                                     dict(iterations=0)])
+                                     dict(iterations=100.0), dict(iterations=0)])
 def test_lyapunov_count_rule(lengths):
     kwargs = dict(iterations=100, transient=10) | lengths
     with pytest.raises(ValueError, match=next(iter(lengths))):
