@@ -27,8 +27,10 @@ from .analysis import (
     certify_jacobian_field,
     circle_degree,
     classify_attractor,
+    classify_attractors,
     cone_certify,
     find_fixed_point,
+    find_fixed_points,
     graph_transform_curve,
     itinerary_semiconjugacy,
     lyapunov_spectrum,

@@ -28,6 +28,7 @@ from .conditions import (
 )
 from .fourier import TWO_PI
 from .model import (
+    EscapedTube,
     TorusPoint,
     Undecided,
     ValidatedModel,
@@ -56,8 +57,10 @@ __all__ = [
     "certify_jacobian_field",
     "circle_degree",
     "classify_attractor",
+    "classify_attractors",
     "cone_certify",
     "find_fixed_point",
+    "find_fixed_points",
     "graph_transform_curve",
     "itinerary_semiconjugacy",
     "lyapunov_spectrum",
@@ -77,10 +80,14 @@ LYAPUNOV_ENSEMBLE = 256
 ITINERARY_TRANSIENT = 64
 BOUNDARY_TOL = 1e-9
 MAX_RESAMPLE_ROUNDS = 8
+# Newton fixed points: residual tolerance and step budget of each row
+NEWTON_TOL = 1e-13
+NEWTON_MAX_STEPS = 100
 
 
 class NoConvergence(Undecided, RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget, or could not take
+    a step (a singular Newton matrix)."""
 
 
 class NotACircleMap(Undecided, RuntimeError):
@@ -144,40 +151,98 @@ class FixedPointResult:
 
 
 def find_fixed_point(model: ValidatedModel, mu: float) -> FixedPointResult:
-    """Newton iteration for a fixed point of the rescaled return map.
+    """Newton iteration for a fixed point of the rescaled return map: the
+    one-row ``find_fixed_points``, raising its EscapedTube or NoConvergence.
 
-    Starts two forward steps (onto the attracting core) from the limit
-    curve at angle 0 and works on (X, Y, theta-lift) with the angular
-    residual wrapped to the circle, using the analytic Jacobian, until the
-    residual drops below 1e-13 (that step, at the returned point, gives the
-    flight and multipliers); NoConvergence after 100 Newton steps.
     Intended for degree m = 0, where the contracting limit map has a
     unique stable fixed point, but runs for any degree.
     """
+    result, = find_fixed_points(model, mu)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def find_fixed_points(model: ValidatedModel, mus) -> list:
+    """Newton fixed points of the rescaled return map at every mu of ``mus``
+    (a scalar or a 1-d array), solved together: one batched step per
+    iteration for all rows.
+
+    Each row starts two forward steps (onto the attracting core) from the
+    limit curve at angle 0 and works on (X, Y, theta-lift) with the angular
+    residual wrapped to the circle, using the analytic Jacobian, until its
+    residual drops below ``NEWTON_TOL``; that step, at the returned point,
+    gives its flight and multipliers, and the row then stays frozen.
+    Returns one entry per row: a FixedPointResult, or the exception the
+    row ended with, unraised: EscapedTube when its orbit leaves the tube,
+    NoConvergence after ``NEWTON_MAX_STEPS`` Newton steps or at a singular
+    Newton matrix.  No row stops the others.
+    """
+    # a 0-d mu goes in as a scalar, so the one-row solve does the scalar
+    # map's arithmetic bit for bit
+    mus = require_mu(np.asarray(mus, dtype=float)[()])
+    shape, n, k = np.shape(mus), model.n, model.ydim
     seed = model.seed_point()
-    X, Y, th, _ = model.advance(seed.X, seed.Y, seed.theta, mu, 2)
-    k = model.ydim
-    n = model.n
-    for iterations in range(1, 101):
-        Xb, Yb, lift, flight, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
-        g = np.concatenate(([float(Xb) - X], Yb - Y, [float(angle_diff(lift, th))]))
-        residual = float(np.linalg.norm(g))
-        if residual < 1e-13:
+    X, Y, th, seed_flight = model.advance(np.full(shape, seed.X), np.zeros((k,) + shape),
+                                          np.full(shape, seed.theta), mus, 2)
+    escaped = np.isnan(seed_flight)
+    singular = np.zeros(shape, dtype=bool)
+    active = ~escaped
+    iterations = np.zeros(shape, dtype=int)
+    residual = np.full(shape, np.nan)
+    flight = np.full(shape, np.nan)
+    jac_at = np.full(shape + (n, n), np.nan)
+    eye = np.eye(n)
+    for iteration in range(1, NEWTON_MAX_STEPS + 1):
+        (Xb, Yb, lift, step_flight, jac), step_escaped = model._step(
+            X, Y, th, mus, with_jacobian=True)
+        escaped |= active & step_escaped
+        active &= ~step_escaped
+        g = np.concatenate((np.expand_dims(Xb - X, 0), Yb - Y,
+                            np.expand_dims(angle_diff(lift, th), 0)))
+        step_residual = np.sqrt(np.sum(g * g, axis=0))
+        residual = np.where(active, step_residual, residual)
+        done = active & (step_residual < NEWTON_TOL)
+        iterations[done] = iteration
+        flight = np.where(done, step_flight, flight)
+        jac_at[done] = jac[done]
+        active &= ~done
+        # a singular Newton matrix ends its row; frozen rows solve the identity
+        newton = np.where(active[..., None, None], jac - eye, eye)
+        stuck = np.linalg.slogdet(newton)[0] == 0.0
+        singular |= stuck
+        active &= ~stuck
+        if not active.any():
             break
-        step = np.linalg.solve(jac - np.eye(n), -g)
-        X += step[0]
-        Y = Y + step[1 : 1 + k]
-        th = reduce_angle(th + step[n - 1])
-    else:
-        raise NoConvergence(f"Newton did not reach tol=1e-13 in 100 iterations "
-                            f"(last residual {residual:.3e})")
-    return FixedPointResult(
-        point=TorusPoint(th, X, Y),
-        multipliers=np.linalg.eigvals(jac),
-        residual=residual,
-        newton_iterations=iterations,
-        flight=float(flight),
-    )
+        newton[stuck] = eye
+        rhs = np.where(active, -g, 0.0)
+        step = np.linalg.solve(newton, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
+        X = X + step[..., 0]
+        Y = Y + np.moveaxis(step[..., 1 : 1 + k], -1, 0)
+        th = reduce_angle(th + step[..., n - 1])
+
+    done = ~(escaped | singular | active)
+    multipliers = iter(np.linalg.eigvals(jac_at.reshape(-1, n, n)[done.reshape(-1)]))
+    results: list = []
+    for index, mu in zip(np.ndindex(shape), np.ravel(mus).tolist()):
+        if escaped[index]:
+            results.append(EscapedTube(f"orbit left the homoclinic tube at mu={mu!r}"))
+        elif singular[index]:
+            results.append(NoConvergence(
+                f"singular Newton matrix (residual {residual[index]:.3e})"))
+        elif active[index]:
+            results.append(NoConvergence(
+                f"Newton did not reach tol={NEWTON_TOL} in {NEWTON_MAX_STEPS} iterations "
+                f"(last residual {residual[index]:.3e})"))
+        else:
+            results.append(FixedPointResult(
+                point=TorusPoint(th[index], X[index], Y[(slice(None),) + index]),
+                multipliers=next(multipliers),
+                residual=float(residual[index]),
+                newton_iterations=int(iterations[index]),
+                flight=float(flight[index]),
+            ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +428,28 @@ def _jacobian_blocks(jac):
     return jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
 
 
+def _max_operator_norm(blocks) -> float:
+    """Largest operator norm over stacked (M, r, r) ``blocks`` (0 when
+    r = 0), equal to the maximum of their stacked SVD's top values.
+
+    The Frobenius norm bounds the operator norm from above, and the block
+    with the largest Frobenius norm gives an exact lower bound for the
+    maximum, so only the blocks whose Frobenius norm (times 1 + 1e-9, for
+    rounding) reaches that bound can hold it, and only they are decomposed.
+    """
+    if not blocks.shape[1]:
+        return 0.0
+    frobenius = np.sqrt(np.einsum("mij,mij->m", blocks, blocks))
+    lower = np.linalg.svd(blocks[np.argmax(frobenius)], compute_uv=False)[0]
+    candidates = blocks[frobenius * (1.0 + 1e-9) >= lower]
+    return float(np.max(np.linalg.svd(candidates, compute_uv=False)[:, 0]))
+
+
 def _sample_sups(p_r, p_t, q_r, q_t):
     """Sample suprema of |dp/dr| (operator norm, 0 without a radial
     coordinate), |dp/dtheta|, |(dq/dtheta)^-1| and |dq/dr| over the blocks
     of ``_jacobian_blocks``."""
-    sup_pr = float(np.max(np.linalg.svd(p_r, compute_uv=False)[:, 0])) if p_r.shape[1] else 0.0
-    return (sup_pr, float(np.max(np.linalg.norm(p_t, axis=1))),
+    return (_max_operator_norm(p_r), float(np.max(np.linalg.norm(p_t, axis=1))),
             float(np.max(1.0 / np.abs(q_t))), float(np.max(np.linalg.norm(q_r, axis=1))))
 
 
@@ -494,7 +575,6 @@ def certify_jacobian_field(jacobians: np.ndarray, bounds: dict | None = None) ->
     jac = np.asarray(jacobians, dtype=float)
     if jac.ndim != 3 or jac.shape[1] != jac.shape[2]:
         raise ValueError("jacobians must have shape (M, dim, dim)")
-    r = jac.shape[1] - 1
     p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
 
     if bounds is None:
@@ -509,9 +589,8 @@ def certify_jacobian_field(jacobians: np.ndarray, bounds: dict | None = None) ->
     cross_qr_s = np.linalg.norm(q_r, axis=1) * cross_qt_s
     cross_pt_s = np.linalg.norm(p_t, axis=1) * cross_qt_s
     cross_pr_mat = p_r - np.einsum("mi,mj->mij", p_t, q_r * inv_qt[:, None])
-    cross_pr_s = np.linalg.svd(cross_pr_mat, compute_uv=False)[:, 0] if r else np.zeros(len(jac))
 
-    cross_sup_pr = float(np.max(cross_pr_s))
+    cross_sup_pr = _max_operator_norm(cross_pr_mat)
     cross_sup_pt = float(np.max(cross_pt_s))
     cross_sup_qt = float(np.max(cross_qt_s))
     cross_sup_qr = float(np.max(cross_qr_s))
@@ -991,25 +1070,55 @@ def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord
     certificate or solver is ``Undecided`` (never a guess; the reason then
     names the exception class).  An EscapedTube propagates.
     """
-    m = model.m
-    case = case_for_degree(m)
-    condition = None
+    record, = classify_attractors(model, mu)
+    if isinstance(record, EscapedTube):
+        raise record
+    return record
+
+
+def classify_attractors(model: ValidatedModel, mus) -> list:
+    """``classify_attractor`` at every mu of ``mus`` (a scalar or a 1-d
+    array), one entry per row: the mu-free case condition runs once and the
+    m = 0 fixed points come from one ``find_fixed_points`` call.  A row
+    whose orbit escapes holds its EscapedTube, unraised, in place of a
+    record, and never stops the others.
+    """
+    case = case_for_degree(model.m)
+    rows = np.ravel(mus).tolist()
     try:
         condition = check_case(case, model)
-        if not condition.verdict:
-            return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
-                                        reason="case condition violated")
+    except Undecided as exc:
+        return [_undecided(mu, None, exc) for mu in rows]
+    if not condition.verdict:
+        return [ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
+                                     reason="case condition violated") for mu in rows]
+    if case is CaseTag.BLUE_SKY:
+        return [_fixed_point_record(mu, condition, fp)
+                for mu, fp in zip(rows, find_fixed_points(model, mus))]
+    return [_curve_or_cone_record(model, mu, condition) for mu in rows]
 
-        if case is CaseTag.BLUE_SKY:
-            fp = find_fixed_point(model, mu)
-            if not fp.stable:
-                return ClassificationRecord(AttractorLabel.INDETERMINATE, mu,
-                                            condition=condition, fixed_point=fp,
-                                            reason="fixed point not stable")
-            return ClassificationRecord(AttractorLabel.STABLE_PERIODIC_ORBIT, mu,
-                                        condition=condition, fixed_point=fp)
 
-        if case is CaseTag.TORUS_OR_KLEIN:
+def _undecided(mu, condition, exc) -> ClassificationRecord:
+    return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
+                                reason=f"{type(exc).__name__}: {exc}")
+
+
+def _fixed_point_record(mu, condition, fp):
+    if isinstance(fp, EscapedTube):
+        return fp
+    if isinstance(fp, Undecided):
+        return _undecided(mu, condition, fp)
+    if not fp.stable:
+        return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
+                                    fixed_point=fp, reason="fixed point not stable")
+    return ClassificationRecord(AttractorLabel.STABLE_PERIODIC_ORBIT, mu,
+                                condition=condition, fixed_point=fp)
+
+
+def _curve_or_cone_record(model: ValidatedModel, mu, condition):
+    m = model.m
+    try:
+        if condition.case_tag is CaseTag.TORUS_OR_KLEIN:
             curve = graph_transform_curve(model, mu, 2 ** 16)
             expected = Orientation.PRESERVING if m == 1 else Orientation.REVERSING
             if curve.orientation is not expected:
@@ -1018,11 +1127,11 @@ def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord
                                             reason="unexpected orientation")
             label = AttractorLabel.INVARIANT_TORUS if m == 1 else AttractorLabel.KLEIN_BOTTLE
             return ClassificationRecord(label, mu, condition=condition, curve=curve)
-
         certificate = cone_certify(model, mu)
     except Undecided as exc:
-        return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
-                                    reason=f"{type(exc).__name__}: {exc}")
+        return _undecided(mu, condition, exc)
+    except EscapedTube as exc:
+        return exc
     if not certificate.verdict:
         return ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
                                     certificate=certificate, reason="cone conditions violated")

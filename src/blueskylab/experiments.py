@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import AttractorLabel, classify_attractor
+from .analysis import AttractorLabel, classify_attractor, classify_attractors
 from .conditions import CaseTag, Inconclusive, check_case
 from .model import EscapedTube, ValidatedModel, require_count, require_mu
 
@@ -88,12 +88,15 @@ def geometric_mu_grid(mu_min: float, mu_max: float, per_decade: int = 10) -> np.
     return np.geomspace(mu_max, mu_min, count)
 
 
-def _orbit_mean_flight(model: ValidatedModel, mu: float) -> float:
+def _orbit_mean_flights(model: ValidatedModel, mus: np.ndarray) -> np.ndarray:
     """Flight time averaged over 256 returns, after 64 transient returns,
-    along the orbit of the limit-curve point at angle 0.5."""
+    along the orbit of the limit-curve point at angle 0.5, at every mu of
+    ``mus`` in one ``advance`` (NaN where the orbit escapes)."""
     p = model.seed_point(0.5)
-    X, Y, th, _ = model.advance(p.X, p.Y, p.theta, mu, 64)
-    return float(model.advance(X, Y, th, mu, 256)[3]) / 256
+    rows = len(mus)
+    X, Y, th, _ = model.advance(np.full(rows, p.X), np.zeros((model.ydim, rows)),
+                                np.full(rows, p.theta), mus, 64)
+    return model.advance(X, Y, th, mus, 256)[3] / 256
 
 
 def mu_sweep(model: ValidatedModel, mu_values: Sequence[float]) -> list[SweepRecord]:
@@ -102,37 +105,47 @@ def mu_sweep(model: ValidatedModel, mu_values: Sequence[float]) -> list[SweepRec
     For the stable-orbit regime the proxy is the fixed point's flight time
     plus the global transit constant, and ``top_lyapunov`` is the largest
     log-multiplier; otherwise the orbit-averaged flight time is used and
-    ``top_lyapunov`` is None.  Escapes are flagged per record and never
-    abort the sweep.
+    ``top_lyapunov`` is None.  The rows are solved together: the mu-free
+    case condition once (``classify_attractors``), every m = 0 fixed point
+    in one batched Newton solve, and every orbit average in one batched
+    ``advance``.  At |m| >= 2 the orbit average runs along a chaotic orbit,
+    so it reproduces only to about 1e-3 relative under last-bit changes of
+    the arithmetic (repeated runs on one machine stay bit-identical).
+    Escapes are flagged per record and never abort the sweep; raises
+    ValueError if any mu is not finite and positive.
     """
+    mus = require_mu(np.array([float(mu) for mu in mu_values]))
+    if not mus.size:
+        return []
+    rows = classify_attractors(model, mus)
+    orbit = [i for i, rec in enumerate(rows)
+             if not isinstance(rec, EscapedTube) and rec.fixed_point is None]
+    flights = np.full(mus.size, np.nan)         # NaN stays on every escaped row
+    if orbit:
+        flights[orbit] = _orbit_mean_flights(model, mus[orbit])
     records: list[SweepRecord] = []
-    for mu in mu_values:
-        mu = float(mu)
-        try:
-            rec = classify_attractor(model, mu)
-            theta_fp = None
-            top = None
-            if rec.fixed_point is not None:
-                theta_fp = rec.fixed_point.point.theta
-                flight = rec.fixed_point.flight
-                moduli = np.abs(rec.fixed_point.multipliers)
-                with np.errstate(divide="ignore"):
-                    top = float(np.max(np.log(moduli))) if moduli.size else None
-            else:
-                flight = _orbit_mean_flight(model, mu)
-            records.append(SweepRecord(
-                mu=mu,
-                classification=rec.label.value,
-                period_proxy=flight + GLOBAL_TRANSIT_TIME,
-                theta_at_fixed_point=theta_fp,
-                top_lyapunov=top,
-                escape_flag=False,
-            ))
-        except EscapedTube:
+    for mu, rec, flight in zip(mus.tolist(), rows, flights.tolist()):
+        fp = None if isinstance(rec, EscapedTube) else rec.fixed_point
+        if fp is None and np.isnan(flight):
             records.append(SweepRecord(
                 mu=mu, classification="Escaped", period_proxy=float("nan"),
                 theta_at_fixed_point=None, top_lyapunov=None, escape_flag=True,
             ))
+            continue
+        theta_fp = top = None
+        if fp is not None:
+            theta_fp, flight = fp.point.theta, fp.flight
+            moduli = np.abs(fp.multipliers)
+            with np.errstate(divide="ignore"):
+                top = float(np.max(np.log(moduli))) if moduli.size else None
+        records.append(SweepRecord(
+            mu=mu,
+            classification=rec.label.value,
+            period_proxy=flight + GLOBAL_TRANSIT_TIME,
+            theta_at_fixed_point=theta_fp,
+            top_lyapunov=top,
+            escape_flag=False,
+        ))
     return records
 
 

@@ -114,12 +114,18 @@ class Section(Enum):
     S1 = "S1"
 
 
-def require_mu(mu: float) -> float:
-    """The input rule for the splitting parameter: 0 < mu < inf (so NaN fails).
-    Returns ``mu``; raises ValueError otherwise."""
-    if not 0.0 < mu < np.inf:
+def require_mu(mu):
+    """The input rule for the splitting parameter: 0 < mu < inf (so NaN
+    fails), for a scalar or for every element of an array.  Returns ``mu``
+    (an array as a float array); raises ValueError otherwise."""
+    if np.ndim(mu) == 0:
+        if not 0.0 < mu < np.inf:
+            raise ValueError(f"mu must be finite and positive, got {mu!r}")
+        return mu
+    values = np.asarray(mu, dtype=float)
+    if not np.all((values > 0.0) & (values < np.inf)):
         raise ValueError(f"mu must be finite and positive, got {mu!r}")
-    return mu
+    return values
 
 
 def require_count(name: str, value, minimum: int) -> int:
@@ -423,7 +429,8 @@ class ValidatedModel:
         ----------
         X, theta : scalars or arrays of a common shape S.
         Y : array of shape (n-2,) + S (leading component axis).
-        mu : positive splitting parameter.
+        mu : positive splitting parameter, a scalar or an array whose shape
+            broadcasts to S (one mu per point).
         with_jacobian : also return the derivative in (X, Y, theta), an
             array of shape S + (n, n) with variable order (X, Y..., theta);
             the theta derivative is taken on the lift.
@@ -438,9 +445,21 @@ class ValidatedModel:
         Raises
         ------
         EscapedTube if any intermediate z0 is not finite and positive, or
-        any image Xb, Yb is not finite.
+        any image Xb, Yb is not finite; ValueError for a mu that breaks
+        ``require_mu`` or does not broadcast to S.
         """
-        require_mu(mu)
+        out, escaped = self._step(X, Y, theta, mu, with_jacobian)
+        if escaped.any():
+            raise EscapedTube(f"orbit left the homoclinic tube at mu={mu!r}: z0 not finite "
+                              f"and positive, or image not finite")
+        return out
+
+    def _step(self, X, Y, theta, mu, with_jacobian=False):
+        """``rescaled_step`` with escapes reported per point instead of
+        raised: returns (the tuple ``rescaled_step`` returns, escaped), with
+        ``escaped`` a boolean array of shape S and every output NaN at the
+        escaped points.  Escaped points raise no floating-point warning."""
+        mu = require_mu(mu)
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -450,6 +469,11 @@ class ValidatedModel:
                 Y = Y.reshape((0,) + theta.shape)
             else:
                 raise ValueError(f"Y must have leading axis of length {k}")
+        if np.ndim(mu):
+            shape = np.broadcast_shapes(X.shape, theta.shape, Y.shape[1:])
+            if np.broadcast_shapes(mu.shape, shape) != shape:
+                raise ValueError(f"mu of shape {mu.shape} does not broadcast to the "
+                                 f"state's shape {shape}")
 
         gamma, nu, bg, d, m = self.gamma, self.nu, self.beta_over_gamma, self.d, self.m
         mu_nu = mu ** nu
@@ -458,8 +482,10 @@ class ValidatedModel:
         vals = self._bank.eval(theta, derivatives=with_jacobian)
         x = c_x * X
         z0, y0, th0 = self._t1(vals, x, mu_nu * Y, theta, mu)
-        if not np.all((z0 > 0.0) & (z0 < np.inf)):
-            raise EscapedTube(f"z0 not finite and positive under the global map at mu={mu!r}")
+        escaped = ~((z0 > 0.0) & (z0 < np.inf))
+        any_escaped = escaped.any()
+        if any_escaped:
+            z0 = np.where(escaped, mu, z0)      # any finite positive value: masked below
 
         # an orbit that overflows here has left the tube: flag it on this step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -469,12 +495,15 @@ class ValidatedModel:
             u_bg = u ** bg
             Yb = c_y * u_bg * y0
         if not (np.isfinite(Xb).all() and np.isfinite(Yb).all()):
-            raise EscapedTube(f"image not finite under the local map at mu={mu!r}")
+            escaped = escaped | ~(np.isfinite(Xb) & np.all(np.isfinite(Yb), axis=0))
+            any_escaped = True
         flight = (np.log(d) - np.log(z0)) / gamma
         theta_lift = th0 + flight
-
+        if any_escaped:
+            Xb, Yb, theta_lift, flight = (np.where(escaped, np.nan, o)
+                                          for o in (Xb, Yb, theta_lift, flight))
         if not with_jacobian:
-            return Xb, Yb, theta_lift, flight
+            return (Xb, Yb, theta_lift, flight), escaped
 
         a, fx, hx = vals[self._iA], vals[self._iFX], vals[self._iHX]
         fy, hy = vals[self._sFY], vals[self._sHY]
@@ -496,14 +525,16 @@ class ValidatedModel:
         dth0_dth = m + hv1 + x * hx1 + mu_nu * np.sum(hy1 * Y, axis=0)
 
         # chain through the local map and the rescaling
+        if any_escaped:         # finite stand-ins at the escaped points, masked below
+            u = np.where(escaped, 1.0, u)
+            u_bg = np.where(escaped, 1.0, u_bg)
         w = nu * u ** (nu - 1.0) / mu                 # dXb/dz0
         v = c_y * bg * u ** (bg - 1.0) / mu           # dYb_i/dz0 factor on y0_i
         q = c_y * u_bg
         inv_gz = 1.0 / (gamma * z0)
 
-        shape = np.broadcast_shapes(X.shape, theta.shape, Y.shape[1:])
         nn = self.n
-        jac = np.zeros(shape + (nn, nn))
+        jac = np.zeros(np.shape(Xb) + (nn, nn))
         jac[..., 0, 0] = w * dz0_dX
         jac[..., 0, nn - 1] = w * dz0_dth
         jac[..., nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
@@ -517,15 +548,20 @@ class ValidatedModel:
             idx = np.arange(k)
             yy[..., idx, idx] += np.moveaxis(q * dy0_dYdiag, 0, -1)
             jac[..., 1 : 1 + k, 1 : 1 + k] = yy
-        return Xb, Yb, theta_lift, flight, jac
+        if any_escaped:
+            jac[escaped] = np.nan
+        return (Xb, Yb, theta_lift, flight, jac), escaped
 
     def advance(self, X, Y, theta, mu, steps: int):
-        """``steps`` (>= 0) applications of ``rescaled_step``, reducing the angle
-        to [0, 2*pi) after each.  Returns (X, Y, theta, flight): the image and
-        the flight time summed over the steps, per point."""
+        """``steps`` (>= 0) applications of the rescaled map, reducing the
+        angle to [0, 2*pi) after each.  Returns (X, Y, theta, flight): the
+        image and the flight time summed over the steps, per point.  A point
+        that leaves the tube (where ``rescaled_step`` would raise
+        EscapedTube) is NaN from that step on, its flight included, and the
+        other points go on; ``mu`` may be an array, one value per point."""
         flight = 0.0
         for _ in range(require_count("steps", steps, 0)):
-            X, Y, lift, step_flight = self.rescaled_step(X, Y, theta, mu)
+            (X, Y, lift, step_flight), _ = self._step(X, Y, theta, mu)
             theta = reduce_angle(lift)
             flight = flight + step_flight
         return X, Y, theta, flight

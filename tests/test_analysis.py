@@ -22,16 +22,24 @@ from blueskylab import (
     classify_attractor,
     cone_certify,
     find_fixed_point,
+    find_fixed_points,
     graph_transform_curve,
     itinerary_semiconjugacy,
     lyapunov_spectrum,
     phase_distance,
     validate_config,
 )
-from blueskylab.analysis import _prefix_diameters
-from blueskylab.model import reduce_angle
+from blueskylab.analysis import _jacobian_blocks, _max_operator_norm, _prefix_diameters
+from blueskylab.model import angle_diff, reduce_angle
 
-from helpers import advance, coupled_config, demo_model, random_region_points, uncoupled_config
+from helpers import (
+    advance,
+    coupled_config,
+    demo_model,
+    random_config,
+    random_region_points,
+    uncoupled_config,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -617,17 +625,19 @@ def test_fixed_point_flight_is_the_step_at_the_point(name, mu):
 
 @pytest.mark.parametrize("name, mu", [("demo_m0", 1e-6), ("demo_m0", 1e-3), ("demo_m2", 1e-5)])
 def test_fixed_point_takes_the_converged_step(monkeypatch, name, mu):
-    """Two seed steps and one per Newton iteration; the multipliers are
+    """Two seed steps and one per Newton iteration, counted at the map's
+    kernel (``_step``, which ``rescaled_step`` wraps); the multipliers are
     those of the Jacobian at the returned point."""
     model = demo_model(name)
     step = model.rescaled_step
+    kernel = model._step
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return step(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(model, "rescaled_step", counted)
+    monkeypatch.setattr(model, "_step", counted)
     fp = find_fixed_point(model, mu)
     assert len(calls) == fp.newton_iterations + 2
     p = fp.point
@@ -695,3 +705,81 @@ def test_prefix_diameters_of_an_itinerary():
     report = itinerary_semiconjugacy(model, 1e-5, depth=10, samples=1024)
     assert len(report.max_diameter_by_depth) == 10
     assert all(0.0 < d < TWO_PI for _, d in report.max_diameter_by_depth)
+
+
+# -- batched fixed points and sample suprema -----------------------------------
+
+
+def _batch_models():
+    rng = np.random.default_rng(11)
+    return [pytest.param(demo_model("demo_m0"), id="demo_m0"),
+            pytest.param(validate_config(uncoupled_config(m=0, gamma=1.0, lam=2.0, beta=3.0)),
+                         id="uncoupled"),
+            *(pytest.param(validate_config(random_config(rng, m=0, n=n)), id=f"random_n{n}")
+              for n in (3, 4, 5))]
+
+
+@pytest.mark.parametrize("model", _batch_models())
+def test_find_fixed_points_match_the_one_row_solve(model):
+    mus = bsl.geometric_mu_grid(1e-8, 1e-2, per_decade=3)
+    for mu, got in zip(mus, find_fixed_points(model, mus)):
+        try:
+            want = find_fixed_point(model, float(mu))
+        except bsl.DomainError as exc:
+            assert type(got) is type(exc)
+            continue
+        assert isinstance(got, bsl.FixedPointResult)
+        assert abs(angle_diff(got.point.theta, want.point.theta)) < 1e-12
+        np.testing.assert_allclose(got.point.X, want.point.X, rtol=1e-12)
+        np.testing.assert_allclose(got.point.Y, want.point.Y, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.flight, want.flight, rtol=1e-12)
+        np.testing.assert_allclose(np.sort(np.abs(got.multipliers)),
+                                   np.sort(np.abs(want.multipliers)), rtol=1e-9, atol=1e-15)
+        assert got.residual < 1e-13
+
+
+def test_singular_newton_row_ends_alone(monkeypatch):
+    """A row whose Newton matrix is singular ends as NoConvergence; the
+    other rows converge as they do alone."""
+    model = demo_model("demo_m0")
+    kernel = model._step
+
+    def identity_jacobian_above(*args, **kwargs):
+        out, escaped = kernel(*args, **kwargs)
+        if kwargs.get("with_jacobian"):
+            out[4][np.asarray(args[3]) > 1e-5] = np.eye(model.n)    # jac - I = 0
+        return out, escaped
+
+    mus = np.array([1e-6, 1e-4, 1e-7])
+    alone = [find_fixed_point(model, float(mu)) for mu in mus[[0, 2]]]
+    monkeypatch.setattr(model, "_step", identity_jacobian_above)
+    first, singular, last = find_fixed_points(model, mus)
+    assert isinstance(singular, bsl.NoConvergence) and "singular" in str(singular)
+    for got, want in zip((first, last), alone):
+        np.testing.assert_allclose(got.point.X, want.point.X, rtol=1e-12)
+        assert got.newton_iterations == want.newton_iterations
+
+
+def _reference_max_norm(blocks):
+    return float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
+
+
+@pytest.mark.parametrize("name, grid", [("demo_m2", 256), ("demo_m2", 16384), ("n7", 256)])
+def test_max_operator_norm_is_the_stacked_svd_maximum(name, grid):
+    model = validate_config(coupled_config(m=2, n=7)) if name == "n7" else demo_model(name)
+    th, X, Y, _ = model.trapping_samples(1e-5, n_theta=grid)
+    *_, jac = model.rescaled_step(X, Y, th, 1e-5, with_jacobian=True)
+    p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
+    cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * (1.0 / q_t)[:, None])
+    want_pr, want_cross = _reference_max_norm(p_r), _reference_max_norm(cross_pr)
+    assert _max_operator_norm(p_r) == want_pr and _max_operator_norm(cross_pr) == want_cross
+    cert = certify_jacobian_field(jac)
+    assert cert.sup_pr == want_pr and cert.cross_sup_pr == want_cross
+
+
+def test_max_operator_norm_of_identical_and_single_blocks():
+    block = np.array([[0.3, -0.2, 0.1], [0.05, 0.4, -0.3], [0.2, 0.1, 0.25]])
+    same = np.repeat(block[None], 64, axis=0)
+    assert _max_operator_norm(same) == _reference_max_norm(same)
+    assert _max_operator_norm(block[None]) == _reference_max_norm(block[None])
+    assert _max_operator_norm(np.zeros((5, 0, 0))) == 0.0

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+import blueskylab as bsl
 
 from blueskylab import (
     CaseTag,
@@ -158,3 +162,84 @@ def test_threshold_no_bracket():
 def test_geometric_grid_count_rule(per_decade):
     with pytest.raises(ValueError, match="per_decade"):
         geometric_mu_grid(1e-6, 1e-3, per_decade)
+
+
+# -- the mu axis as a batch ------------------------------------------------------
+
+
+def _escaping_models():
+    cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
+    cfg.coupling_fx = F.constant(-4.0)
+    m2 = demo_model("demo_m2").cfg
+    m2.coupling_fx = F.constant(0.5)
+    return [pytest.param(cfg, id="m0"), pytest.param(m2, id="demo_m2")]
+
+
+def _same_rows(got, want):
+    """Labels and escape flags equal; fixed-point columns to 1e-12 relative,
+    chaotic |m| >= 2 orbit averages to 1e-2."""
+    assert [(r.mu, r.classification, r.escape_flag) for r in got] == \
+        [(r.mu, r.classification, r.escape_flag) for r in want]
+    for a, b in zip(got, want):
+        rel = 1e-12 if a.theta_at_fixed_point is not None else 1e-2
+        assert a.period_proxy == pytest.approx(b.period_proxy, rel=rel, nan_ok=True)
+        assert (a.theta_at_fixed_point is None) == (b.theta_at_fixed_point is None)
+        if a.theta_at_fixed_point is not None:
+            assert a.theta_at_fixed_point == pytest.approx(b.theta_at_fixed_point, rel=1e-12)
+            assert a.top_lyapunov == pytest.approx(b.top_lyapunov, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", _escaping_models())
+def test_escaping_mu_mid_batch_leaves_the_other_rows(cfg):
+    model = validate_config(cfg)
+    mus = [1e-6, 0.9, 1e-5]
+    rows = mu_sweep(model, mus)
+    assert [r.escape_flag for r in rows] == [False, True, False]
+    alone = [mu_sweep(validate_config(cfg), [mu])[0] for mu in mus]
+    _same_rows(rows, alone)
+    _same_rows(mu_sweep(model, mus[::-1]), rows[::-1])
+
+
+def test_no_convergence_row_is_indeterminate_with_an_orbit_flight(monkeypatch):
+    model = demo_model("demo_m0")
+    mus = geometric_mu_grid(1e-6, 1e-4, per_decade=2)
+    monkeypatch.setattr(bsl.analysis, "NEWTON_MAX_STEPS", 1)
+    rows = mu_sweep(model, mus)
+    for row in rows:
+        assert row.classification == "Indeterminate" and not row.escape_flag
+        assert row.theta_at_fixed_point is None and row.top_lyapunov is None
+        assert math.isfinite(row.period_proxy) and row.period_proxy > 1.0
+    record = bsl.classify_attractor(model, float(mus[0]))
+    assert record.reason.startswith("NoConvergence: Newton did not reach")
+
+
+def _count_kernel_calls(monkeypatch, model):
+    kernel = model._step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[3]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_step", counted)
+    return calls
+
+
+def test_sweep_solves_every_row_in_one_batch(monkeypatch):
+    """A 101-row m = 0 sweep makes two seed steps and one step per Newton
+    iteration of its slowest row; a 21-row solenoid sweep averages every
+    orbit flight in 64 + 256 steps, not 21 times that."""
+    model = demo_model("demo_m0")
+    mus = geometric_mu_grid(1e-8, 1e-3, per_decade=20)
+    slowest = max(fp.newton_iterations for fp in bsl.find_fixed_points(model, mus))
+    calls = _count_kernel_calls(monkeypatch, model)
+    assert len(mu_sweep(model, mus)) == 101
+    assert len(calls) <= 2 + slowest
+    assert calls == [101] * len(calls)
+
+    model = demo_model("demo_m2")
+    mus = geometric_mu_grid(1e-7, 1e-3, per_decade=5)
+    calls = _count_kernel_calls(monkeypatch, model)
+    assert len(mu_sweep(model, mus)) == 21
+    assert calls.count(21) == 64 + 256
+    assert len(calls) == 64 + 256 + 21       # and one certificate step per row

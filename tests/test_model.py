@@ -225,6 +225,76 @@ def test_mu_input_rule(mu):
         bsl.geometric_mu_grid(1e-6, mu)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1e-3, float("inf")])
+def test_mu_input_rule_on_arrays(bad):
+    model = demo_model("demo_m2")
+    mu = np.array([1e-5, bad, 1e-4])
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        bsl.require_mu(mu)
+    X, Y, theta = random_region_points(np.random.default_rng(0), model, 1e-4, 3)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        model.rescaled_step(X, Y, theta, mu)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        model.advance(X, Y, theta, mu, 2)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        bsl.find_fixed_points(model, mu)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        bsl.mu_sweep(model, mu)
+
+
+@pytest.mark.parametrize("state_shape, mu_shape", [((3,), (2,)), ((), (3,)), ((4,), (2, 4))])
+def test_mu_must_broadcast_to_the_state(state_shape, mu_shape):
+    model = demo_model("demo_m2")
+    X = np.ones(state_shape)
+    Y = np.zeros((model.ydim,) + state_shape)
+    with pytest.raises(ValueError, match="broadcast"):
+        model.rescaled_step(X, Y, np.zeros(state_shape), np.full(mu_shape, 1e-5))
+
+
+@pytest.mark.parametrize("name", ["demo_m0", "demo_m2", "demo_m1"])
+def test_mu_array_matches_scalar_steps(name):
+    """One mu per point gives each point its scalar step, Jacobian included."""
+    model = demo_model(name)
+    rng = np.random.default_rng(5)
+    mus = 10.0 ** rng.uniform(-7, -3, 9)
+    X, Y, theta = random_region_points(rng, model, 1e-3, 9)
+    batch = model.rescaled_step(X, Y, theta, mus, with_jacobian=True)
+    for i, mu in enumerate(mus):
+        single = model.rescaled_step(X[i], Y[:, i], theta[i], float(mu), with_jacobian=True)
+        for j, (got, want) in enumerate(zip(batch, single)):
+            np.testing.assert_allclose(got[:, i] if j == 1 else got[i], want,
+                                       rtol=1e-13, atol=1e-300)
+
+
+def test_escapes_are_masked_per_point_without_warnings():
+    cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
+    cfg.coupling_fx = F.constant(-4.0)
+    model = validate_config(cfg)
+    mus = np.array([1e-6, 0.9, 1e-5, 0.9])
+    X = np.full(4, 1.0)
+    Y = np.zeros((1, 4))
+    theta = np.array([0.1, 0.2, 0.3, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, escaped = model._step(X, Y, theta, mus, with_jacobian=True)
+        assert escaped.tolist() == [False, True, False, True]
+        kept = model.rescaled_step(X[~escaped], Y[:, ~escaped], theta[~escaped], mus[~escaped],
+                                   with_jacobian=True)
+        for j, (got, want) in enumerate(zip(out, kept)):    # Yb (j = 1) has the points last
+            points = got[:, escaped] if j == 1 else got[escaped]
+            assert np.all(np.isnan(points))
+            assert np.array_equal(got[:, ~escaped] if j == 1 else got[~escaped], want)
+        with pytest.raises(EscapedTube):
+            model.rescaled_step(X, Y, theta, mus)
+        # an escaped point stays NaN through advance, and the others go on
+        Xa, Ya, tha, flight = model.advance(X, Y, theta, mus, 5)
+        assert np.isnan(flight).tolist() == [False, True, False, True]
+        assert np.all(np.isnan(Xa[escaped])) and np.all(np.isnan(tha[escaped]))
+        Xk, Yk, thk, flight_k = model.advance(X[~escaped], Y[:, ~escaped], theta[~escaped],
+                                              mus[~escaped], 5)
+        assert np.array_equal(Xa[~escaped], Xk) and np.array_equal(flight[~escaped], flight_k)
+
+
 def test_escape_reported():
     cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
     cfg.coupling_fx = F.constant(-4.0)
