@@ -34,7 +34,6 @@ from .analysis import (
     graph_transform_curve,
     itinerary_semiconjugacy,
     lyapunov_spectrum,
-    phase_distance,
 )
 from .conditions import (
     CaseMismatch,
@@ -67,21 +66,14 @@ from .model import (
     InvalidModel,
     ModelConfig,
     NoTrappingRadius,
-    NotInPositiveHalf,
-    RawSectionPoint,
-    Section,
     TorusPoint,
     Undecided,
     ValidatedModel,
     certified_series_min,
-    global_map_T1,
     load_config,
     load_model,
-    local_map_T0,
     parse_config,
     require_mu,
-    return_map,
-    return_map_jacobian,
     validate_config,
 )
 

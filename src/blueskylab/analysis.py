@@ -64,7 +64,6 @@ __all__ = [
     "graph_transform_curve",
     "itinerary_semiconjugacy",
     "lyapunov_spectrum",
-    "phase_distance",
 ]
 
 LYAPUNOV_FLOOR = -50.0
@@ -113,13 +112,6 @@ class AttractorLabel(Enum):
     KLEIN_BOTTLE = "KleinBottle"
     SOLENOID = "Solenoid"
     INDETERMINATE = "Indeterminate"
-
-
-def phase_distance(p: TorusPoint, q: TorusPoint) -> float:
-    """Euclidean distance in (X, Y) plus circle distance in theta."""
-    dy = p.Y - q.Y
-    return float(np.sqrt((p.X - q.X) ** 2 + np.dot(dy, dy)
-                         + angle_diff(p.theta, q.theta) ** 2))
 
 
 # ---------------------------------------------------------------------------

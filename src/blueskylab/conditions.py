@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fourier import lipschitz_grid_extrema
+from .fourier import SeriesBank, lipschitz_grid_extrema
 from .model import Undecided, ValidatedModel
 
 __all__ = [
@@ -112,12 +112,12 @@ def case_for_degree(m: int) -> CaseTag:
 def criterion_function(theta, model: ValidatedModel):
     """s(theta) = h'(theta) - alpha'(theta) / (gamma * alpha(theta)).
 
-    Exact Fourier derivatives; alpha > 0 is guaranteed by validation.
+    Exact Fourier derivatives, read from one bank of (alpha, h) per model;
+    alpha > 0 is guaranteed by validation.
     """
-    cfg = model.cfg
-    return cfg.h.deriv().eval(theta) - cfg.alpha.deriv().eval(theta) / (
-        model.gamma * cfg.alpha.eval(theta)
-    )
+    bank = model.memoized("criterion_bank", lambda: SeriesBank([model.cfg.alpha, model.cfg.h]))
+    alpha, _, alpha1, h1 = bank.eval(theta, derivatives=True)
+    return h1 - alpha1 / (model.gamma * alpha)
 
 
 def criterion_lipschitz(model: ValidatedModel) -> float:

@@ -6,16 +6,20 @@ phase shift, the coupling profiles) are carried as finite Fourier series
     f(theta) = c0 + sum_k a_k cos(k theta) + b_k sin(k theta),
 
 which gives exact derivatives and cheap, certified sup-norm bounds
-(|c0| + sum |a_k| + |b_k|).
+(|c0| + sum |a_k| + |b_k|).  ``SeriesBank`` is the one evaluator of these
+sums: it stacks the coefficients of several series and their derivatives
+and evaluates them together in two matrix products per batch of angles.
+A single series evaluates as a one-row bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["FourierSeries", "lipschitz_grid_extrema"]
+__all__ = ["FourierSeries", "SeriesBank", "lipschitz_grid_extrema"]
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_GRID = 4096      # starting grid of the certified extrema
@@ -48,16 +52,13 @@ class FourierSeries:
         return max(len(self.cosine_coeffs), len(self.sine_coeffs))
 
     def eval(self, theta):
-        """Evaluate at ``theta`` (scalar or ndarray)."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, self.constant_term)
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out = out + a * np.cos(k * theta)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out = out + b * np.sin(k * theta)
+        """Evaluate at ``theta``: an ndarray of its shape, a float for a scalar."""
+        out = self._bank.eval(theta)[0]
         return out if out.ndim else float(out)
 
-    __call__ = eval
+    @cached_property
+    def _bank(self) -> "SeriesBank":
+        return SeriesBank([self], derivatives=False)
 
     def deriv(self) -> "FourierSeries":
         """Exact derivative series: d/dtheta maps (a_k, b_k) -> (k b_k, -k a_k)."""
@@ -120,18 +121,61 @@ class FourierSeries:
         )
 
 
+class SeriesBank:
+    """Stacked coefficient matrices of several series (and, with
+    ``derivatives``, of their derivatives), evaluated together in two
+    matrix products per batch of angles."""
+
+    def __init__(self, series: list[FourierSeries], derivatives: bool = True):
+        rows = list(series) + ([s.deriv() for s in series] if derivatives else [])
+        n_cos = max((len(s.cosine_coeffs) for s in rows), default=0)
+        n_sin = max((len(s.sine_coeffs) for s in rows), default=0)
+        self.n_rows = len(rows)
+        self.n_base = len(series)
+        self.cos_mat = np.zeros((self.n_rows, n_cos + 1))
+        self.sin_mat = np.zeros((self.n_rows, n_sin))
+        for i, s in enumerate(rows):
+            self.cos_mat[i, 0] = s.constant_term
+            self.cos_mat[i, 1 : 1 + len(s.cosine_coeffs)] = s.cosine_coeffs
+            self.sin_mat[i, : len(s.sine_coeffs)] = s.sine_coeffs
+        self.k_cos = np.arange(n_cos + 1, dtype=float)
+        self.k_sin = np.arange(1, n_sin + 1, dtype=float)
+
+    def eval(self, theta, derivatives: bool = False) -> np.ndarray:
+        """Values of the series at ``theta``, shape (n_base,) + theta.shape;
+        with ``derivatives`` (of a bank built with them) their derivatives
+        follow, shape (n_rows,) + theta.shape.  Holds (degree + 1) x
+        theta.size cos and sin values."""
+        theta = np.asarray(theta, dtype=float)
+        rows = self.n_rows if derivatives else self.n_base
+        # np.dot on flattened angles: the product tensordot makes, without
+        # its per-call overhead (most of a single-point evaluation)
+        cb = np.cos(np.multiply.outer(self.k_cos, theta)).reshape(len(self.k_cos), theta.size)
+        sb = np.sin(np.multiply.outer(self.k_sin, theta)).reshape(len(self.k_sin), theta.size)
+        vals = np.dot(self.cos_mat[:rows], cb) + np.dot(self.sin_mat[:rows], sb)
+        return vals.reshape((rows,) + theta.shape)
+
+
 def lipschitz_grid_extrema(values, lip: float, done):
     """Extrema of ``values(theta)`` on a uniform grid of the circle, starting
     at DEFAULT_GRID points and doubled until ``done(vmin, vmax, inflation)``
     holds or the grid reaches GRID_CAP.  A function with Lipschitz constant
     ``lip`` lies within ``inflation`` = lip * (half grid spacing) of its grid
     values.  Returns (vmin, vmax, grid, inflation, status), ``status`` False
-    when stopped by the cap."""
+    when stopped by the cap.
+
+    The grid is evaluated in blocks of DEFAULT_GRID angles (grid point i at
+    i * 2*pi/grid) with running extrema, so memory does not grow with the
+    grid; min and max are exact, so the extrema are those of one evaluation
+    on the whole grid."""
     grid = DEFAULT_GRID
     while True:
-        theta = np.arange(grid) * (TWO_PI / grid)
-        vals = values(theta)
-        vmin, vmax = float(np.min(vals)), float(np.max(vals))
+        step = TWO_PI / grid
+        vmin, vmax = np.inf, -np.inf
+        for start in range(0, grid, DEFAULT_GRID):
+            vals = values(np.arange(start, start + DEFAULT_GRID) * step)
+            vmin, vmax = np.minimum(vmin, np.min(vals)), np.maximum(vmax, np.max(vals))
+        vmin, vmax = float(vmin), float(vmax)
         inflation = lip * np.pi / grid
         if done(vmin, vmax, inflation):
             return vmin, vmax, grid, inflation, True

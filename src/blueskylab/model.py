@@ -12,16 +12,17 @@ Two cross-sections are used:
     S0: {x = d}  with coordinates (z0, y0, theta0),
     S1: {z = d}  with coordinates (x1, y1, theta1).
 
-``local_map_T0`` is the flow-induced map S0+ -> S1 (closed form of the
-linear flow), ``global_map_T1`` is the model family for the return
-excursion S1 -> S0, linear in (x, y) with trigonometric-polynomial
+``ValidatedModel.t0_raw`` is the flow-induced map S0+ -> S1 (closed form
+of the linear flow), ``ValidatedModel.t1_raw`` is the model family for the
+return excursion S1 -> S0, linear in (x, y) with trigonometric-polynomial
 angular profiles and a splitting parameter mu:
 
     z0     = mu * alpha(theta) + x * F_x(theta) + <F_y(theta), y>
     y0_i   = g0_i(theta) + x * F_y_i(theta) + H_y_i(theta) * y_i
     theta0 = m * theta + h(theta) + x * H_x(theta) + <H_y(theta), y>
 
-The composition T = T0 o T1 on S1, written in the rescaled coordinates
+The composition T = T0 o T1 on S1 (``ValidatedModel.rescaled_step``, with
+its analytic Jacobian), written in the rescaled coordinates
 X = x / (d^(1-nu) mu^nu), Y = y / mu^nu with nu = lam/gamma > 1, is the
 object of study: as mu -> 0+ it converges to
 
@@ -38,12 +39,11 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierSeries, lipschitz_grid_extrema
+from .fourier import TWO_PI, FourierSeries, SeriesBank, lipschitz_grid_extrema
 
 __all__ = [
     "DomainError",
@@ -51,22 +51,15 @@ __all__ = [
     "InvalidModel",
     "ModelConfig",
     "NoTrappingRadius",
-    "NotInPositiveHalf",
-    "RawSectionPoint",
-    "Section",
     "TorusPoint",
     "Undecided",
     "ValidatedModel",
     "certified_series_min",
-    "global_map_T1",
     "load_config",
     "load_model",
-    "local_map_T0",
     "parse_config",
     "require_count",
     "require_mu",
-    "return_map",
-    "return_map_jacobian",
     "validate_config",
 ]
 
@@ -95,10 +88,6 @@ class InvalidModel(DomainError, ValueError):
         super().__init__("invalid model: " + ", ".join(self.violations))
 
 
-class NotInPositiveHalf(DomainError, ValueError):
-    """A point handed to the local map lies on the wrong side of the stable manifold (z0 <= 0)."""
-
-
 class EscapedTube(DomainError, RuntimeError):
     """An orbit left the homoclinic tube: the global map produced a z0 that
     is not finite and positive."""
@@ -107,11 +96,6 @@ class EscapedTube(DomainError, RuntimeError):
 class NoTrappingRadius(Undecided, ValueError):
     """No trapping solid torus can be certified at this mu (mu too large
     for the couplings)."""
-
-
-class Section(Enum):
-    S0 = "S0"
-    S1 = "S1"
 
 
 def require_mu(mu):
@@ -168,26 +152,6 @@ class TorusPoint:
         self.theta = float(reduce_angle(self.theta))
         self.X = float(self.X)
         self.Y = np.atleast_1d(np.asarray(self.Y, dtype=float))
-
-
-@dataclass
-class RawSectionPoint:
-    """A point on one of the unrescaled cross-sections S0 or S1.
-
-    ``coord_a`` is z0 on S0 and x1 on S1; ``coord_b`` is the strong-stable
-    vector y in both cases.
-    """
-
-    section: Section
-    theta: float
-    coord_a: float
-    coord_b: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.section = Section(self.section)
-        self.theta = float(self.theta)
-        self.coord_a = float(self.coord_a)
-        self.coord_b = np.atleast_1d(np.asarray(self.coord_b, dtype=float))
 
 
 @dataclass
@@ -304,37 +268,6 @@ def certified_series_min(series: FourierSeries) -> tuple[float, int, bool]:
     return grid_min - inflation, grid, certified
 
 
-class _SeriesBank:
-    """Stacked coefficient matrices for evaluating every model profile
-    (and its derivative) in two matrix products per angle batch."""
-
-    def __init__(self, series: list[FourierSeries]):
-        rows = list(series) + [s.deriv() for s in series]
-        deg = max((s.degree for s in rows), default=0)
-        self.n_rows = len(rows)
-        self.n_base = len(series)
-        self.cos_mat = np.zeros((self.n_rows, deg + 1))
-        self.sin_mat = np.zeros((self.n_rows, deg))
-        for i, s in enumerate(rows):
-            self.cos_mat[i, 0] = s.constant_term
-            self.cos_mat[i, 1 : 1 + len(s.cosine_coeffs)] = s.cosine_coeffs
-            self.sin_mat[i, : len(s.sine_coeffs)] = s.sine_coeffs
-        self.k_cos = np.arange(deg + 1, dtype=float)
-        self.k_sin = np.arange(1, deg + 1, dtype=float)
-
-    def eval(self, theta, derivatives: bool = False) -> np.ndarray:
-        """Values of the profiles at ``theta``, shape (n_base,) + theta.shape;
-        with ``derivatives`` all rows, shape (n_rows,) + theta.shape."""
-        theta = np.asarray(theta, dtype=float)
-        rows = self.n_rows if derivatives else self.n_base
-        # np.dot on flattened angles: the product tensordot makes, without
-        # its per-call overhead (most of a single-point evaluation)
-        cb = np.cos(np.multiply.outer(self.k_cos, theta)).reshape(len(self.k_cos), theta.size)
-        sb = np.sin(np.multiply.outer(self.k_sin, theta)).reshape(len(self.k_sin), theta.size)
-        vals = np.dot(self.cos_mat[:rows], cb) + np.dot(self.sin_mat[:rows], sb)
-        return vals.reshape((rows,) + theta.shape)
-
-
 class ValidatedModel:
     """A ModelConfig whose invariants have been checked, plus cached
     evaluation machinery.  Immutable after construction but for the memo
@@ -357,7 +290,7 @@ class ValidatedModel:
         self._memo: dict = {}
 
         k = self.ydim
-        self._bank = _SeriesBank(cfg.all_series())
+        self._bank = SeriesBank(cfg.all_series())
         self._iA, self._iH, self._iFX, self._iHX = 0, 1, 2, 3
         self._sFY = slice(4, 4 + k)
         self._sHY = slice(4 + k, 4 + 2 * k)
@@ -728,55 +661,3 @@ def validate_config(cfg: ModelConfig) -> ValidatedModel:
         raise InvalidModel(violations)
     return ValidatedModel(cfg, alpha_min=alpha_min)
 
-
-# -- operation-style wrappers ---------------------------------------------
-
-
-def local_map_T0(p: RawSectionPoint, model: ValidatedModel) -> tuple[RawSectionPoint, float]:
-    """Flow-induced map S0+ -> S1; returns the image point and the flight time.
-
-    Closed form of the linear flow: x1 = d^(1-nu) z0^nu, y1 = z0^(beta/gamma) y0,
-    theta1 = theta0 + (1/gamma) ln(d/z0).  The image angle is reduced mod 2*pi.
-    """
-    if p.section is not Section.S0:
-        raise ValueError("local map expects a point on S0")
-    if p.coord_a <= 0.0:
-        raise NotInPositiveHalf(f"z0 = {p.coord_a!r} is not in S0+ (escapes toward S0-)")
-    x1, y1, theta1, flight = model.t0_raw(p.coord_a, p.coord_b, p.theta)
-    out = RawSectionPoint(Section.S1, float(reduce_angle(theta1)), float(x1), y1)
-    return out, float(flight)
-
-
-def global_map_T1(p: RawSectionPoint, mu: float, model: ValidatedModel) -> RawSectionPoint:
-    """Model family for the return excursion S1 -> S0 (total on its domain).
-
-    At x = 0, y = 0, mu = 0 the output z0 is exactly zero: the whole
-    unstable manifold is homoclinic at the bifurcation moment.
-    """
-    if p.section is not Section.S1:
-        raise ValueError("global map expects a point on S1")
-    z0, y0, theta0 = model.t1_raw(p.coord_a, p.coord_b, p.theta, mu)
-    return RawSectionPoint(Section.S0, float(reduce_angle(theta0)), float(z0), y0)
-
-
-def return_map(p: TorusPoint, mu: float, model: ValidatedModel) -> tuple[TorusPoint, int, float]:
-    """Rescaled return map on the solid torus.
-
-    Returns (image point, winding, flight_time) where ``winding`` is the
-    number of whole turns by which the angular lift exceeds the reduced
-    image angle.
-    """
-    Xb, Yb, lift, flight = model.rescaled_step(p.X, p.Y, p.theta, mu)
-    theta_mod = float(reduce_angle(lift))
-    winding = int(np.floor(float(lift) / TWO_PI))
-    return TorusPoint(theta_mod, float(Xb), Yb), winding, float(flight)
-
-
-def return_map_jacobian(p: TorusPoint, mu: float, model: ValidatedModel) -> np.ndarray:
-    """Analytic derivative of the rescaled return map in (X, Y, theta).
-
-    The angular derivative is computed on the lift.  Shape (n, n) with
-    variable order (X, Y..., theta).
-    """
-    *_, jac = model.rescaled_step(p.X, p.Y, p.theta, mu, with_jacobian=True)
-    return jac

@@ -15,7 +15,6 @@ from blueskylab import (
     NotACircleMap,
     NotExpandingInTheta,
     Orientation,
-    TorusPoint,
     branch_boundaries,
     certify_jacobian_field,
     circle_degree,
@@ -26,7 +25,6 @@ from blueskylab import (
     graph_transform_curve,
     itinerary_semiconjugacy,
     lyapunov_spectrum,
-    phase_distance,
     validate_config,
 )
 from blueskylab.analysis import _jacobian_blocks, _max_operator_norm, _prefix_diameters
@@ -71,12 +69,6 @@ def test_fixed_point_against_forward_iteration():
                    + np.minimum(np.abs(theta - fp.point.theta),
                                 TWO_PI - np.abs(theta - fp.point.theta)) ** 2)
     assert np.max(dist) < 1e-9
-
-
-def test_phase_distance_wraps():
-    a = TorusPoint(0.05, 1.0, [0.0])
-    b = TorusPoint(TWO_PI - 0.05, 1.0, [0.0])
-    assert phase_distance(a, b) == pytest.approx(0.1, abs=1e-12)
 
 
 # -- invariant curves ----------------------------------------------------------

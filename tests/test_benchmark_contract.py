@@ -19,9 +19,13 @@ def _spans():
 
 
 def _resolve(module_name, cls_name, attr):
+    """The traced object, looked up as ``Tracer.install`` looks it up: a
+    method in its class's own ``__dict__`` (an inherited or aliased method
+    would not be patched there), a function by name on its module."""
     module = importlib.import_module(f"blueskylab.{module_name}")
-    owner = getattr(module, cls_name) if cls_name else module
-    return getattr(owner, attr)
+    if cls_name:
+        return vars(getattr(module, cls_name))[attr]
+    return getattr(module, attr)
 
 
 def test_every_traced_function_resolves():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,28 @@ def test_criterion_exact_differentiation():
     model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (0.3,))))
     th = np.linspace(0.0, TWO_PI, 101)
     assert np.allclose(criterion_function(th, model), 0.3 * np.cos(th), atol=1e-14)
+
+
+def test_criterion_matches_a_direct_sum():
+    """The criterion's (alpha, h) bank rows, checked against cos/sin sums."""
+
+    def direct(f, th):
+        k = np.arange(1, f.degree + 1)[:, None]
+        a = np.zeros(f.degree)
+        b = np.zeros(f.degree)
+        a[: len(f.cosine_coeffs)] = f.cosine_coeffs
+        b[: len(f.sine_coeffs)] = f.sine_coeffs
+        return f.constant_term + a @ np.cos(k * th) + b @ np.sin(k * th)
+
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        model = validate_config(random_config(rng))
+        alpha, h = model.cfg.alpha, model.cfg.h
+        th = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 257)
+        want = direct(h.deriv(), th) - direct(alpha.deriv(), th) / (model.gamma * direct(alpha, th))
+        got = criterion_function(th, model)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert criterion_function(th[5], model) == pytest.approx(got[5], rel=1e-15, abs=1e-15)
 
 
 def test_criterion_max_against_dense_grid_oracle():
@@ -128,6 +151,23 @@ def test_certification_soundness_on_finer_grid():
             assert np.min(1.0 + model.m * s) > 0.0
         else:
             assert np.min(np.abs(model.m + s)) > 1.0
+
+
+def test_grid_cap_evaluation_runs_in_bounded_memory():
+    """Demo 04's stable-orbit family at a = 0.999999 (margin 1e-6) doubles
+    its grid to the cap of 2^20 angles; the grid is evaluated in blocks, so
+    the peak stays far below one full-grid array (8 MB)."""
+    model = validate_config(uncoupled_config(m=0, gamma=1.0, lam=2.0, beta=3.5,
+                                             h=F(0.0, (), (0.999999,))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Inconclusive) as err:
+            check_case(CaseTag.BLUE_SKY, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.grid_size == 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def test_certified_angular_expansion_value():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import blueskylab as bsl
 from blueskylab import FourierSeries
+from blueskylab.fourier import DEFAULT_GRID, TWO_PI, lipschitz_grid_extrema
 
-from helpers import _random_series
+from helpers import CONFIG_DIR, _random_series
 
 
 def test_constant_and_zero():
@@ -24,6 +26,15 @@ def test_eval_matches_direct_sum():
     arr = f.eval(np.array([0.0, th]))
     assert arr.shape == (2,)
     assert arr[1] == pytest.approx(expected, abs=1e-15)
+    # degree 4, cos and sin terms of unequal lengths
+    g = FourierSeries(-0.2, (0.3, 0.0, -0.1, 0.05), (0.4, -0.25, 0.125))
+    expected = (-0.2 + 0.3 * np.cos(th) - 0.1 * np.cos(3 * th) + 0.05 * np.cos(4 * th)
+                + 0.4 * np.sin(th) - 0.25 * np.sin(2 * th) + 0.125 * np.sin(3 * th))
+    assert g.degree == 4
+    assert type(g.eval(th)) is float
+    assert g.eval(th) == pytest.approx(expected, abs=1e-15)
+    assert g.eval(np.array([[th]])).shape == (1, 1)
+    assert g.eval(np.array([[th]]))[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_periodicity_to_machine_precision():
@@ -81,3 +92,34 @@ def test_scaled():
     g = f.scaled(2.0)
     th = np.linspace(0, 2 * np.pi, 9)
     assert np.allclose(g.eval(th), 2.0 * f.eval(th), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_series_bank_profile_rows_match_full_evaluation(path):
+    bank = bsl.load_model(path)._bank
+    theta = np.linspace(-4.0, 11.0, 4099)
+    full = bank.eval(theta, derivatives=True)
+    assert full.shape == (2 * bank.n_base,) + theta.shape
+    assert np.array_equal(bank.eval(theta), full[: bank.n_base])
+    assert np.array_equal(bank.eval(0.3), bank.eval(np.array([0.3]))[:, 0])
+
+
+def test_grid_extrema_in_blocks_equal_the_full_grid():
+    """The grid is evaluated DEFAULT_GRID angles at a time; the extrema are
+    those of the whole grid, bit for bit."""
+    f = FourierSeries(0.1, (0.9, 0.0, -0.1), (0.3, 0.05, 0.02))
+    sizes = []
+
+    def values(theta):
+        sizes.append(theta.size)
+        return f.eval(theta)
+
+    # stop at the third grid, 4 * DEFAULT_GRID angles
+    vmin, vmax, grid, inflation, done = lipschitz_grid_extrema(
+        values, f.deriv_sup_bound(), lambda vmin, vmax, inflation: len(sizes) >= 7)
+    assert (grid, done) == (4 * DEFAULT_GRID, True)
+    assert sizes == [DEFAULT_GRID] * 7
+    full = f.eval(np.arange(grid) * (TWO_PI / grid))
+    assert np.argmin(full) // DEFAULT_GRID != np.argmax(full) // DEFAULT_GRID
+    assert (vmin, vmax) == (float(np.min(full)), float(np.max(full)))
+    assert inflation == f.deriv_sup_bound() * np.pi / grid

@@ -9,15 +9,8 @@ from blueskylab import (
     EscapedTube,
     FourierSeries as F,
     InvalidModel,
-    NotInPositiveHalf,
-    RawSectionPoint,
-    Section,
     TorusPoint,
-    global_map_T1,
-    local_map_T0,
     parse_config,
-    return_map,
-    return_map_jacobian,
     validate_config,
 )
 from blueskylab.model import reduce_angle, require_count
@@ -101,7 +94,7 @@ def test_failure_classes_share_two_bases():
                  bsl.NoConvergence, bsl.NotACircleMap, bsl.BranchAmbiguity)
     for cls in undecided:
         assert issubclass(cls, bsl.Undecided)
-    for cls in (InvalidModel, EscapedTube, NotInPositiveHalf):
+    for cls in (InvalidModel, EscapedTube):
         assert issubclass(cls, bsl.DomainError) and not issubclass(cls, bsl.Undecided)
     # usage errors stay outside the domain hierarchy
     for cls in (bsl.CaseMismatch, bsl.InsufficientData):
@@ -132,31 +125,22 @@ def test_saddle_multipliers_contract_volume():
 
 def test_local_map_boundary_case():
     model = validate_config(uncoupled_config())
-    p = RawSectionPoint(Section.S0, theta=0.7, coord_a=model.d, coord_b=[0.2])
-    out, flight = local_map_T0(p, model)
-    assert out.section is Section.S1
+    x1, y1, theta1, flight = model.t0_raw(model.d, [0.2], 0.7)
     assert flight == 0.0
-    assert out.coord_a == pytest.approx(model.d, abs=1e-15)
-    assert out.theta == pytest.approx(0.7)
+    assert x1 == pytest.approx(model.d, abs=1e-15)
+    assert y1 == pytest.approx([0.2], abs=1e-15)
+    assert theta1 == pytest.approx(0.7)
 
 
 def test_local_map_closed_form():
     model = validate_config(uncoupled_config(gamma=1.0, lam=2.0, beta=3.0, d=1.0))
     z0 = np.exp(-3.0)
-    out, flight = local_map_T0(RawSectionPoint(Section.S0, 0.0, z0, [0.5]), model)
+    x1, y1, theta1, flight = model.t0_raw(z0, [0.5], 0.0)
     assert flight == pytest.approx(3.0, abs=1e-12)
-    assert out.coord_a == pytest.approx(np.exp(-6.0), rel=1e-12)
-    assert out.theta == pytest.approx(3.0, abs=1e-12)
+    assert x1 == pytest.approx(np.exp(-6.0), rel=1e-12)
+    assert theta1 == pytest.approx(3.0, abs=1e-12)
     # strong-stable contraction z0^(beta/gamma)
-    assert out.coord_b[0] == pytest.approx(0.5 * z0 ** 3.0, rel=1e-12)
-
-
-def test_local_map_wrong_side():
-    model = validate_config(uncoupled_config())
-    with pytest.raises(NotInPositiveHalf):
-        local_map_T0(RawSectionPoint(Section.S0, 0.0, -0.1, [0.0]), model)
-    with pytest.raises(ValueError):
-        local_map_T0(RawSectionPoint(Section.S1, 0.0, 0.5, [0.0]), model)
+    assert y1[0] == pytest.approx(0.5 * z0 ** 3.0, rel=1e-12)
 
 
 # -- global map -------------------------------------------------------------
@@ -173,17 +157,16 @@ def test_homoclinic_identity_is_exact():
 
 def test_global_map_constant_profile():
     model = validate_config(uncoupled_config(m=0))
-    p = RawSectionPoint(Section.S1, theta=0.0, coord_a=0.0, coord_b=[0.0])
-    out = global_map_T1(p, 1e-4, model)
-    assert out.section is Section.S0
-    assert out.coord_a == pytest.approx(1e-4, abs=0.0)
-    assert out.theta == 0.0
+    z0, y0, theta0 = model.t1_raw(0.0, np.zeros(1), 0.0, 1e-4)
+    assert z0 == pytest.approx(1e-4, abs=0.0)
+    assert np.all(y0 == 0.0)
+    assert theta0 == 0.0
 
 
 def test_global_map_series_evaluation():
     model = validate_config(uncoupled_config(alpha=F(1.0, (0.5,), ())))
-    out = global_map_T1(RawSectionPoint(Section.S1, np.pi, 0.0, [0.0]), 1e-4, model)
-    assert out.coord_a == pytest.approx(5e-5, rel=1e-12)
+    z0, _, _ = model.t1_raw(0.0, np.zeros(1), np.pi, 1e-4)
+    assert z0 == pytest.approx(5e-5, rel=1e-12)
 
 
 # -- return map -------------------------------------------------------------
@@ -193,32 +176,31 @@ def test_return_map_closed_form_m0():
     model = validate_config(uncoupled_config(m=0, gamma=1.0, lam=2.0, beta=3.0, d=1.0))
     mu = np.exp(-10.0)
     for theta0 in (0.0, 1.0, 4.0):
-        q, winding, flight = return_map(TorusPoint(theta0, 1.3, [0.2]), mu, model)
-        assert q.X == pytest.approx(1.0, rel=1e-12)
-        assert np.allclose(q.Y, 0.0, atol=1e-10)
-        assert q.theta == pytest.approx(10.0 - TWO_PI, abs=1e-10)
-        assert winding == 1
+        Xb, Yb, lift, flight = model.rescaled_step(1.3, np.array([0.2]), theta0, mu)
+        assert Xb == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(Yb, 0.0, atol=1e-10)
+        assert lift == pytest.approx(10.0, abs=1e-10)
+        assert reduce_angle(lift) == pytest.approx(10.0 - TWO_PI, abs=1e-10)
         assert flight == pytest.approx(10.0, abs=1e-10)
 
 
 def test_return_map_closed_form_m1():
     model = validate_config(uncoupled_config(m=1, gamma=1.0, lam=2.0, beta=3.0, d=1.0))
-    q, winding, _ = return_map(TorusPoint(1.0, 1.0, [0.0]), np.exp(-10.0), model)
-    assert q.theta == pytest.approx(11.0 - TWO_PI, abs=1e-10)
-    assert winding == 1
+    _, _, lift, _ = model.rescaled_step(1.0, np.zeros(1), 1.0, np.exp(-10.0))
+    assert lift == pytest.approx(11.0, abs=1e-10)
 
 
 def test_return_map_requires_positive_mu():
     model = validate_config(uncoupled_config())
     with pytest.raises(ValueError):
-        return_map(TorusPoint(0.0, 1.0, [0.0]), 0.0, model)
+        model.rescaled_step(1.0, np.zeros(1), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1e-3])
 def test_mu_input_rule(mu):
     model = validate_config(uncoupled_config())
     with pytest.raises(ValueError, match="mu must be finite and positive"):
-        return_map(TorusPoint(0.0, 1.0, [0.0]), mu, model)
+        model.rescaled_step(1.0, np.zeros(1), 0.0, mu)
     with pytest.raises(ValueError, match="mu must be finite and positive"):
         model.trapping_radius(mu)
     with pytest.raises(ValueError, match="mu must be finite and positive"):
@@ -300,7 +282,7 @@ def test_escape_reported():
     cfg.coupling_fx = F.constant(-4.0)
     model = validate_config(cfg)
     with pytest.raises(EscapedTube):
-        return_map(TorusPoint(0.0, 1.0, [0.0]), 0.9, model)
+        model.rescaled_step(1.0, np.zeros(1), 0.0, 0.9)
 
 
 def test_overflow_is_an_escape():
@@ -322,16 +304,6 @@ def test_overflowing_image_is_an_escape_without_warnings():
         for X in (1e200, np.array([1.0, 1e200])):
             with pytest.raises(EscapedTube):
                 model.rescaled_step(X, np.zeros((1,) + np.shape(X)), 0.0, 0.5)
-
-
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_series_bank_profile_rows_match_full_evaluation(path):
-    bank = bsl.load_model(path)._bank
-    theta = np.linspace(-4.0, 11.0, 4099)
-    full = bank.eval(theta, derivatives=True)
-    assert full.shape == (2 * bank.n_base,) + theta.shape
-    assert np.array_equal(bank.eval(theta), full[: bank.n_base])
-    assert np.array_equal(bank.eval(0.3), bank.eval(np.array([0.3]))[:, 0])
 
 
 def test_return_map_converges_to_limit_formula():
@@ -362,7 +334,7 @@ def test_return_map_converges_to_limit_formula():
 
 def test_jacobian_structure_uncoupled_m0():
     model = validate_config(uncoupled_config(m=0, alpha=F(1.0, (0.3,), ())))
-    jac = return_map_jacobian(TorusPoint(0.4, 1.2, [0.1]), 1e-5, model)
+    *_, jac = model.rescaled_step(1.2, np.array([0.1]), 0.4, 1e-5, with_jacobian=True)
     assert jac[0, 0] == 0.0           # constant in X when couplings vanish
     assert jac[2, 0] == 0.0
     assert jac[0, 2] != 0.0           # alpha depends on theta
@@ -370,7 +342,7 @@ def test_jacobian_structure_uncoupled_m0():
 
 def test_jacobian_linear_circle_map():
     model = validate_config(uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))
-    jac = return_map_jacobian(TorusPoint(0.9, 1.0, [0.0, 0.0]), 1e-5, model)
+    *_, jac = model.rescaled_step(1.0, np.zeros(2), 0.9, 1e-5, with_jacobian=True)
     assert jac[3, 3] == 2.0
 
 
@@ -390,8 +362,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_jacobian_n2_no_strong_stable_block():
     model = validate_config(uncoupled_config(m=1, n=2, gamma=1.0, lam=1.5, beta=2.0))
-    p = TorusPoint(0.3, 1.0, np.zeros(0))
-    jac = return_map_jacobian(p, 1e-4, model)
+    *_, jac = model.rescaled_step(1.0, np.zeros(0), 0.3, 1e-4, with_jacobian=True)
     assert jac.shape == (2, 2)
     assert jac[1, 1] == pytest.approx(1.0)
 
@@ -423,18 +394,6 @@ def test_global_map_degree_periodicity():
         _, _, th0 = model.t1_raw(0.0, zeros, theta, 1e-4)
         _, _, th0_shift = model.t1_raw(0.0, zeros, theta + TWO_PI, 1e-4)
         assert np.allclose(th0_shift - th0, TWO_PI * model.m, atol=1e-9)
-
-
-def test_winding_reconstructs_lift():
-    model = demo_model("demo_m2")
-    mu = 1e-5
-    rng = np.random.default_rng(79)
-    for _ in range(20):
-        p = TorusPoint(rng.uniform(0, TWO_PI), 1.0 + 0.2 * rng.uniform(-1, 1),
-                       0.05 * rng.uniform(-1, 1, 2))
-        q, winding, _ = return_map(p, mu, model)
-        lift = model.rescaled_step(p.X, p.Y, p.theta, mu)[2]
-        assert float(lift) == pytest.approx(q.theta + TWO_PI * winding, abs=1e-9)
 
 
 # -- invariants -------------------------------------------------------------
