@@ -26,7 +26,7 @@ from .conditions import (
     certified_angular_expansion,
     check_case,
 )
-from .fourier import TWO_PI
+from .fourier import TWO_PI, uniform_grid
 from .model import (
     EscapedTube,
     TorusPoint,
@@ -401,23 +401,19 @@ def annulus_diagnostic(model: ValidatedModel, mu: float) -> AnnulusDiagnostic:
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"annulus diagnostic requires |m| = 1, got m={model.m}")
-    th, X, Y, K = model.trapping_samples(mu, n_theta=256)
-    *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
-    p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
-    if np.any(q_t == 0.0):
-        raise NotACircleMap("vanishing angular derivative on the trapping torus")
-    sup_pr, sup_ptheta, sup_qtinv, sup_qr = _sample_sups(p_r, p_t, q_r, q_t)
-    sup_pt_qtinv = float(np.max(np.linalg.norm(p_t, axis=1) / np.abs(q_t)))
+    sups, _ = _sample_maxima(_trapping_jacobians(model, mu, 256))
+    sup_pr, sup_qtinv, sup_qr = sups["sup_pr"], sups["sup_qtheta_inv"], sups["sup_qr"]
     lhs = 1.0 - sup_qtinv * sup_pr
-    rhs = 2.0 * float(np.sqrt(sup_qtinv * sup_qr * sup_pt_qtinv))
-    return AnnulusDiagnostic(sup_pr, sup_ptheta, sup_qtinv, sup_qr, lhs, rhs)
+    rhs = 2.0 * float(np.sqrt(sup_qtinv * sup_qr * sups["cross_sup_ptheta_bar"]))
+    return AnnulusDiagnostic(sup_pr, sups["sup_ptheta"], sup_qtinv, sup_qr, lhs, rhs)
 
 
-def _jacobian_blocks(jac):
-    """(dp/dr, dp/dtheta, dq/dr, dq/dtheta) of stacked (M, dim, dim)
-    derivatives of r_bar = p(r, theta), theta_bar = q(r, theta), angle last."""
-    r = jac.shape[1] - 1
-    return jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
+def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int):
+    """Return-map derivatives at the trapping samples of the uniform grid
+    of ``grid`` angles, one (M_i, n, n) block per block of angles."""
+    for theta in uniform_grid(grid):
+        th, X, Y, _ = model.trapping_samples(mu, theta)
+        yield model.rescaled_step(X, Y, th, mu, with_jacobian=True)[4]
 
 
 def _max_operator_norm(blocks) -> float:
@@ -437,12 +433,40 @@ def _max_operator_norm(blocks) -> float:
     return float(np.max(np.linalg.svd(candidates, compute_uv=False)[:, 0]))
 
 
-def _sample_sups(p_r, p_t, q_r, q_t):
-    """Sample suprema of |dp/dr| (operator norm, 0 without a radial
-    coordinate), |dp/dtheta|, |(dq/dtheta)^-1| and |dq/dr| over the blocks
-    of ``_jacobian_blocks``."""
-    return (_max_operator_norm(p_r), float(np.max(np.linalg.norm(p_t, axis=1))),
-            float(np.max(1.0 / np.abs(q_t))), float(np.max(np.linalg.norm(q_r, axis=1))))
+_SAMPLE_MAXIMA = ("sup_pr", "sup_ptheta", "sup_qtheta_inv", "sup_qr",
+                  "cross_sup_pr", "cross_sup_ptheta_bar", "cross_sup_qr")
+
+
+def _sample_maxima(jacobians) -> tuple[dict, int]:
+    """The sample maxima of ``certify_jacobian_field``'s blocks, named as
+    the ConeCertificate fields (``_SAMPLE_MAXIMA``; the cross form solves
+    theta from (r, theta_bar)), and the sample count.  Each block's maxima
+    are computed once and reduced with np.maximum, which is exact, so they
+    are those of one block holding every sample."""
+    top, count, dim = None, 0, None
+    for block in jacobians:
+        jac = np.asarray(block, dtype=float)
+        dim = dim or (jac.shape[1] if jac.ndim == 3 else None)
+        if not dim or jac.shape[1:] != (dim, dim):
+            raise ValueError("jacobians must be (M, dim, dim) blocks of one field")
+        if not len(jac):
+            continue
+        r = dim - 1
+        p_r, p_t, q_r, q_t = jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
+        if np.any(q_t == 0.0):
+            raise NotACircleMap("vanishing angular derivative at a sample")
+        inv_qt = 1.0 / q_t
+        abs_inv = np.abs(inv_qt)
+        pt_norm, qr_norm = np.linalg.norm(p_t, axis=1), np.linalg.norm(q_r, axis=1)
+        cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * inv_qt[:, None])
+        block_top = np.array([
+            _max_operator_norm(p_r), np.max(pt_norm), np.max(abs_inv), np.max(qr_norm),
+            _max_operator_norm(cross_pr), np.max(pt_norm * abs_inv), np.max(qr_norm * abs_inv)])
+        top = block_top if top is None else np.maximum(top, block_top)
+        count += len(jac)
+    if not count:
+        raise ValueError("jacobians must hold at least one sample")
+    return dict(zip(_SAMPLE_MAXIMA, top.tolist())), count
 
 
 def _reference_lift(model: ValidatedModel, mu: float, theta):
@@ -474,9 +498,9 @@ def circle_degree(model: ValidatedModel, mu: float) -> int:
 class ConeCertificate:
     """Sup-norms of the solid-torus map partials and the cone verdict.
 
-    The ``sup_*`` and ``cross_sup_*`` fields are suprema over the sample
-    grid, kept as diagnostics; the verdict uses the ``certified`` upper
-    bounds (worst-case over the whole trapping region) so that a true
+    The ``sup_*`` and ``cross_sup_*`` fields are maxima over the samples,
+    kept as diagnostics; the verdict uses only the ``certified`` record
+    (worst-case bounds over the whole trapping region) so that a true
     verdict has positive certified margins.  ``L_interval`` is the
     certified admissible cone aperture range, computed from those bounds
     (``certified["L_interval"]``), with +inf for an unbounded upper end
@@ -517,13 +541,14 @@ class ConeCertificate:
             "cross_sup_qr": self.cross_sup_qr,
             "L_interval": interval,
             "verdict": self.verdict,
+            "certified": {k: v for k, v in self.certified.items() if k != "L_interval"},
         }
 
 
 def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt, cross_qt, cross_qr):
-    """The forward conditions, the cross-form conditions, and the admissible
-    cone apertures cross_pt/(1-cross_pr) < L < (1-cross_qt)/cross_qr (None
-    when empty)."""
+    """Whether the forward and cross-form conditions hold with a nonempty
+    interval of admissible cone apertures cross_pt/(1-cross_pr) < L <
+    (1-cross_qt)/cross_qr, and that interval (None when empty)."""
     c_forward = pr < 1.0 and (1.0 - pr) * (1.0 - qt_inv) > ptheta * qr_over_qt
     c_cross = cross_pr < 1.0 and cross_qt < 1.0 and \
         (1.0 - cross_pr) * (1.0 - cross_qt) >= cross_pt * cross_qr
@@ -533,99 +558,53 @@ def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt, cross_qt, c
         high = np.inf if cross_qr == 0.0 else (1.0 - cross_qt) / cross_qr
         if low < high:
             interval = (float(low), float(high))
-    return c_forward, c_cross, interval
+    return c_forward and c_cross and interval is not None, interval
 
 
-def _require_expanding(qtheta_lower: float) -> None:
-    if qtheta_lower <= 1.0:
-        raise NotExpandingInTheta(
-            f"certified angular-derivative lower bound {qtheta_lower:.6g} <= 1")
-
-
-def certify_jacobian_field(jacobians: np.ndarray, bounds: dict | None = None) -> ConeCertificate:
-    """Cone certificate from sampled derivatives of a solid-torus map.
+def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
+    """Cone certificate of a solid-torus map from its certified record,
+    with sampled derivatives to tell a violated condition from an
+    undecided one.
 
     Parameters
     ----------
-    jacobians : array (M, dim, dim)
-        Derivatives d(r_bar, theta_bar)/d(r, theta) at the sample points,
-        with the angular coordinate LAST.  The map must be written
-        r_bar = p(r, theta), theta_bar = q(r, theta).
-    bounds : optional dict
-        The complete certified record over the whole region, as
+    jacobians : iterable of arrays (M_i, dim, dim)
+        Blocks of one field of derivatives d(r_bar, theta_bar)/d(r, theta)
+        at sample points, with the angular coordinate LAST; the map must be
+        written r_bar = p(r, theta), theta_bar = q(r, theta).  The blocks
+        are folded one at a time, so a generator of blocks holds one in
+        memory.  A bare (M, dim, dim) array is not a field of blocks: its
+        items are (dim, dim) and fail the block shape rule.
+    bounds : dict
+        The certified record over the whole region, as
         ``_cone_upper_bounds`` returns it: upper bounds ``pr``, ``ptheta``,
         ``qr``, ``cross_pr``, ``cross_ptheta_bar``, ``cross_qtheta_bar``,
-        ``cross_qr`` and the lower bound ``qtheta_lower`` > 1 of
-        |dq/dtheta|.  When absent, the sample values stand for every key
-        and rigor rests on the caller's sampling.
+        ``cross_qr`` and the lower bound ``qtheta_lower`` of |dq/dtheta|.
 
-    Raises NotExpandingInTheta when, without ``bounds``, the sample minimum
-    of |dq/dtheta| is <= 1 (the cross-form bookkeeping is not available),
-    and Inconclusive when the grid values satisfy the inequalities but the
-    certified bounds do not.
+    The verdict is True only when this record satisfies the forward and
+    cross-form conditions with a nonempty aperture interval.  Otherwise
+    the sample maxima decide: False when they violate the conditions too,
+    and Inconclusive when they satisfy them.  Raises ValueError for a block
+    of the wrong shape or a field without samples, and NotACircleMap where
+    a sampled dq/dtheta vanishes.
     """
-    jac = np.asarray(jacobians, dtype=float)
-    if jac.ndim != 3 or jac.shape[1] != jac.shape[2]:
-        raise ValueError("jacobians must have shape (M, dim, dim)")
-    p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
-
-    if bounds is None:
-        qt_min = float(np.min(np.abs(q_t)))
-        _require_expanding(qt_min)
-
-    sup_pr, sup_ptheta, sup_qtheta_inv, sup_qr = _sample_sups(p_r, p_t, q_r, q_t)
-
-    # cross-form partials: theta solved from (r, theta_bar)
-    inv_qt = 1.0 / q_t
-    cross_qt_s = np.abs(inv_qt)
-    cross_qr_s = np.linalg.norm(q_r, axis=1) * cross_qt_s
-    cross_pt_s = np.linalg.norm(p_t, axis=1) * cross_qt_s
-    cross_pr_mat = p_r - np.einsum("mi,mj->mij", p_t, q_r * inv_qt[:, None])
-
-    cross_sup_pr = _max_operator_norm(cross_pr_mat)
-    cross_sup_pt = float(np.max(cross_pt_s))
-    cross_sup_qt = float(np.max(cross_qt_s))
-    cross_sup_qr = float(np.max(cross_qr_s))
-
-    grid_qr_over_qt = float(np.max(np.linalg.norm(q_r, axis=1) / np.abs(q_t)))
-    g_forward, g_cross, g_interval = _cone_checks(
-        sup_pr, sup_ptheta, sup_qtheta_inv, grid_qr_over_qt,
-        cross_sup_pr, cross_sup_pt, cross_sup_qt, cross_sup_qr)
-    grid_ok = g_forward and g_cross and g_interval is not None
-
-    if bounds is None:
-        cert = {
-            "pr": sup_pr, "ptheta": sup_ptheta, "qr": sup_qr,
-            "cross_pr": cross_sup_pr, "cross_ptheta_bar": cross_sup_pt,
-            "cross_qtheta_bar": cross_sup_qt, "cross_qr": cross_sup_qr,
-            "qtheta_lower": qt_min,
-        }
-    else:
-        cert = dict(bounds)
-    c_forward, c_cross, cert_interval = _cone_checks(
-        cert["pr"], cert["ptheta"], 1.0 / cert["qtheta_lower"],
-        cert["qr"] / cert["qtheta_lower"],
-        cert["cross_pr"], cert["cross_ptheta_bar"],
-        cert["cross_qtheta_bar"], cert["cross_qr"],
-    )
-    cert["L_interval"] = cert_interval
-    certified_ok = c_forward and c_cross and cert_interval is not None
-
-    if certified_ok:
-        verdict = True
-    elif not grid_ok:
-        verdict = False
-    else:
-        raise Inconclusive(CaseTag.SOLENOID,
-                           raw_margin=(1.0 - cert["cross_pr"]) * (1.0 - cert["cross_qtheta_bar"])
-                           - cert["cross_ptheta_bar"] * cert["cross_qr"],
-                           inflation=np.nan, grid_size=len(jac))
-    return ConeCertificate(
-        sup_pr=sup_pr, sup_ptheta=sup_ptheta, sup_qtheta_inv=sup_qtheta_inv, sup_qr=sup_qr,
-        cross_sup_pr=cross_sup_pr, cross_sup_ptheta_bar=cross_sup_pt,
-        cross_sup_qtheta_bar=cross_sup_qt, cross_sup_qr=cross_sup_qr,
-        L_interval=cert_interval, verdict=verdict, certified=cert,
-    )
+    sups, count = _sample_maxima(jacobians)
+    cert = dict(bounds)
+    verdict, interval = _cone_checks(
+        cert["pr"], cert["ptheta"], 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"],
+        cert["cross_pr"], cert["cross_ptheta_bar"], cert["cross_qtheta_bar"], cert["cross_qr"])
+    cert["L_interval"] = interval
+    # sampled, the forward terms |(dq/dtheta)^-1| and |dq/dr| / |dq/dtheta|
+    # are the cross-form |dtheta/dtheta_bar| and |dtheta/dr|: one maximum each
+    if not verdict and _cone_checks(
+            sups["sup_pr"], sups["sup_ptheta"], sups["sup_qtheta_inv"], sups["cross_sup_qr"],
+            sups["cross_sup_pr"], sups["cross_sup_ptheta_bar"], sups["sup_qtheta_inv"],
+            sups["cross_sup_qr"])[0]:
+        margin = (1.0 - cert["cross_pr"]) * (1.0 - cert["cross_qtheta_bar"]) \
+            - cert["cross_ptheta_bar"] * cert["cross_qr"]
+        raise Inconclusive(CaseTag.SOLENOID, margin, None, count)
+    return ConeCertificate(**sups, cross_sup_qtheta_bar=sups["sup_qtheta_inv"],
+                           L_interval=interval, verdict=verdict, certified=cert)
 
 
 def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
@@ -685,7 +664,8 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
         + mu ** (nu - 1.0) * (a1 * c_max + a_hi * ct_max) / (gamma * a_lo * u_lo)
     expansion = certified_angular_expansion(model)
     qtheta_lo = expansion - corr
-    _require_expanding(qtheta_lo)
+    if qtheta_lo <= 1.0:
+        raise NotExpandingInTheta(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 1")
     return {
         "pr": b_pr,
         "ptheta": b_ptheta,
@@ -706,13 +686,15 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
     derivatives, and checks the forward and cross-form inequalities.  The
     verdict and ``L_interval`` use worst-case upper bounds over the whole
     region, so a true verdict has positive certified margins; the samples
-    only tell a violated condition (False) from an Inconclusive one.
+    only tell a violated condition (False) from an Inconclusive one.  The
+    samples stream through the certificate one block of angles at a time,
+    so memory does not grow with ``grid`` (an integer >= 1).
     """
     if abs(model.m) < 2:
         raise CaseMismatch(f"cone certification requires |m| >= 2, got m={model.m}")
-    th, X, Y, K = model.trapping_samples(mu, n_theta=grid)
-    *_, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
-    return certify_jacobian_field(jac, _cone_upper_bounds(model, mu, K))
+    require_count("grid", grid, 1)
+    bounds = _cone_upper_bounds(model, mu, model.trapping_radius(mu))
+    return certify_jacobian_field(_trapping_jacobians(model, mu, grid), bounds)
 
 
 # ---------------------------------------------------------------------------

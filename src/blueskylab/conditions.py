@@ -57,6 +57,8 @@ class Inconclusive(Undecided, RuntimeError):
 
     Distinct from a false verdict: no violating angle was found, but the
     certified margin never became positive.  Carries the last grid data.
+    A sampled certificate (the cone) has no inflation (None), and its
+    ``grid_size`` counts the samples, which all pass.
     """
 
     def __init__(self, case_tag, raw_margin, inflation, grid_size):
@@ -64,10 +66,10 @@ class Inconclusive(Undecided, RuntimeError):
         self.raw_margin = raw_margin
         self.inflation = inflation
         self.grid_size = grid_size
-        super().__init__(
-            f"{case_tag.value}: margin {raw_margin:.3e} within inflation "
-            f"{inflation:.3e} at grid cap {grid_size}"
-        )
+        super().__init__(f"{case_tag.value}: " + (
+            f"certified margin {raw_margin:.3e} fails where all {grid_size} samples pass"
+            if inflation is None else
+            f"margin {raw_margin:.3e} within inflation {inflation:.3e} at grid cap {grid_size}"))
 
 
 @dataclass(frozen=True)

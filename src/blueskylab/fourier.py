@@ -9,7 +9,8 @@ which gives exact derivatives and cheap, certified sup-norm bounds
 (|c0| + sum |a_k| + |b_k|).  ``SeriesBank`` is the one evaluator of these
 sums: it stacks the coefficients of several series and their derivatives
 and evaluates them together in two matrix products per batch of angles.
-A single series evaluates as a one-row bank.
+A single series evaluates as a one-row bank.  ``uniform_grid`` is the one
+source of uniform angle grids, yielded in bounded blocks.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["FourierSeries", "SeriesBank", "lipschitz_grid_extrema"]
+__all__ = ["FourierSeries", "SeriesBank", "lipschitz_grid_extrema", "uniform_grid"]
 
 TWO_PI = 2.0 * np.pi
-DEFAULT_GRID = 4096      # starting grid of the certified extrema
+DEFAULT_GRID = 4096      # starting grid of the certified extrema, uniform_grid's block
 GRID_CAP = 2 ** 20       # and the grid at which they stop
 
 
@@ -156,6 +157,16 @@ class SeriesBank:
         return vals.reshape((rows,) + theta.shape)
 
 
+def uniform_grid(grid: int):
+    """The uniform grid of ``grid`` angles on the circle, point i at
+    i * 2*pi/grid, yielded in blocks of DEFAULT_GRID angles (the last one
+    short when DEFAULT_GRID does not divide ``grid``; none for a grid of
+    0).  A caller that folds over the blocks holds one block at a time,
+    so its memory does not grow with the grid."""
+    for start in range(0, grid, DEFAULT_GRID):
+        yield np.arange(start, min(start + DEFAULT_GRID, grid)) * (TWO_PI / grid)
+
+
 def lipschitz_grid_extrema(values, lip: float, done):
     """Extrema of ``values(theta)`` on a uniform grid of the circle, starting
     at DEFAULT_GRID points and doubled until ``done(vmin, vmax, inflation)``
@@ -164,16 +175,14 @@ def lipschitz_grid_extrema(values, lip: float, done):
     values.  Returns (vmin, vmax, grid, inflation, status), ``status`` False
     when stopped by the cap.
 
-    The grid is evaluated in blocks of DEFAULT_GRID angles (grid point i at
-    i * 2*pi/grid) with running extrema, so memory does not grow with the
-    grid; min and max are exact, so the extrema are those of one evaluation
-    on the whole grid."""
+    The grid is evaluated block by block (``uniform_grid``) with running
+    extrema, so memory does not grow with the grid; min and max are exact,
+    so the extrema are those of one evaluation on the whole grid."""
     grid = DEFAULT_GRID
     while True:
-        step = TWO_PI / grid
         vmin, vmax = np.inf, -np.inf
-        for start in range(0, grid, DEFAULT_GRID):
-            vals = values(np.arange(start, start + DEFAULT_GRID) * step)
+        for theta in uniform_grid(grid):
+            vals = values(theta)
             vmin, vmax = np.minimum(vmin, np.min(vals)), np.maximum(vmax, np.max(vals))
         vmin, vmax = float(vmin), float(vmax)
         inflation = lip * np.pi / grid

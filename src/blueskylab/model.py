@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierSeries, SeriesBank, lipschitz_grid_extrema
+from .fourier import TWO_PI, FourierSeries, SeriesBank, lipschitz_grid_extrema, uniform_grid
 
 __all__ = [
     "DomainError",
@@ -575,30 +575,31 @@ class ValidatedModel:
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
         raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
 
-    def trapping_samples(self, mu: float, n_theta: int = 128):
-        """Grid over the trapping solid torus: the core plus the face centres.
+    def trapping_samples(self, mu: float, theta):
+        """Samples of the trapping solid torus over the angles ``theta``:
+        the core plus the face centres.
 
         Returns (theta, X, Y, K) with K = ``trapping_radius(mu)``, theta
-        shape (M,), X shape (M,), Y shape (n-2, M), M = n_theta * (2(n-1)
-        + 1): at each of the ``n_theta`` (>= 1) grid angles the core point
-        and the points at -K and +K along each of the n-1 radial axes, all
-        in the closed torus {|X - alpha^nu| <= K, |Y| <= K}.
+        shape (M,), X shape (M,), Y shape (n-2, M), M = len(theta) * (2(n-1)
+        + 1): at each angle of the 1-d array ``theta`` the core point and
+        the points at -K and +K along each of the n-1 radial axes, all in
+        the closed torus {|X - alpha^nu| <= K, |Y| <= K}.  Callers pass one
+        block of ``fourier.uniform_grid`` at a time.
         """
-        require_count("n_theta", n_theta, 1)
         K = self.trapping_radius(mu)
-        theta = np.arange(n_theta) * (TWO_PI / n_theta)
+        theta = np.asarray(theta, dtype=float)
         r = self.n - 1
         offsets = np.hstack((np.zeros((r, 1)), -K * np.eye(r), K * np.eye(r)))
         n_off = offsets.shape[1]
         th = np.repeat(theta, n_off)
-        X = np.repeat(self.limit_radial(theta), n_off) + np.tile(offsets[0], n_theta)
-        Y = np.tile(offsets[1:], n_theta)
+        X = np.repeat(self.limit_radial(theta), n_off) + np.tile(offsets[0], theta.size)
+        Y = np.tile(offsets[1:], theta.size)
         return th, X, Y, K
 
     def check_trapping(self, mu: float) -> bool:
         """Test that the image of every ``trapping_samples`` point (core and
         face centres, 128 angles) lies strictly inside the trapping torus."""
-        th, X, Y, K = self.trapping_samples(mu)
+        th, X, Y, K = self.trapping_samples(mu, next(uniform_grid(128)))
         Xb, Yb, th_lift, _ = self.rescaled_step(X, Y, th, mu)
         dev = np.abs(Xb - self.limit_radial(reduce_angle(th_lift)))
         y_norm = np.sqrt(np.sum(Yb ** 2, axis=0)) if self.ydim else np.zeros_like(Xb)

@@ -30,6 +30,7 @@ from blueskylab.cli import main as cli_main
 
 from helpers import (
     CONFIG_DIR,
+    SKEW_MAP_RECORD,
     advance,
     coupled_config,
     demo_model,
@@ -168,7 +169,7 @@ def test_c06_cone_certificates():
         jac[:, 0, 0] = 0.3
         jac[:, 0, 1] = -0.1 * np.sin(theta)
         jac[:, 1, 1] = 2.0
-        hand = certify_jacobian_field(jac)
+        hand = certify_jacobian_field([jac], SKEW_MAP_RECORD)
         assert abs(hand.sup_pr - 0.3) < 1e-9
         assert abs(hand.sup_ptheta - 0.1) < 1e-9
         assert abs(hand.sup_qtheta_inv - 0.5) < 1e-9

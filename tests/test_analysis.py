@@ -27,10 +27,16 @@ from blueskylab import (
     lyapunov_spectrum,
     validate_config,
 )
-from blueskylab.analysis import _jacobian_blocks, _max_operator_norm, _prefix_diameters
+from blueskylab.analysis import (
+    _cone_upper_bounds,
+    _max_operator_norm,
+    _prefix_diameters,
+    _trapping_jacobians,
+)
 from blueskylab.model import angle_diff, reduce_angle
 
 from helpers import (
+    SKEW_MAP_RECORD,
     advance,
     coupled_config,
     demo_model,
@@ -239,7 +245,7 @@ def _skew_map_jacobians(n_theta=1024):
 
 
 def test_skew_map_certificate_hand_values():
-    cert = certify_jacobian_field(_skew_map_jacobians())
+    cert = certify_jacobian_field([_skew_map_jacobians()], SKEW_MAP_RECORD)
     assert cert.sup_pr == pytest.approx(0.3, abs=1e-9)
     assert cert.sup_ptheta == pytest.approx(0.1, abs=1e-9)
     assert cert.sup_qtheta_inv == pytest.approx(0.5, abs=1e-9)
@@ -323,10 +329,62 @@ def test_cone_certify_case_mismatch():
 def test_certify_inconclusive_on_margin_failure():
     # grid values satisfy the inequalities but the caller's certified
     # bounds do not: no verdict either way
-    bounds = {"pr": 0.3, "ptheta": 0.1, "qr": 0.0, "cross_pr": 1.2, "cross_ptheta_bar": 0.05,
-              "cross_qtheta_bar": 0.5, "cross_qr": 0.0, "qtheta_lower": 2.0}
-    with pytest.raises(bsl.Inconclusive):
-        certify_jacobian_field(_skew_map_jacobians(), bounds)
+    bounds = dict(SKEW_MAP_RECORD, cross_pr=1.2)
+    with pytest.raises(bsl.Inconclusive) as err:
+        certify_jacobian_field([_skew_map_jacobians()], bounds)
+    # the message states the certified margin and the sample count, and
+    # no grid cap or inflation, which the cone does not have
+    message = str(err.value)
+    assert "certified margin -1.000e-01" in message and "1024 samples" in message
+    assert "nan" not in message and "grid cap" not in message
+    assert err.value.grid_size == 1024
+
+
+def test_certify_field_needs_blocks_of_samples():
+    jac = _skew_map_jacobians()
+    for field in ([], [jac[:0]], (b for b in ())):
+        with pytest.raises(ValueError, match="at least one sample"):
+            certify_jacobian_field(field, SKEW_MAP_RECORD)
+    # a bare (M, dim, dim) array iterates as (dim, dim) items, not blocks
+    for field in (jac, [jac, np.zeros((4, 3, 3))], [jac[0]]):
+        with pytest.raises(ValueError, match="blocks of one field"):
+            certify_jacobian_field(field, SKEW_MAP_RECORD)
+
+
+def test_cone_certify_needs_an_angle():
+    for grid in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="grid must be"):
+            cone_certify(demo_model("demo_m2"), 1e-5, grid)
+
+
+def test_cone_certify_memory_is_bounded_in_the_grid():
+    """The samples stream through the certificate one block of 4096 angles
+    at a time; holding all 2^16 angles' Jacobians at once peaks near 290 MB."""
+    model = demo_model("demo_m2")
+    tracemalloc.start()
+    try:
+        cert = cone_certify(model, 1e-5, 2 ** 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict is True
+    assert peak < 32 * 2 ** 20
+
+
+def test_ragged_stream_matches_one_block():
+    """8197 angles stream as blocks of 4096, 4096 and 5 angles; the folded
+    certificate equals the one from a single block of every sample."""
+    model, mu, grid = demo_model("demo_m2"), 1e-5, 8197
+    per_angle = 2 * (model.n - 1) + 1
+    blocks = list(_trapping_jacobians(model, mu, grid))
+    assert [len(b) for b in blocks] == [4096 * per_angle, 4096 * per_angle, 5 * per_angle]
+    th, X, Y, K = model.trapping_samples(mu, np.arange(grid) * (TWO_PI / grid))
+    *_, whole = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    one_block = certify_jacobian_field([whole], _cone_upper_bounds(model, mu, K))
+    streamed = cone_certify(model, mu, grid)
+    assert streamed.to_dict() == one_block.to_dict()
+    assert streamed.certified == one_block.certified
 
 
 def test_itinerary_branch_ambiguity_error(monkeypatch):
@@ -358,7 +416,8 @@ def test_homotopy_to_skew_product_keeps_certificate():
     along the whole family."""
     model = demo_model("demo_m2")
     mu = 1e-5
-    th, X, Y, K = model.trapping_samples(mu, n_theta=128)
+    th, X, Y, K = model.trapping_samples(mu, np.arange(128) * (TWO_PI / 128))
+    record = _cone_upper_bounds(model, mu, K)
     base = model.limit_radial(th)
     delta = 1.0
     for eps in (delta, delta / 2.0, delta / 4.0, 0.0):
@@ -373,8 +432,16 @@ def test_homotopy_to_skew_product_keeps_certificate():
         jac[:, : n - 1, n - 1] = jac_p[:, : n - 1, n - 1]
         jac[:, n - 1, : n - 1] = eps * jac_q[:, n - 1, : n - 1]
         jac[:, n - 1, n - 1] = jac_q[:, n - 1, n - 1]
-        cert = certify_jacobian_field(jac)
+        cert = certify_jacobian_field([jac], record)
         assert cert.verdict is True
+        # every member's sample maxima lie within the full map's record
+        assert cert.sup_pr <= record["pr"] and cert.sup_ptheta <= record["ptheta"]
+        assert cert.sup_qr <= record["qr"]
+        assert cert.sup_qtheta_inv <= 1.0 / record["qtheta_lower"]
+        assert cert.cross_sup_pr <= record["cross_pr"]
+        assert cert.cross_sup_ptheta_bar <= record["cross_ptheta_bar"]
+        assert cert.cross_sup_qtheta_bar <= record["cross_qtheta_bar"]
+        assert cert.cross_sup_qr <= record["cross_qr"]
 
 
 # -- lyapunov spectrum -----------------------------------------------------------
@@ -415,7 +482,11 @@ def test_cone_certificate_serialization_fields():
     assert set(payload) == {
         "sup_pr", "sup_ptheta", "sup_qtheta_inv", "sup_qr",
         "cross_sup_pr", "cross_sup_ptheta_bar", "cross_sup_qtheta_bar",
-        "cross_sup_qr", "L_interval", "verdict",
+        "cross_sup_qr", "L_interval", "verdict", "certified",
+    }
+    assert set(payload["certified"]) == {
+        "pr", "ptheta", "qr", "qtheta_lower",
+        "cross_pr", "cross_ptheta_bar", "cross_qtheta_bar", "cross_qr",
     }
     low, high = payload["L_interval"]
     assert low > 0.0 and (high is None or high > low)
@@ -759,13 +830,14 @@ def _reference_max_norm(blocks):
 @pytest.mark.parametrize("name, grid", [("demo_m2", 256), ("demo_m2", 16384), ("n7", 256)])
 def test_max_operator_norm_is_the_stacked_svd_maximum(name, grid):
     model = validate_config(coupled_config(m=2, n=7)) if name == "n7" else demo_model(name)
-    th, X, Y, _ = model.trapping_samples(1e-5, n_theta=grid)
+    th, X, Y, K = model.trapping_samples(1e-5, np.arange(grid) * (TWO_PI / grid))
     *_, jac = model.rescaled_step(X, Y, th, 1e-5, with_jacobian=True)
-    p_r, p_t, q_r, q_t = _jacobian_blocks(jac)
+    r = model.n - 1
+    p_r, p_t, q_r, q_t = jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
     cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * (1.0 / q_t)[:, None])
     want_pr, want_cross = _reference_max_norm(p_r), _reference_max_norm(cross_pr)
     assert _max_operator_norm(p_r) == want_pr and _max_operator_norm(cross_pr) == want_cross
-    cert = certify_jacobian_field(jac)
+    cert = certify_jacobian_field([jac], _cone_upper_bounds(model, 1e-5, K))
     assert cert.sup_pr == want_pr and cert.cross_sup_pr == want_cross
 
 

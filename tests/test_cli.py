@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from blueskylab import cone_certify, load_model
 from blueskylab.cli import main
 
 from helpers import CONFIG_DIR
@@ -100,6 +101,9 @@ def test_certify_demo(capsys, tmp_path):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verdict"] is True
     assert cert["L_interval"][0] > 0.0
+    # the JSON carries the certified record the verdict rests on
+    record = cone_certify(load_model(config("demo_m2")), 1e-5, 128).certified
+    assert cert["certified"] == {k: v for k, v in record.items() if k != "L_interval"}
 
 
 def test_certify_case_mismatch(capsys):
@@ -233,7 +237,7 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["certify", "demo_m2", "--mu", "1e-5", "--grid", "0"], "n_theta must be at least 1"),
+    (["certify", "demo_m2", "--mu", "1e-5", "--grid", "0"], "grid must be at least 1"),
     (["sweep", "demo_m0", "--mu-min", "1e-6", "--mu-max", "1e-3", "--per-decade", "0"],
      "per_decade must be at least 1"),
     (["sweep", "demo_m0", "--mu-min", "1e-6", "--mu-max", "1e-3", "--per-decade", "-2"],
