@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .conditions import (
     CaseMismatch,
@@ -315,6 +313,8 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     n = require_count("grid_size", grid_size, 2 * PCHIP_PAD)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    from scipy.interpolate import PchipInterpolator  # lazy: scipy would dominate import time
+
     k = model.ydim
     theta = np.arange(n) * (TWO_PI / n)
     radial = np.zeros((n, 1 + k))
@@ -408,11 +408,14 @@ def annulus_diagnostic(model: ValidatedModel, mu: float) -> AnnulusDiagnostic:
     return AnnulusDiagnostic(sup_pr, sups["sup_ptheta"], sup_qtinv, sup_qr, lhs, rhs)
 
 
-def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int):
+def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int, K: float | None = None):
     """Return-map derivatives at the trapping samples of the uniform grid
-    of ``grid`` angles, one (M_i, n, n) block per block of angles."""
+    of ``grid`` angles, one (M_i, n, n) block per block of angles.  ``K``
+    is the trapping radius at ``mu``, computed here when not given."""
+    if K is None:
+        K = model.trapping_radius(mu)
     for theta in uniform_grid(grid):
-        th, X, Y, _ = model.trapping_samples(mu, theta)
+        th, X, Y, _ = model.trapping_samples(mu, theta, K=K)
         yield model.rescaled_step(X, Y, th, mu, with_jacobian=True)[4]
 
 
@@ -693,8 +696,9 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
     if abs(model.m) < 2:
         raise CaseMismatch(f"cone certification requires |m| >= 2, got m={model.m}")
     require_count("grid", grid, 1)
-    bounds = _cone_upper_bounds(model, mu, model.trapping_radius(mu))
-    return certify_jacobian_field(_trapping_jacobians(model, mu, grid), bounds)
+    K = model.trapping_radius(mu)
+    return certify_jacobian_field(_trapping_jacobians(model, mu, grid, K),
+                                  _cone_upper_bounds(model, mu, K))
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +857,7 @@ def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, flo
     if abs(m) < 2:
         raise CaseMismatch(f"branch coding requires |m| >= 2, got m={m}")
     sign = 1.0 if m > 0 else -1.0
+    from scipy.optimize import brentq  # lazy: scipy would dominate import time
 
     dense = np.linspace(0.0, TWO_PI, 4096 + 1)
     lift_dense = np.asarray(_reference_lift(model, mu, dense), dtype=float)

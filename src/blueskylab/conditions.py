@@ -14,9 +14,9 @@ The three regimes are certified through it:
 Certification is a uniform grid evaluation inflated by a global Lipschitz
 bound of the criterion, computed from the Fourier coefficient sums of the
 derivative series and the certified positive lower bound of alpha.  The
-grid doubles while the margin is smaller than the inflation; exact
-trigonometric polynomials make this fully rigorous without interval
-arithmetic.
+grid doubles while the margin is smaller than the inflation, each doubling
+evaluating only the new midpoints; exact trigonometric polynomials make
+this fully rigorous without interval arithmetic.
 """
 
 from __future__ import annotations
@@ -152,9 +152,10 @@ def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
     Evaluates the criterion on a uniform grid of 4096 points and inflates
     by lipschitz * (half spacing).  A grid angle violating the strict
     inequality yields verdict False immediately; a margin exceeding the
-    inflation yields verdict True; otherwise the grid doubles up to the
-    cap of 2^20 points, after which Inconclusive is raised (equality with
-    the threshold within the inflation is never turned into a verdict).
+    inflation yields verdict True; otherwise the grid doubles, evaluating
+    only the new midpoints, up to the cap of 2^20 points (each evaluated
+    once), after which Inconclusive is raised (equality with the threshold
+    within the inflation is never turned into a verdict).
     The outcome does not depend on mu, so it is computed once per model;
     a repeated Inconclusive is raised afresh with the same fields.
     """
@@ -190,9 +191,9 @@ def certified_angular_expansion(model: ValidatedModel) -> float:
 
     The angular expansion rate of the limit return map; > 1 exactly when
     the solenoid condition holds.  The grid starts at 4096 points and
-    doubles while the bound is not positive, up to 2^20 points, where the
-    bound is returned as it stands.  It does not depend on mu, so it is
-    computed once per model.
+    doubles (evaluating only the new midpoints) while the bound is not
+    positive, up to 2^20 points, where the bound is returned as it stands.
+    It does not depend on mu, so it is computed once per model.
     """
     def compute():
         vmin, _, _, inflation, _ = lipschitz_grid_extrema(

@@ -10,7 +10,9 @@ which gives exact derivatives and cheap, certified sup-norm bounds
 sums: it stacks the coefficients of several series and their derivatives
 and evaluates them together in two matrix products per batch of angles.
 A single series evaluates as a one-row bank.  ``uniform_grid`` is the one
-source of uniform angle grids, yielded in bounded blocks.
+source of uniform angle grids, yielded in bounded blocks, and
+``lipschitz_grid_extrema`` the one certified grid loop: it doubles its grid
+by evaluating only the new midpoints.
 """
 
 from __future__ import annotations
@@ -157,14 +159,18 @@ class SeriesBank:
         return vals.reshape((rows,) + theta.shape)
 
 
-def uniform_grid(grid: int):
+def uniform_grid(grid: int, step: int = 1):
     """The uniform grid of ``grid`` angles on the circle, point i at
-    i * 2*pi/grid, yielded in blocks of DEFAULT_GRID angles (the last one
-    short when DEFAULT_GRID does not divide ``grid``; none for a grid of
-    0).  A caller that folds over the blocks holds one block at a time,
-    so its memory does not grow with the grid."""
-    for start in range(0, grid, DEFAULT_GRID):
-        yield np.arange(start, min(start + DEFAULT_GRID, grid)) * (TWO_PI / grid)
+    i * 2*pi/grid, yielded in blocks of at most DEFAULT_GRID angles (the
+    last one short when they do not fill it; none for a grid of 0).  With
+    ``step`` 2 only the odd points i = 1, 3, ... are yielded: the midpoints
+    that a grid of ``grid`` adds to the grid of grid/2, whose points are
+    its even ones bit for bit (halving 2*pi/grid is exact).  A caller that
+    folds over the blocks holds one block at a time, so its memory does
+    not grow with the grid."""
+    span = step * DEFAULT_GRID
+    for start in range(step - 1, grid, span):
+        yield np.arange(start, min(start + span, grid), step) * (TWO_PI / grid)
 
 
 def lipschitz_grid_extrema(values, lip: float, done):
@@ -175,13 +181,17 @@ def lipschitz_grid_extrema(values, lip: float, done):
     values.  Returns (vmin, vmax, grid, inflation, status), ``status`` False
     when stopped by the cap.
 
-    The grid is evaluated block by block (``uniform_grid``) with running
-    extrema, so memory does not grow with the grid; min and max are exact,
-    so the extrema are those of one evaluation on the whole grid."""
-    grid = DEFAULT_GRID
+    Refinement is nested: a doubled grid evaluates only its new midpoints
+    and folds them into the running extrema of the coarser grids, whose
+    points it keeps bit for bit, so every angle is evaluated once (GRID_CAP
+    angles in all at the cap).  The angles come in blocks of at most
+    DEFAULT_GRID (``uniform_grid``), so memory does not grow with the
+    grid; min and max are exact, so the extrema are those of one
+    evaluation on the whole grid."""
+    grid, step = DEFAULT_GRID, 1
+    vmin, vmax = np.inf, -np.inf
     while True:
-        vmin, vmax = np.inf, -np.inf
-        for theta in uniform_grid(grid):
+        for theta in uniform_grid(grid, step):
             vals = values(theta)
             vmin, vmax = np.minimum(vmin, np.min(vals)), np.maximum(vmax, np.max(vals))
         vmin, vmax = float(vmin), float(vmax)
@@ -190,4 +200,4 @@ def lipschitz_grid_extrema(values, lip: float, done):
             return vmin, vmax, grid, inflation, True
         if grid >= GRID_CAP:
             return vmin, vmax, grid, inflation, False
-        grid *= 2
+        grid, step = 2 * grid, 2

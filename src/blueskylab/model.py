@@ -257,10 +257,11 @@ def certified_series_min(series: FourierSeries) -> tuple[float, int, bool]:
     """Certified lower bound for min of a trigonometric polynomial on the circle.
 
     Evaluates on a uniform grid of 4096 points and subtracts the Lipschitz
-    inflation sup|f'| * (half grid spacing); the grid doubles while the
-    bound stays inconclusive about the sign.  Returns (lower_bound,
-    grid_used, certified) where ``certified`` is False only if the cap of
-    2^20 points was reached with the sign still straddling zero.
+    inflation sup|f'| * (half grid spacing); the grid doubles, evaluating
+    only the new midpoints, while the bound stays inconclusive about the
+    sign.  Returns (lower_bound, grid_used, certified) where ``certified``
+    is False only if the cap of 2^20 points was reached with the sign still
+    straddling zero.
     """
     grid_min, _, grid, inflation, certified = lipschitz_grid_extrema(
         series.eval, series.deriv_sup_bound(),
@@ -575,7 +576,7 @@ class ValidatedModel:
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
         raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
 
-    def trapping_samples(self, mu: float, theta):
+    def trapping_samples(self, mu: float, theta, *, K: float | None = None):
         """Samples of the trapping solid torus over the angles ``theta``:
         the core plus the face centres.
 
@@ -584,9 +585,11 @@ class ValidatedModel:
         + 1): at each angle of the 1-d array ``theta`` the core point and
         the points at -K and +K along each of the n-1 radial axes, all in
         the closed torus {|X - alpha^nu| <= K, |Y| <= K}.  Callers pass one
-        block of ``fourier.uniform_grid`` at a time.
+        block of ``fourier.uniform_grid`` at a time, computing K once for
+        all the blocks and passing it in.
         """
-        K = self.trapping_radius(mu)
+        if K is None:
+            K = self.trapping_radius(mu)
         theta = np.asarray(theta, dtype=float)
         r = self.n - 1
         offsets = np.hstack((np.zeros((r, 1)), -K * np.eye(r), K * np.eye(r)))

@@ -387,6 +387,23 @@ def test_ragged_stream_matches_one_block():
     assert streamed.certified == one_block.certified
 
 
+def test_trapping_radius_computed_once_per_certificate(monkeypatch):
+    """Three blocks of samples, one trapping radius for the certificate and
+    one for the diagnostic."""
+    for model, run in ((demo_model("demo_m2"), lambda m: cone_certify(m, 1e-5, 8197)),
+                       (demo_model("demo_m1"), lambda m: bsl.annulus_diagnostic(m, 1e-4))):
+        calls = []
+        radius = model.trapping_radius
+
+        def counted(mu):
+            calls.append(mu)
+            return radius(mu)
+
+        monkeypatch.setattr(model, "trapping_radius", counted)
+        run(model)
+        assert len(calls) == 1
+
+
 def test_itinerary_branch_ambiguity_error(monkeypatch):
     # every angle lies within pi < 3.2 of a boundary, so no redraw helps
     monkeypatch.setattr(bsl.analysis, "BOUNDARY_TOL", 3.2)

@@ -236,6 +236,17 @@ def test_module_entry_point():
     assert proc.returncode == 0
 
 
+def test_import_leaves_scipy_unloaded():
+    """Importing the package and loading a model do not import scipy; only
+    the graph transform and the branch coding load it.  Checked in a fresh
+    interpreter, because the test suite imports scipy itself."""
+    code = ("import sys; import blueskylab, blueskylab.cli; "
+            f"blueskylab.load_model({config('demo_m0')!r}); "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (["certify", "demo_m2", "--mu", "1e-5", "--grid", "0"], "grid must be at least 1"),
     (["sweep", "demo_m0", "--mu-min", "1e-6", "--mu-max", "1e-3", "--per-decade", "0"],

@@ -214,6 +214,18 @@ def test_mu_free_conditions_are_computed_once_per_model(criterion_calls):
         report.margin = 0.0
 
 
+def test_grid_cap_case_evaluates_the_cap_grid_once(criterion_calls):
+    """At a = 1 the margin is exactly 0, so the grid doubles to the cap; the
+    nested refinement evaluates the criterion at 2^20 angles in all."""
+    model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (1.0,))))
+    with pytest.raises(Inconclusive) as err:
+        check_case(CaseTag.BLUE_SKY, model)
+    assert err.value.raw_margin == 0.0
+    assert err.value.grid_size == 2 ** 20
+    assert err.value.inflation == conditions.criterion_lipschitz(model) * np.pi / 2 ** 20
+    assert sum(criterion_calls) == 2 ** 20
+
+
 def test_cached_inconclusive_is_raised_afresh(criterion_calls):
     model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (1.0,))))
     with pytest.raises(Inconclusive) as first:

@@ -3,7 +3,7 @@ import pytest
 
 import blueskylab as bsl
 from blueskylab import FourierSeries
-from blueskylab.fourier import DEFAULT_GRID, TWO_PI, lipschitz_grid_extrema
+from blueskylab.fourier import DEFAULT_GRID, GRID_CAP, TWO_PI, lipschitz_grid_extrema
 
 from helpers import CONFIG_DIR, _random_series
 
@@ -105,8 +105,9 @@ def test_series_bank_profile_rows_match_full_evaluation(path):
 
 
 def test_grid_extrema_in_blocks_equal_the_full_grid():
-    """The grid is evaluated DEFAULT_GRID angles at a time; the extrema are
-    those of the whole grid, bit for bit."""
+    """Each doubling evaluates only the new midpoints, DEFAULT_GRID angles
+    at a time: one block at the first two grids, two at the third.  The
+    extrema are those of the whole grid, bit for bit."""
     f = FourierSeries(0.1, (0.9, 0.0, -0.1), (0.3, 0.05, 0.02))
     sizes = []
 
@@ -116,10 +117,54 @@ def test_grid_extrema_in_blocks_equal_the_full_grid():
 
     # stop at the third grid, 4 * DEFAULT_GRID angles
     vmin, vmax, grid, inflation, done = lipschitz_grid_extrema(
-        values, f.deriv_sup_bound(), lambda vmin, vmax, inflation: len(sizes) >= 7)
+        values, f.deriv_sup_bound(), lambda vmin, vmax, inflation: len(sizes) >= 4)
     assert (grid, done) == (4 * DEFAULT_GRID, True)
-    assert sizes == [DEFAULT_GRID] * 7
+    assert sizes == [DEFAULT_GRID] * 4
     full = f.eval(np.arange(grid) * (TWO_PI / grid))
     assert np.argmin(full) // DEFAULT_GRID != np.argmax(full) // DEFAULT_GRID
     assert (vmin, vmax) == (float(np.min(full)), float(np.max(full)))
     assert inflation == f.deriv_sup_bound() * np.pi / grid
+
+
+def test_grid_extrema_evaluate_every_angle_once():
+    """Up to the cap the angles seen are exactly the final grid's, i * 2pi/grid
+    bit for bit, none of them twice."""
+    seen = []
+
+    def values(theta):
+        seen.append(theta)
+        return np.zeros_like(theta)
+
+    *_, grid, _, done = lipschitz_grid_extrema(values, 1.0, lambda *_: False)
+    assert (grid, done) == (GRID_CAP, False)
+    assert max(t.size for t in seen) == DEFAULT_GRID
+    angles = np.concatenate(seen)
+    assert angles.size == GRID_CAP
+    assert np.array_equal(np.sort(angles), np.arange(grid) * (TWO_PI / grid))
+
+
+def test_grid_extrema_equal_a_direct_evaluation_of_the_grid():
+    """Random series stopped at a random grid: the nested extrema are those
+    of one evaluation of that whole grid."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.lists(st.floats(-2.0, 2.0), max_size=6)
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.floats(-2.0, 2.0), coeffs, coeffs, st.integers(0, 3))
+    def check(c0, cos, sin, levels):
+        f = FourierSeries(c0, tuple(cos), tuple(sin))
+        lip = f.deriv_sup_bound()
+        checked = []
+
+        def stop(vmin, vmax, inflation):
+            checked.append(inflation)
+            return len(checked) > levels
+
+        vmin, vmax, grid, inflation, done = lipschitz_grid_extrema(f.eval, lip, stop)
+        assert (grid, done) == (DEFAULT_GRID * 2 ** levels, True)
+        full = f.eval(np.arange(grid) * (TWO_PI / grid))
+        assert (vmin, vmax) == (float(np.min(full)), float(np.max(full)))
+        assert inflation == lip * np.pi / grid
+
+    check()
