@@ -65,11 +65,10 @@ __all__ = [
 ]
 
 LYAPUNOV_FLOOR = -50.0
-# nodes copied from each end of the turn to pad the graph transform's PCHIP
-# periodically: a slope reads one neighbour on each side, so only the
-# outermost pad nodes take the one-sided end slope, and every interval the
-# inverse evaluates has the slopes of the whole periodic curve
-PCHIP_PAD = 4
+# fewest nodes a graph-transform curve may have
+MIN_CURVE_NODES = 8
+# nodes and targets the graph transform's PCHIP takes per block
+PCHIP_BLOCK = 8192
 # orbits the Lyapunov cocycle advances together
 LYAPUNOV_ENSEMBLE = 256
 # itinerary coding: transient returns of each drawn orbit, the distance to a
@@ -274,22 +273,101 @@ class InvariantCurve:
 def _periodic_interp(radial, theta):
     """Linear interpolation at ``theta`` of node rows ``radial`` given on a
     uniform grid over one turn; shape theta.shape + radial.shape[1:]."""
-    n = len(radial)
-    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / n)
-    base = np.floor(pos)
-    frac = pos - base
-    # pos lies in [0, n], so the node indices i0 and i0 + 1 wrap at most once
-    i0 = base.astype(np.intp)
+    i0, frac = _periodic_cell(theta, len(radial))
     return (1.0 - frac)[..., None] * radial.take(i0, axis=0, mode="wrap") \
         + frac[..., None] * radial.take(i0 + 1, axis=0, mode="wrap")
 
 
-def _curve_residual(radial, Xb, Yb, lift):
-    """Distance from mapped nodes to the linearly interpolated curve at the image angles."""
-    interp = _periodic_interp(radial, lift)
-    dx = Xb - interp[:, 0]
-    dy = Yb.T - interp[:, 1:]
-    return float(np.max(np.sqrt(dx ** 2 + np.sum(dy ** 2, axis=1))))
+def _periodic_cell(theta, n):
+    """The cell (node index, fraction) of each angle on a uniform grid of
+    ``n`` nodes over one turn.  The index lies in [0, n], so it and the
+    next node wrap at most once."""
+    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / n)
+    base = np.floor(pos)
+    return base.astype(np.intp), pos - base
+
+
+def _curve_residual(radial, mapped, lift):
+    """Distance from the mapped nodes ``mapped`` (rows X, Y...) to the
+    linearly interpolated curve ``radial`` (the same rows) at the image
+    angles ``lift``."""
+    i0, frac = _periodic_cell(lift, radial.shape[1])
+    interp = (1.0 - frac) * radial.take(i0, axis=1, mode="wrap") \
+        + frac * radial.take(i0 + 1, axis=1, mode="wrap")
+    sq = mapped - interp
+    sq *= sq
+    return float(np.sqrt(sq[0] + np.sum(sq[1:], axis=0)).max())
+
+
+def _periodic_pchip(w, values, targets):
+    """Monotone cubic (PCHIP) interpolation at ``targets`` of the closed
+    curve through the nodes ``w`` (strictly increasing, w[-1] < w[0] + 2 pi)
+    with value rows ``values`` (shape (rows, N)); shape (rows, targets.size).
+    Every target must lie in [w[-1] - 2 pi, w[1] + 2 pi).
+
+    The nodes are padded periodically by the last two nodes on the left and
+    the first three on the right, shifted by a turn, so every interval that
+    holds a target has the interior slopes of the periodic curve (Fritsch &
+    Butland's weighted harmonic mean, zero at a flat secant or a sign
+    change).  The slopes, the Hermite coefficients and their evaluation in
+    power form take the formulas and the order of scipy's
+    ``PchipInterpolator``, so the result equals it bit for bit on any
+    periodic padding that gives those intervals interior slopes; a target
+    on w[0] + 2 pi is the first node's value, as there.  Nodes and targets
+    go through in blocks of PCHIP_BLOCK, so the temporaries stay in cache.
+    """
+    x = np.concatenate([w[-2:] - TWO_PI, w, w[:3] + TWO_PI])
+    y = np.concatenate([values[:, -2:], values, values[:, :3]], axis=1)
+    h = np.diff(x)
+    slope = np.diff(y, axis=1)
+    slope /= h
+    # d[:, j] is the slope at node x[j + 1], from intervals j and j + 1
+    d = np.empty((len(y), len(h) - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(0, d.shape[1], PCHIP_BLOCK):
+            b = min(a + PCHIP_BLOCK, d.shape[1])
+            h0, h1 = h[a:b], h[a + 1 : b + 1]
+            m0, m1 = slope[:, a:b], slope[:, a + 1 : b + 1]
+            flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+            w1 = 2 * h1 + h0
+            w2 = h1 + 2 * h0
+            whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
+            block = np.divide(1.0, whmean, out=d[:, a:b])
+            block[flat] = 0.0
+
+    out = np.empty((len(y), len(targets)))
+    nodes = np.arange(len(x), dtype=float)
+    for a in range(0, len(targets), PCHIP_BLOCK):
+        t = targets[a : a + PCHIP_BLOCK]
+        # the interval [x[i], x[i+1]) of each target: np.interp finds it
+        # from the last target's (they run in two sorted blocks), and a
+        # position it rounds up onto x[i+1] steps back
+        i = np.interp(t, x, nodes).astype(np.intp)
+        i -= x.take(i) > t
+        s = t - x.take(i)
+        dx = h.take(i)
+        value = y.take(i, axis=1)
+        c1 = slope.take(i, axis=1)
+        c0 = d.take(i, axis=1)
+        d0 = d.take(i - 1, axis=1)
+        c0 += d0
+        c0 -= 2 * c1
+        c0 /= dx
+        c1 -= d0
+        c1 /= dx
+        c1 -= c0
+        c0 /= dx
+        # the cubic in power form, summed from the constant term as PPoly does
+        value += 0.0
+        value += d0 * s
+        s2 = s * s
+        c1 *= s2
+        value += c1
+        s2 *= s
+        c0 *= s2
+        value += c0
+        out[:, a : a + PCHIP_BLOCK] = value
+    return out
 
 
 def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 1024,
@@ -300,32 +378,32 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     maps the graph and reparametrizes it by the image angle; the angular
     lift along the curve must be strictly monotone (the circle-map
     property guaranteed by the torus condition), and its inverse is taken
-    with monotone cubic (PCHIP) interpolation on the lift, padded
-    periodically by ``PCHIP_PAD`` nodes from the other end of the turn on
-    each side.  Iterates until the invariance residual drops below ``tol``;
+    with monotone cubic (PCHIP) interpolation on the lift, periodic over
+    the turn.  The model's series are evaluated once at the nodes, and the
+    iterate is held as rows X, Y... (the layout of ``rescaled_step``).
+    Iterates until the invariance residual drops below ``tol``;
     NoConvergence after 50 steps without improvement or 10^4 steps.
 
     Raises ValueError unless ``grid_size`` is an integer of at least
-    2 * PCHIP_PAD and ``tol`` is finite and positive.
+    MIN_CURVE_NODES and ``tol`` is finite and positive.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
-    n = require_count("grid_size", grid_size, 2 * PCHIP_PAD)
+    n = require_count("grid_size", grid_size, MIN_CURVE_NODES)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    from scipy.interpolate import PchipInterpolator  # lazy: scipy would dominate import time
 
-    k = model.ydim
     theta = np.arange(n) * (TWO_PI / n)
-    radial = np.zeros((n, 1 + k))
-    radial[:, 0] = model.limit_radial(theta)
+    series = model.series_values(theta)
+    radial = np.zeros((1 + model.ydim, n))
+    radial[0] = model.limit_radial(theta)
 
     residual = np.inf
     best = np.inf
     stalled = 0
     sign = 0.0
     for _ in range(10 ** 4):
-        Xb, Yb, lift, _ = model.rescaled_step(radial[:, 0], radial[:, 1:].T, theta, mu)
+        Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu, series=series)
         diffs = np.diff(lift)
         if np.all(diffs > 0.0) and lift[-1] < lift[0] + TWO_PI:
             sign = 1.0
@@ -333,7 +411,8 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
             sign = -1.0
         else:
             raise NotACircleMap("angular component is not strictly monotone along the curve")
-        residual = _curve_residual(radial, Xb, Yb, lift)
+        mapped = np.concatenate([Xb[None], Yb])
+        residual = _curve_residual(radial, mapped, lift)
         if residual < tol:
             break
         # the piecewise-linear residual cannot drop below ~h^2/8 * curvature;
@@ -346,20 +425,15 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
                 f"(grid_size={n} interpolation floor; refine the grid)")
 
         w = sign * lift
-        values = np.column_stack([Xb, Yb.T]) if k else Xb[:, None]
-        p = PCHIP_PAD
-        w_ext = np.concatenate([w[-p:] - TWO_PI, w, w[:p] + TWO_PI])
-        v_ext = np.concatenate([values[-p:], values, values[:p]])
-        interp = PchipInterpolator(w_ext, v_ext, axis=0)
         targets = sign * theta
         targets = targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI)
-        radial = interp(targets)
+        radial = _periodic_pchip(w, mapped, targets)
     else:
         raise NoConvergence(f"graph transform residual {residual:.3e} above tol={tol} "
                             f"after 10^4 iterations")
 
     orientation = Orientation.PRESERVING if sign > 0 else Orientation.REVERSING
-    return InvariantCurve(theta, radial, residual, orientation)
+    return InvariantCurve(theta, np.ascontiguousarray(radial.T), residual, orientation)
 
 
 @dataclass

@@ -356,7 +356,13 @@ class ValidatedModel:
 
     # -- rescaled return map -------------------------------------------------
 
-    def rescaled_step(self, X, Y, theta, mu, with_jacobian: bool = False):
+    def series_values(self, theta, derivatives: bool = False) -> np.ndarray:
+        """The model's series bank at ``theta``: the values ``rescaled_step``
+        reads, shape (rows,) + theta.shape, with the derivative rows too when
+        ``derivatives`` (as its ``with_jacobian`` reads them)."""
+        return self._bank.eval(theta, derivatives=derivatives)
+
+    def rescaled_step(self, X, Y, theta, mu, with_jacobian: bool = False, *, series=None):
         """One application of the rescaled return map T = T0 o T1.
 
         Parameters
@@ -368,6 +374,9 @@ class ValidatedModel:
         with_jacobian : also return the derivative in (X, Y, theta), an
             array of shape S + (n, n) with variable order (X, Y..., theta);
             the theta derivative is taken on the lift.
+        series : optional ``series_values(theta, with_jacobian)``, for a
+            caller that steps from the same angles many times; the result
+            is the same bit for bit.
 
         Returns
         -------
@@ -380,15 +389,16 @@ class ValidatedModel:
         ------
         EscapedTube if any intermediate z0 is not finite and positive, or
         any image Xb, Yb is not finite; ValueError for a mu that breaks
-        ``require_mu`` or does not broadcast to S.
+        ``require_mu`` or does not broadcast to S, or ``series`` not of the
+        shape ``series_values(theta, with_jacobian)`` returns.
         """
-        out, escaped = self._step(X, Y, theta, mu, with_jacobian)
+        out, escaped = self._step(X, Y, theta, mu, with_jacobian, series)
         if escaped.any():
             raise EscapedTube(f"orbit left the homoclinic tube at mu={mu!r}: z0 not finite "
                               f"and positive, or image not finite")
         return out
 
-    def _step(self, X, Y, theta, mu, with_jacobian=False):
+    def _step(self, X, Y, theta, mu, with_jacobian=False, series=None):
         """``rescaled_step`` with escapes reported per point instead of
         raised: returns (the tuple ``rescaled_step`` returns, escaped), with
         ``escaped`` a boolean array of shape S and every output NaN at the
@@ -409,11 +419,19 @@ class ValidatedModel:
                 raise ValueError(f"mu of shape {mu.shape} does not broadcast to the "
                                  f"state's shape {shape}")
 
+        if series is None:
+            vals = self.series_values(theta, with_jacobian)
+        else:
+            vals = np.asarray(series, dtype=float)
+            rows = self._bank.n_rows if with_jacobian else self._bank.n_base
+            if vals.shape != (rows,) + theta.shape:
+                raise ValueError(f"series of shape {vals.shape}, expected "
+                                 f"{(rows,) + theta.shape}")
+
         gamma, nu, bg, d, m = self.gamma, self.nu, self.beta_over_gamma, self.d, self.m
         mu_nu = mu ** nu
         c_x = d ** (1.0 - nu) * mu_nu
 
-        vals = self._bank.eval(theta, derivatives=with_jacobian)
         x = c_x * X
         z0, y0, th0 = self._t1(vals, x, mu_nu * Y, theta, mu)
         escaped = ~((z0 > 0.0) & (z0 < np.inf))

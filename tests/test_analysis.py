@@ -30,6 +30,7 @@ from blueskylab import (
 from blueskylab.analysis import (
     _cone_upper_bounds,
     _max_operator_norm,
+    _periodic_pchip,
     _prefix_diameters,
     _trapping_jacobians,
 )
@@ -151,11 +152,16 @@ def _graph_transform_step_3n(model, mu, theta, radial):
     return interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
 
 
-@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1"])
+@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1", (2, 1), (4, -1), (5, 1)])
 def test_curve_equals_the_3n_extension_bit_for_bit(name):
     # the solve at 2^12 nodes takes two interpolation steps; the padded PCHIP
-    # must reproduce the 3N-extension iterate exactly, not just closely
-    model = demo_model(name)
+    # must reproduce the 3N-extension iterate exactly, not just closely.  The
+    # random (n, m) configs take k = 0, 2 and 3 strong-stable rows
+    if isinstance(name, str):
+        model = demo_model(name)
+    else:
+        n, m = name
+        model = validate_config(random_config(np.random.default_rng(2), m=m, n=n))
     mu = 1e-4
     curve = graph_transform_curve(model, mu, grid_size=2 ** 12, tol=1e-6)
     theta = curve.theta_grid
@@ -166,6 +172,86 @@ def test_curve_equals_the_3n_extension_bit_for_bit(name):
         iterates.append(radial)
     assert not np.array_equal(iterates[0], curve.radial_values)
     assert any(np.array_equal(it, curve.radial_values) for it in iterates)
+
+
+def _pchip_4_node_pad(w, values, targets):
+    """scipy's PCHIP on the curve padded by 4 nodes from the other end of
+    the turn on each side, value rows on axis 1."""
+    w_ext = np.concatenate([w[-4:] - TWO_PI, w, w[:4] + TWO_PI])
+    v_ext = np.concatenate([values[:, -4:], values, values[:, :4]], axis=1)
+    return PchipInterpolator(w_ext, v_ext, axis=1)(targets)
+
+
+def _periodic_nodes(rng, n):
+    """Strictly increasing nodes spanning less than one turn, and the node
+    targets of a uniform grid shifted onto [w[0], w[0] + 2 pi] for both
+    orientations, as the graph transform shifts them."""
+    gaps = rng.uniform(0.2, 1.0, n)
+    w = rng.uniform(-20.0, 20.0) + np.concatenate([[0.0], np.cumsum(gaps[:-1])]) \
+        * (TWO_PI / gaps.sum())
+    theta = np.arange(n) * (TWO_PI / n) + rng.uniform(0.0, TWO_PI / n)
+    shifted = []
+    for sign in (1.0, -1.0):
+        targets = sign * theta
+        shifted.append(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
+    return w, shifted
+
+
+@pytest.mark.parametrize("block", [5, 64, bsl.analysis.PCHIP_BLOCK])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_periodic_pchip_equals_scipy_bit_for_bit(monkeypatch, rows, block):
+    # small blocks put block edges inside the nodes and the targets
+    monkeypatch.setattr(bsl.analysis, "PCHIP_BLOCK", block)
+    rng = np.random.default_rng(rows)
+    for n in (8, 9, 64, 1000):
+        w, shifted = _periodic_nodes(rng, n)
+        values = rng.normal(size=(rows, n))
+        for targets in shifted + [rng.uniform(w[0], w[0] + TWO_PI, 3 * n)]:
+            got = _periodic_pchip(w, values, targets)
+            assert got.shape == (rows, len(targets))
+            assert np.array_equal(got, _pchip_4_node_pad(w, values, targets))
+
+
+def test_periodic_pchip_flat_secants_and_sign_changes():
+    # repeated values (a zero secant) and alternating secant signs take the
+    # zero-slope branch of the Fritsch & Butland slopes
+    rng = np.random.default_rng(3)
+    w, shifted = _periodic_nodes(rng, 12)
+    values = np.array([[0.0, 1.0, 1.0, 1.0, -2.0, 3.0, -4.0, 0.0, 0.0, 5.0, 5.0, 0.5],
+                       [1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, 2.0, 3.0, 1.0]])
+    secants = np.diff(np.concatenate([values, values[:, :1]], axis=1), axis=1)
+    assert np.any(secants == 0.0) and np.any(secants[:, 1:] * secants[:, :-1] < 0.0)
+    for targets in shifted + [np.linspace(w[0], w[0] + TWO_PI, 97)]:
+        assert np.array_equal(_periodic_pchip(w, values, targets),
+                              _pchip_4_node_pad(w, values, targets))
+    # a -0.0 node between secants -1/3, -1 and -7, where every coefficient
+    # of the cubic is negative: scipy sums from +0.0, so the node gives +0.0
+    secants = np.array([1.0, 1.0, 1.0, 1.0, -1 / 3, -1.0, -7.0, 1.0, 1.0, 1.0, 1.0])
+    values = np.concatenate([[0.0], np.cumsum(secants * np.diff(w))])[None]
+    values -= values[0, 5]
+    values[0, 5] = -0.0
+    got = _periodic_pchip(w, values, w[4:7])
+    assert got.tobytes() == _pchip_4_node_pad(w, values, w[4:7]).tobytes()
+    assert not np.signbit(got[0, 1])
+
+
+def test_periodic_pchip_target_on_the_closing_node():
+    # the target shift can round onto w[0] + 2 pi exactly; there the
+    # interval starts at the first node's copy, whose value comes back
+    rng = np.random.default_rng(4)
+    w, _ = _periodic_nodes(rng, 16)
+    values = rng.normal(size=(3, 16))
+    targets = np.array([w[0], w[0] + TWO_PI, w[5], w[-1], w[0] + TWO_PI])
+    got = _periodic_pchip(w, values, targets)
+    assert np.array_equal(got, _pchip_4_node_pad(w, values, targets))
+    assert np.array_equal(got[:, 1], values[:, 0]) and np.array_equal(got[:, 4], values[:, 0])
+    # one ulp below each node of a fine curve, where a located position can
+    # round up onto the node
+    w, _ = _periodic_nodes(rng, 4096)
+    values = rng.normal(size=(2, 4096))
+    below = np.nextafter(np.append(w, w[0] + TWO_PI), -np.inf)
+    assert np.array_equal(_periodic_pchip(w, values, below),
+                          _pchip_4_node_pad(w, values, below))
 
 
 def _linear_periodic(values, theta):

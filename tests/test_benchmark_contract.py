@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 
+import numpy as np
+
 from helpers import CONFIG_DIR
 
 SPANS = CONFIG_DIR.parent / "benchmark" / "spans.py"
@@ -50,3 +52,29 @@ def test_hook_argument_positions_match_the_signatures():
     check_case = inspect.signature(_resolve(*spans.TRACED["conditions.check_case"])).parameters
     assert "grid_size" not in check_case
     assert importlib.import_module("blueskylab.fourier").DEFAULT_GRID == 4096
+
+
+def test_graph_transform_steps_through_the_traced_kernel(monkeypatch):
+    """The benchmark counts graph-transform iterations as the
+    ``ValidatedModel.rescaled_step`` calls made inside the solve, wrapping
+    the class attribute as ``Tracer.install`` does: every iteration must make
+    exactly one such call, on the whole node grid, and none may repeat."""
+    bsl = importlib.import_module("blueskylab")
+    original = vars(bsl.ValidatedModel)["rescaled_step"]
+    calls = []
+
+    def counted(self, X, Y, theta, *args, **kwargs):
+        calls.append((np.array(X), np.array(Y), np.array(theta)))
+        return original(self, X, Y, theta, *args, **kwargs)
+
+    monkeypatch.setattr(bsl.ValidatedModel, "rescaled_step", counted)
+    model = bsl.load_model(CONFIG_DIR / "demo_m1.json")
+    curve = bsl.graph_transform_curve(model, 1e-4, 2 ** 12, tol=1e-6)
+    # this solve interpolates twice, so it makes three steps: from the limit
+    # curve, from each interpolated iterate, the last one giving the residual
+    assert len(calls) == 3
+    assert np.array_equal(calls[0][0], model.limit_radial(curve.theta_grid))
+    for (X, Y, theta), (X_next, _, _) in zip(calls, calls[1:]):
+        assert np.array_equal(theta, curve.theta_grid)
+        assert not np.array_equal(X, X_next)
+    assert np.array_equal(np.column_stack([calls[-1][0], calls[-1][1].T]), curve.radial_values)

@@ -237,11 +237,17 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_unloaded():
-    """Importing the package and loading a model do not import scipy; only
-    the graph transform and the branch coding load it.  Checked in a fresh
-    interpreter, because the test suite imports scipy itself."""
-    code = ("import sys; import blueskylab, blueskylab.cli; "
-            f"blueskylab.load_model({config('demo_m0')!r}); "
+    """Importing the package, loading a model and the whole |m| = 1 path (the
+    graph transform, classification, the circle degree) do not import scipy;
+    only the branch coding (``branch_boundaries``' ``brentq``) loads it.
+    Checked in a fresh interpreter, because the test suite imports scipy
+    itself."""
+    code = ("import sys; import blueskylab as b, blueskylab.cli; "
+            f"b.load_model({config('demo_m0')!r}); "
+            f"m = b.load_model({config('demo_m1')!r}); "
+            "b.graph_transform_curve(m, 1e-4, 2 ** 12, tol=1e-6); "
+            "assert b.classify_attractor(m, 1e-4).label.value == 'InvariantTorus'; "
+            "assert b.circle_degree(m, 1e-4) == 1; "
             "assert 'scipy' not in sys.modules, 'scipy imported'")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
