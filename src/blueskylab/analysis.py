@@ -357,7 +357,8 @@ def _periodic_pchip(w, values, targets):
         c1 /= dx
         c1 -= c0
         c0 /= dx
-        # the cubic in power form, summed from the constant term as PPoly does
+        # the cubic in power form, summed onto +0.0 from the constant term up
+        # as PPoly does (so a -0.0 node value sums as there)
         value += 0.0
         value += d0 * s
         s2 = s * s

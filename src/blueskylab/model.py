@@ -420,7 +420,7 @@ class ValidatedModel:
                                  f"state's shape {shape}")
 
         if series is None:
-            vals = self.series_values(theta, with_jacobian)
+            vals = self._bank.eval(theta, derivatives=with_jacobian)
         else:
             vals = np.asarray(series, dtype=float)
             rows = self._bank.n_rows if with_jacobian else self._bank.n_base

@@ -152,7 +152,8 @@ def _graph_transform_step_3n(model, mu, theta, radial):
     return interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
 
 
-@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1", (2, 1), (4, -1), (5, 1)])
+@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1"] + [
+    pytest.param((n, m), id=f"random-n{n}-m{m}") for n, m in ((2, 1), (4, -1), (5, 1))])
 def test_curve_equals_the_3n_extension_bit_for_bit(name):
     # the solve at 2^12 nodes takes two interpolation steps; the padded PCHIP
     # must reproduce the 3N-extension iterate exactly, not just closely.  The
