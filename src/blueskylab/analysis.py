@@ -296,7 +296,13 @@ def _curve_residual(radial, mapped, lift):
         + frac * radial.take(i0 + 1, axis=1, mode="wrap")
     sq = mapped - interp
     sq *= sq
-    return float(np.sqrt(sq[0] + np.sum(sq[1:], axis=0)).max())
+    # each node's Y terms add as np.sum adds a contiguous run of them, one
+    # by one below 8 terms and pairwise from 8 on
+    if len(sq) <= 8:
+        ysum = np.sum(sq[1:], axis=0)
+    else:
+        ysum = np.sum(sq[1:].T.copy(), axis=1)
+    return float(np.sqrt(sq[0] + ysum).max())
 
 
 def _periodic_pchip(w, values, targets):
@@ -395,7 +401,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
     theta = np.arange(n) * (TWO_PI / n)
-    series = model.series_values(theta)
+    series = model._bank.eval(theta)
     radial = np.zeros((1 + model.ydim, n))
     radial[0] = model.limit_radial(theta)
 

@@ -356,12 +356,6 @@ class ValidatedModel:
 
     # -- rescaled return map -------------------------------------------------
 
-    def series_values(self, theta, derivatives: bool = False) -> np.ndarray:
-        """The model's series bank at ``theta``: the values ``rescaled_step``
-        reads, shape (rows,) + theta.shape, with the derivative rows too when
-        ``derivatives`` (as its ``with_jacobian`` reads them)."""
-        return self._bank.eval(theta, derivatives=derivatives)
-
     def rescaled_step(self, X, Y, theta, mu, with_jacobian: bool = False, *, series=None):
         """One application of the rescaled return map T = T0 o T1.
 
@@ -374,9 +368,10 @@ class ValidatedModel:
         with_jacobian : also return the derivative in (X, Y, theta), an
             array of shape S + (n, n) with variable order (X, Y..., theta);
             the theta derivative is taken on the lift.
-        series : optional ``series_values(theta, with_jacobian)``, for a
-            caller that steps from the same angles many times; the result
-            is the same bit for bit.
+        series : optional values of the model's series bank at ``theta``
+            (with the derivative rows when ``with_jacobian``), for a caller
+            that steps from the same angles many times; the result is the
+            same bit for bit.
 
         Returns
         -------
@@ -390,7 +385,7 @@ class ValidatedModel:
         EscapedTube if any intermediate z0 is not finite and positive, or
         any image Xb, Yb is not finite; ValueError for a mu that breaks
         ``require_mu`` or does not broadcast to S, or ``series`` not of the
-        shape ``series_values(theta, with_jacobian)`` returns.
+        shape (rows,) + S of the bank's values.
         """
         out, escaped = self._step(X, Y, theta, mu, with_jacobian, series)
         if escaped.any():

@@ -29,7 +29,9 @@ from blueskylab import (
 )
 from blueskylab.analysis import (
     _cone_upper_bounds,
+    _curve_residual,
     _max_operator_norm,
+    _periodic_interp,
     _periodic_pchip,
     _prefix_diameters,
     _trapping_jacobians,
@@ -152,12 +154,23 @@ def _graph_transform_step_3n(model, mu, theta, radial):
     return interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
 
 
+def _node_major_residual(model, mu, theta, radial):
+    """The invariance residual of node rows ``radial`` (shape (N, 1 + k)),
+    with the Y components of each node summed along the rows."""
+    Xb, Yb, lift, _ = model.rescaled_step(radial[:, 0], radial[:, 1:].T, theta, mu)
+    interp = _periodic_interp(radial, lift)
+    dy = Yb.T - interp[:, 1:]
+    return float(np.max(np.sqrt((Xb - interp[:, 0]) ** 2 + np.sum(dy ** 2, axis=1))))
+
+
 @pytest.mark.parametrize("name", ["demo_m1", "demo_m-1"] + [
-    pytest.param((n, m), id=f"random-n{n}-m{m}") for n, m in ((2, 1), (4, -1), (5, 1))])
+    pytest.param((n, m), id=f"random-n{n}-m{m}")
+    for n, m in ((2, 1), (4, -1), (5, 1), (10, 1))])
 def test_curve_equals_the_3n_extension_bit_for_bit(name):
     # the solve at 2^12 nodes takes two interpolation steps; the padded PCHIP
-    # must reproduce the 3N-extension iterate exactly, not just closely.  The
-    # random (n, m) configs take k = 0, 2 and 3 strong-stable rows
+    # must reproduce the 3N-extension iterate exactly, not just closely, and
+    # its residual the node-major one.  The random (n, m) configs take
+    # k = 0, 2, 3 and 8 strong-stable rows
     if isinstance(name, str):
         model = demo_model(name)
     else:
@@ -172,7 +185,27 @@ def test_curve_equals_the_3n_extension_bit_for_bit(name):
         radial = _graph_transform_step_3n(model, mu, theta, radial)
         iterates.append(radial)
     assert not np.array_equal(iterates[0], curve.radial_values)
-    assert any(np.array_equal(it, curve.radial_values) for it in iterates)
+    same = [it for it in iterates if np.array_equal(it, curve.radial_values)]
+    assert same
+    assert _node_major_residual(model, mu, theta, same[0]) == curve.residual_sup
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 9, 17])
+def test_curve_residual_sums_the_rows_as_the_node_major_layout(k):
+    # np.sum along the contiguous axis of (N, k) rows adds pairwise from 8
+    # terms on, so the component-major residual must add the Y rows of each
+    # node in that order, not row by row, to keep residual_sup bit for bit
+    rng = np.random.default_rng(k)
+    n = 16
+    for _ in range(100):
+        radial = rng.random((1 + k, n))
+        mapped = rng.random((1 + k, n))
+        mapped[0] *= 1e-3
+        lift = rng.uniform(-10.0, 10.0, n)
+        interp = _periodic_interp(np.ascontiguousarray(radial.T), lift)
+        dy = mapped[1:].T - interp[:, 1:]
+        dist = np.sqrt((mapped[0] - interp[:, 0]) ** 2 + np.sum(dy ** 2, axis=1))
+        assert _curve_residual(radial, mapped, lift) == float(np.max(dist))
 
 
 def _pchip_4_node_pad(w, values, targets):

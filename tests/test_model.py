@@ -254,14 +254,14 @@ def _series_models():
 
 
 @pytest.mark.parametrize("model", _series_models(), ids=["demo_m1", "k3"])
-def test_series_values_give_the_same_step(model):
+def test_step_from_given_series_values_is_bit_identical(model):
     """Passing the series values at theta gives the step bit for bit."""
     rng = np.random.default_rng(9)
     X, Y, theta = random_region_points(rng, model, 1e-4, 33)
     theta = theta.reshape(3, 11)
     X, Y = X.reshape(3, 11), Y.reshape(-1, 3, 11)
     for with_jacobian in (False, True):
-        series = model.series_values(theta, with_jacobian)
+        series = model._bank.eval(theta, derivatives=with_jacobian)
         got = model.rescaled_step(X, Y, theta, 1e-4, with_jacobian, series=series)
         want = model.rescaled_step(X, Y, theta, 1e-4, with_jacobian)
         assert len(got) == len(want) == 4 + with_jacobian
@@ -269,11 +269,11 @@ def test_series_values_give_the_same_step(model):
             assert a.tobytes() == b.tobytes()
 
 
-def test_series_values_shape_rule():
+def test_step_series_values_shape_rule():
     model = validate_config(random_config(np.random.default_rng(8), m=2, n=5))
     X, Y, theta = random_region_points(np.random.default_rng(9), model, 1e-4, 6)
-    base = model.series_values(theta)
-    full = model.series_values(theta, derivatives=True)
+    base = model._bank.eval(theta)
+    full = model._bank.eval(theta, derivatives=True)
     assert full.shape[0] > base.shape[0] == 4 + 3 * model.ydim
     for bad in (base[:, :5], base[:-1], base[None], base[:, 0]):
         with pytest.raises(ValueError, match="series"):
