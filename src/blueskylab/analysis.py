@@ -65,10 +65,18 @@ __all__ = [
 ]
 
 LYAPUNOV_FLOOR = -50.0
-# fewest nodes a graph-transform curve may have
+# fewest angles a graph-transform curve may be sampled on
 MIN_CURVE_NODES = 8
-# nodes and targets the graph transform's PCHIP takes per block
-PCHIP_BLOCK = 8192
+# the graph transform's trigonometric nodes: the first count, and the cap
+# that doubling may reach
+SPECTRAL_NODES = 128
+SPECTRAL_NODE_CAP = 2 ** 12
+# Newton preimages of the graph transform: the step taken as converged, and
+# the sweep budget
+PREIMAGE_TOL = 1e-13
+PREIMAGE_MAX_SWEEPS = 50
+# complex exponentials a direct trigonometric evaluation holds at once
+TRIG_BLOCK = 2 ** 16
 # orbits the Lyapunov cocycle advances together
 LYAPUNOV_ENSEMBLE = 256
 # itinerary coding: transient returns of each drawn orbit, the distance to a
@@ -241,15 +249,20 @@ def find_fixed_points(model: ValidatedModel, mus) -> list:
 
 @dataclass
 class InvariantCurve:
-    """A closed curve theta -> (X, Y) on a uniform angular grid.
+    """A closed curve theta -> (X, Y) sampled on a uniform angular grid.
 
-    ``residual_sup`` is the sup over grid nodes of the distance between the
-    image of the curve point and the curve evaluated at the image angle
-    (linear interpolation between nodes).
+    The graph transform represents the curve by the trigonometric
+    interpolant of its values at N uniform nodes (N from 128 to 4,096,
+    chosen by the solve).  ``theta_grid`` and ``radial_values`` sample that
+    polynomial at the requested ``grid_size`` angles, and ``radial_at``
+    interpolates the samples linearly.  ``residual_sup`` is the invariance
+    residual at the solve's N nodes: the sup over them of the distance
+    between the image of the node's curve point and the polynomial
+    evaluated at the image angle.
     """
 
     theta_grid: np.ndarray
-    radial_values: np.ndarray      # (N, 1 + ydim), column 0 is X
+    radial_values: np.ndarray      # (grid_size, 1 + ydim), column 0 is X
     residual_sup: float
     orientation: Orientation
 
@@ -273,174 +286,156 @@ class InvariantCurve:
 def _periodic_interp(radial, theta):
     """Linear interpolation at ``theta`` of node rows ``radial`` given on a
     uniform grid over one turn; shape theta.shape + radial.shape[1:]."""
-    i0, frac = _periodic_cell(theta, len(radial))
+    # the cell index lies in [0, n], so it and the next node wrap at most once
+    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / len(radial))
+    base = np.floor(pos)
+    i0, frac = base.astype(np.intp), pos - base
     return (1.0 - frac)[..., None] * radial.take(i0, axis=0, mode="wrap") \
         + frac[..., None] * radial.take(i0 + 1, axis=0, mode="wrap")
 
 
-def _periodic_cell(theta, n):
-    """The cell (node index, fraction) of each angle on a uniform grid of
-    ``n`` nodes over one turn.  The index lies in [0, n], so it and the
-    next node wrap at most once."""
-    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / n)
-    base = np.floor(pos)
-    return base.astype(np.intp), pos - base
-
-
-def _curve_residual(radial, mapped, lift):
-    """Distance from the mapped nodes ``mapped`` (rows X, Y...) to the
-    linearly interpolated curve ``radial`` (the same rows) at the image
-    angles ``lift``."""
-    i0, frac = _periodic_cell(lift, radial.shape[1])
-    interp = (1.0 - frac) * radial.take(i0, axis=1, mode="wrap") \
-        + frac * radial.take(i0 + 1, axis=1, mode="wrap")
-    sq = mapped - interp
-    sq *= sq
-    # each node's Y terms add as np.sum adds a contiguous run of them, one
-    # by one below 8 terms and pairwise from 8 on
-    if len(sq) <= 8:
-        ysum = np.sum(sq[1:], axis=0)
-    else:
-        ysum = np.sum(sq[1:].T.copy(), axis=1)
-    return float(np.sqrt(sq[0] + ysum).max())
-
-
-def _periodic_pchip(w, values, targets):
-    """Monotone cubic (PCHIP) interpolation at ``targets`` of the closed
-    curve through the nodes ``w`` (strictly increasing, w[-1] < w[0] + 2 pi)
-    with value rows ``values`` (shape (rows, N)); shape (rows, targets.size).
-    Every target must lie in [w[-1] - 2 pi, w[1] + 2 pi).
-
-    The nodes are padded periodically by the last two nodes on the left and
-    the first three on the right, shifted by a turn, so every interval that
-    holds a target has the interior slopes of the periodic curve (Fritsch &
-    Butland's weighted harmonic mean, zero at a flat secant or a sign
-    change).  The slopes, the Hermite coefficients and their evaluation in
-    power form take the formulas and the order of scipy's
-    ``PchipInterpolator``, so the result equals it bit for bit on any
-    periodic padding that gives those intervals interior slopes; a target
-    on w[0] + 2 pi is the first node's value, as there.  Nodes and targets
-    go through in blocks of PCHIP_BLOCK, so the temporaries stay in cache.
-    """
-    x = np.concatenate([w[-2:] - TWO_PI, w, w[:3] + TWO_PI])
-    y = np.concatenate([values[:, -2:], values, values[:, :3]], axis=1)
-    h = np.diff(x)
-    slope = np.diff(y, axis=1)
-    slope /= h
-    # d[:, j] is the slope at node x[j + 1], from intervals j and j + 1
-    d = np.empty((len(y), len(h) - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(0, d.shape[1], PCHIP_BLOCK):
-            b = min(a + PCHIP_BLOCK, d.shape[1])
-            h0, h1 = h[a:b], h[a + 1 : b + 1]
-            m0, m1 = slope[:, a:b], slope[:, a + 1 : b + 1]
-            flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
-            w1 = 2 * h1 + h0
-            w2 = h1 + 2 * h0
-            whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
-            block = np.divide(1.0, whmean, out=d[:, a:b])
-            block[flat] = 0.0
-
-    out = np.empty((len(y), len(targets)))
-    nodes = np.arange(len(x), dtype=float)
-    for a in range(0, len(targets), PCHIP_BLOCK):
-        t = targets[a : a + PCHIP_BLOCK]
-        # the interval [x[i], x[i+1]) of each target: np.interp finds it
-        # from the last target's (they run in two sorted blocks), and a
-        # position it rounds up onto x[i+1] steps back
-        i = np.interp(t, x, nodes).astype(np.intp)
-        i -= x.take(i) > t
-        s = t - x.take(i)
-        dx = h.take(i)
-        value = y.take(i, axis=1)
-        c1 = slope.take(i, axis=1)
-        c0 = d.take(i, axis=1)
-        d0 = d.take(i - 1, axis=1)
-        c0 += d0
-        c0 -= 2 * c1
-        c0 /= dx
-        c1 -= d0
-        c1 /= dx
-        c1 -= c0
-        c0 /= dx
-        # the cubic in power form, summed onto +0.0 from the constant term up
-        # as PPoly does (so a -0.0 node value sums as there)
-        value += 0.0
-        value += d0 * s
-        s2 = s * s
-        c1 *= s2
-        value += c1
-        s2 *= s
-        c0 *= s2
-        value += c0
-        out[:, a : a + PCHIP_BLOCK] = value
+def _trig_eval(coef, x):
+    """The trigonometric interpolants whose ``np.fft.rfft`` over N uniform
+    nodes (N even) are the rows of ``coef``, at the angles ``x`` (1-d);
+    shape (rows, x.size).  The Nyquist mode enters as its real cosine, so
+    the interpolants are real, and the rows ``1j * k * coef`` give their
+    derivatives."""
+    n = 2 * (coef.shape[1] - 1)
+    k = np.arange(coef.shape[1])
+    scaled = coef * (np.where((k == 0) | (k == n // 2), 1.0, 2.0) / n)
+    out = np.empty((len(coef), len(x)))
+    step = max(1, TRIG_BLOCK // len(k))
+    for a in range(0, len(x), step):
+        # e^{ikx} as running powers of e^{ix}: a product per entry, not an exp
+        e = np.empty((len(k), len(x[a : a + step])), dtype=complex)
+        e[0] = 1.0
+        e[1:] = np.exp(1j * x[a : a + step])
+        np.cumprod(e, axis=0, out=e)
+        out[:, a : a + step] = (scaled @ e).real
     return out
+
+
+def _trig_resample(coef, size):
+    """The interpolants of ``_trig_eval`` at the ``size`` uniform angles
+    i * 2 pi / size: one zero-padded inverse transform, or a direct
+    evaluation when ``size`` is below their node count."""
+    n = 2 * (coef.shape[1] - 1)
+    if size < n:
+        return _trig_eval(coef, np.arange(size) * (TWO_PI / size))
+    padded = np.zeros((len(coef), size // 2 + 1), dtype=complex)
+    padded[:, : n // 2 + 1] = coef
+    if size > n:
+        padded[:, n // 2] *= 0.5       # the Nyquist cosine splits between +-n/2
+    return np.fft.irfft(padded, size) * (size / n)
+
+
+def _preimages(g_coef, w, targets, start):
+    """The angles phi with phi + g(phi) = targets (mod 2 pi), for the
+    interpolant g of ``g_coef`` on the uniform nodes theta: Newton's method
+    from ``start``, or without one from the linear inverse of the node
+    values ``w`` = theta + g (increasing, closing at w[0] + 2 pi).
+    NotACircleMap where 1 + g' is not positive; NoConvergence after
+    PREIMAGE_MAX_SWEEPS sweeps."""
+    if start is None:
+        theta = np.arange(len(w)) * (TWO_PI / len(w))
+        start = np.interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI),
+                          np.append(w, w[0] + TWO_PI), np.append(theta, TWO_PI))
+    phi = start
+    rows = np.stack([g_coef, 1j * np.arange(len(g_coef)) * g_coef])
+    for _ in range(PREIMAGE_MAX_SWEEPS):
+        g, slope = _trig_eval(rows, phi)
+        if not np.all(slope > -1.0):
+            raise NotACircleMap("angular component is not strictly monotone along the curve")
+        step = angle_diff(phi + g, targets) / (1.0 + slope)
+        phi = phi - step
+        if np.abs(step).max() <= PREIMAGE_TOL:
+            return phi
+    raise NoConvergence(f"Newton preimages of {len(w)} nodes did not settle in "
+                        f"{PREIMAGE_MAX_SWEEPS} sweeps")
 
 
 def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 1024,
                           tol: float = 1e-8) -> InvariantCurve:
     """Graph transform for the attracting invariant curve at degree |m| = 1.
 
-    Starting from the limit curve (X, Y) = (alpha(theta)^nu, 0), each step
-    maps the graph and reparametrizes it by the image angle; the angular
-    lift along the curve must be strictly monotone (the circle-map
-    property guaranteed by the torus condition), and its inverse is taken
-    with monotone cubic (PCHIP) interpolation on the lift, periodic over
-    the turn.  The model's series are evaluated once at the nodes, and the
-    iterate is held as rows X, Y... (the layout of ``rescaled_step``).
-    Iterates until the invariance residual drops below ``tol``;
-    NoConvergence after 50 steps without improvement or 10^4 steps.
+    The iterate is held as rows X, Y... at N uniform nodes and stands for
+    their trigonometric interpolant, starting from the limit curve
+    (X, Y) = (alpha(theta)^nu, 0).  Each step maps the nodes with one
+    ``rescaled_step`` (the series evaluated once per N), finds each node's
+    preimage under the angular lift by Newton's method on the interpolant
+    of g = m * lift - theta, warm-started from the previous step, and takes
+    the interpolant of the mapped rows there.  The lift has degree m, so g
+    is periodic and the curve's circle map preserves orientation for m = 1
+    and reverses it for m = -1.  It must be strictly monotone at the nodes,
+    with 1 + g' positive at the preimages and at the output angles
+    (NotACircleMap).  N starts at 128, or at the power of two that reaches
+    4x the series' largest degree, and doubles while the residual stops
+    falling above ``tol`` or the top quarter of the iterate's coefficients
+    stays above ``tol``; past 2^12 nodes, NoConvergence.
+
+    ``grid_size`` is the output sampling only: the curve comes back as the
+    polynomial at ``grid_size`` uniform angles (one zero-padded inverse FFT,
+    or direct evaluation below N nodes), and ``residual_sup`` is its
+    residual at the solve's N nodes (see InvariantCurve).
 
     Raises ValueError unless ``grid_size`` is an integer of at least
     MIN_CURVE_NODES and ``tol`` is finite and positive.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
-    n = require_count("grid_size", grid_size, MIN_CURVE_NODES)
+    size = require_count("grid_size", grid_size, MIN_CURVE_NODES)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
-    theta = np.arange(n) * (TWO_PI / n)
-    series = model._bank.eval(theta)
-    radial = np.zeros((1 + model.ydim, n))
-    radial[0] = model.limit_radial(theta)
-
-    residual = np.inf
-    best = np.inf
-    stalled = 0
-    sign = 0.0
-    for _ in range(10 ** 4):
-        Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu, series=series)
-        diffs = np.diff(lift)
-        if np.all(diffs > 0.0) and lift[-1] < lift[0] + TWO_PI:
-            sign = 1.0
-        elif np.all(diffs < 0.0) and lift[-1] > lift[0] - TWO_PI:
-            sign = -1.0
+    sign = float(model.m)
+    n = SPECTRAL_NODES
+    while n < 4 * model._bank.degree:
+        n *= 2
+    coef = None
+    residual = tail = np.inf
+    while n <= SPECTRAL_NODE_CAP:
+        theta = np.arange(n) * (TWO_PI / n)
+        series = model._bank.eval(theta)
+        if coef is None:
+            radial = np.zeros((1 + model.ydim, n))
+            radial[0] = model.limit_radial(theta)
         else:
-            raise NotACircleMap("angular component is not strictly monotone along the curve")
-        mapped = np.concatenate([Xb[None], Yb])
-        residual = _curve_residual(radial, mapped, lift)
-        if residual < tol:
-            break
-        # the piecewise-linear residual cannot drop below ~h^2/8 * curvature;
-        # bail out once the transform has clearly stopped improving
-        stalled = stalled + 1 if residual > 0.9999 * best else 0
-        best = min(best, residual)
-        if stalled >= 50:
-            raise NoConvergence(
-                f"graph transform stagnated at residual {residual:.3e} above tol={tol} "
-                f"(grid_size={n} interpolation floor; refine the grid)")
+            radial = _trig_resample(coef, n)
+        preimage = None
+        previous = np.inf
+        while True:
+            Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu, series=series)
+            w = sign * lift
+            if not (np.all(np.diff(w) > 0.0) and w[-1] < w[0] + TWO_PI):
+                raise NotACircleMap("angular component is not strictly monotone along the curve")
+            mapped = np.concatenate([Xb[None], Yb])
+            coef = np.fft.rfft(radial)
+            g_coef = np.fft.rfft(w - theta)
+            defect = mapped - _trig_eval(coef, reduce_angle(lift))
+            residual = float(np.sqrt(np.sum(defect * defect, axis=0)).max())
+            tail = float(np.abs(coef[:, 3 * n // 8 :]).max()) * 2.0 / n
+            if residual < tol and tail < tol:
+                return _sampled_curve(coef, g_coef, residual, sign, size)
+            if tail >= tol or residual >= previous:
+                break
+            previous = residual
+            preimage = _preimages(g_coef, w, sign * theta, preimage)
+            radial = _trig_eval(np.fft.rfft(mapped), preimage)
+        n *= 2
+    raise NoConvergence(f"graph transform residual {residual:.3e} (coefficient tail "
+                        f"{tail:.3e}) above tol={tol} at the cap of {SPECTRAL_NODE_CAP} nodes")
 
-        w = sign * lift
-        targets = sign * theta
-        targets = targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI)
-        radial = _periodic_pchip(w, mapped, targets)
-    else:
-        raise NoConvergence(f"graph transform residual {residual:.3e} above tol={tol} "
-                            f"after 10^4 iterations")
 
+def _sampled_curve(coef, g_coef, residual, sign, size) -> InvariantCurve:
+    """The converged polynomial ``coef`` at ``size`` uniform angles, after
+    checking 1 + g' > 0 there for the lift's ``g_coef``."""
+    slope = _trig_resample(1j * np.arange(len(g_coef)) * g_coef[None], size)[0]
+    if not np.all(slope > -1.0):
+        raise NotACircleMap("angular component is not strictly monotone along the curve")
     orientation = Orientation.PRESERVING if sign > 0 else Orientation.REVERSING
-    return InvariantCurve(theta, np.ascontiguousarray(radial.T), residual, orientation)
+    return InvariantCurve(np.arange(size) * (TWO_PI / size),
+                          np.ascontiguousarray(_trig_resample(coef, size).T),
+                          residual, orientation)
 
 
 @dataclass
@@ -1122,8 +1117,12 @@ class ClassificationRecord:
 
 def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord:
     """Run the case condition and the case-appropriate computation: a
-    Newton fixed point, a graph-transform curve on 2^16 nodes, or a cone
-    certificate on 256 angles.
+    Newton fixed point, a graph-transform curve sampled on 2^16 angles, or
+    a cone certificate on 256 angles.  The curve is solved on 128 to 4,096
+    trigonometric nodes; 2^16 is only its output sampling, and the record's
+    ``residual_sup`` is the invariance residual at the solve's nodes (see
+    InvariantCurve).  The orientation follows from m: the curve's circle
+    map has the lift's degree.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
     Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
@@ -1176,16 +1175,10 @@ def _fixed_point_record(mu, condition, fp):
 
 
 def _curve_or_cone_record(model: ValidatedModel, mu, condition):
-    m = model.m
     try:
         if condition.case_tag is CaseTag.TORUS_OR_KLEIN:
             curve = graph_transform_curve(model, mu, 2 ** 16)
-            expected = Orientation.PRESERVING if m == 1 else Orientation.REVERSING
-            if curve.orientation is not expected:
-                return ClassificationRecord(AttractorLabel.INDETERMINATE, mu,
-                                            condition=condition, curve=curve,
-                                            reason="unexpected orientation")
-            label = AttractorLabel.INVARIANT_TORUS if m == 1 else AttractorLabel.KLEIN_BOTTLE
+            label = AttractorLabel.INVARIANT_TORUS if model.m == 1 else AttractorLabel.KLEIN_BOTTLE
             return ClassificationRecord(label, mu, condition=condition, curve=curve)
         certificate = cone_certify(model, mu)
     except Undecided as exc:

@@ -135,6 +135,7 @@ class SeriesBank:
         n_sin = max((len(s.sine_coeffs) for s in rows), default=0)
         self.n_rows = len(rows)
         self.n_base = len(series)
+        self.degree = max(n_cos, n_sin)
         self.cos_mat = np.zeros((self.n_rows, n_cos + 1))
         self.sin_mat = np.zeros((self.n_rows, n_sin))
         for i, s in enumerate(rows):

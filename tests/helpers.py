@@ -26,6 +26,21 @@ def demo_model(name: str) -> bsl.ValidatedModel:
     return bsl.load_model(CONFIG_DIR / f"{name}.json")
 
 
+def trig_interpolant(values, theta):
+    """The trigonometric interpolant of ``values`` (rows, N even) on N
+    uniform nodes over one turn, at the 1-d angles ``theta``: one cosine
+    and sine pair per mode, the Nyquist mode as a cosine of half weight."""
+    n = values.shape[1]
+    nodes = np.arange(n) * (2.0 * np.pi / n)
+    out = np.zeros((len(values), len(theta)))
+    for k in range(n // 2 + 1):
+        a = values @ np.cos(k * nodes) * (2.0 / n)
+        b = values @ np.sin(k * nodes) * (2.0 / n)
+        half = 0.5 if k in (0, n // 2) else 1.0
+        out += half * (np.outer(a, np.cos(k * theta)) + np.outer(b, np.sin(k * theta)))
+    return out
+
+
 def uncoupled_config(m=0, gamma=1.0, lam=2.0, beta=3.5, d=1.0, n=3,
                      alpha=None, h=None) -> bsl.ModelConfig:
     """Model with all couplings and g0 identically zero."""

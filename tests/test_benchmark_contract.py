@@ -8,7 +8,7 @@ import inspect
 
 import numpy as np
 
-from helpers import CONFIG_DIR
+from helpers import CONFIG_DIR, trig_interpolant
 
 SPANS = CONFIG_DIR.parent / "benchmark" / "spans.py"
 
@@ -58,23 +58,38 @@ def test_graph_transform_steps_through_the_traced_kernel(monkeypatch):
     """The benchmark counts graph-transform iterations as the
     ``ValidatedModel.rescaled_step`` calls made inside the solve, wrapping
     the class attribute as ``Tracer.install`` does: every iteration must make
-    exactly one such call, on the whole node grid, and none may repeat."""
+    exactly one such call, on the uniform grid of the solve's N nodes, the
+    first from the limit curve, and none may repeat another."""
     bsl = importlib.import_module("blueskylab")
     original = vars(bsl.ValidatedModel)["rescaled_step"]
     calls = []
 
     def counted(self, X, Y, theta, *args, **kwargs):
-        calls.append((np.array(X), np.array(Y), np.array(theta)))
-        return original(self, X, Y, theta, *args, **kwargs)
+        out = original(self, X, Y, theta, *args, **kwargs)
+        calls.append((np.vstack([X, Y]), np.array(theta), np.vstack([out[0], out[1]]), out[2]))
+        return out
 
     monkeypatch.setattr(bsl.ValidatedModel, "rescaled_step", counted)
     model = bsl.load_model(CONFIG_DIR / "demo_m1.json")
-    curve = bsl.graph_transform_curve(model, 1e-4, 2 ** 12, tol=1e-6)
-    # this solve interpolates twice, so it makes three steps: from the limit
-    # curve, from each interpolated iterate, the last one giving the residual
-    assert len(calls) == 3
-    assert np.array_equal(calls[0][0], model.limit_radial(curve.theta_grid))
-    for (X, Y, theta), (X_next, _, _) in zip(calls, calls[1:]):
-        assert np.array_equal(theta, curve.theta_grid)
-        assert not np.array_equal(X, X_next)
-    assert np.array_equal(np.column_stack([calls[-1][0], calls[-1][1].T]), curve.radial_values)
+    # at this tol the solve takes two steps on 128 nodes, doubles, and takes
+    # three on 256
+    curve = bsl.graph_transform_curve(model, 1e-4, 2 ** 12, tol=1e-11)
+    assert [len(theta) for _, theta, _, _ in calls] == [128, 128, 256, 256, 256]
+    assert np.array_equal(calls[0][0], np.vstack([model.limit_radial(calls[0][1]),
+                                                  np.zeros((model.ydim, 128))]))
+    for _, theta, _, _ in calls:
+        assert np.array_equal(theta, np.arange(len(theta)) * (2.0 * np.pi / len(theta)))
+    for i, (radial, _, _, _) in enumerate(calls):
+        assert not any(np.array_equal(radial, later[0]) for later in calls[i + 1 :])
+    for (radial, theta, image, lift), (radial_next, theta_next, _, _) in zip(calls, calls[1:]):
+        if len(theta_next) == len(theta):
+            # the next iterate passes through this call's image: one step
+            on_next = trig_interpolant(radial_next, np.mod(lift, 2.0 * np.pi))
+            np.testing.assert_allclose(on_next, image, rtol=0, atol=1e-9)
+        else:
+            # a doubled grid starts from the same polynomial
+            np.testing.assert_allclose(radial_next[:, ::2], radial, rtol=0, atol=1e-13)
+    # the last call stepped from the returned curve
+    last = calls[-1][0]
+    np.testing.assert_allclose(curve.radial_values[:: 2 ** 12 // last.shape[1]].T, last,
+                               rtol=0, atol=1e-13)

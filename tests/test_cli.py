@@ -236,18 +236,27 @@ def test_module_entry_point():
     assert proc.returncode == 0
 
 
-def test_import_leaves_scipy_unloaded():
-    """Importing the package, loading a model and the whole |m| = 1 path (the
-    graph transform, classification, the circle degree) do not import scipy;
-    only the branch coding (``branch_boundaries``' ``brentq``) loads it.
-    Checked in a fresh interpreter, because the test suite imports scipy
-    itself."""
+def test_import_leaves_scipy_unloaded(tmp_path):
+    """Importing the package and loading models load neither scipy nor
+    numpy.fft, and the whole |m| = 1 path (the graph transform,
+    classification, the circle degree, the CLI classify and sweep, for
+    m = 1 and m = -1) reaches numpy.fft but not scipy; only the branch
+    coding (``branch_boundaries``' ``brentq``) loads scipy.  Checked in a
+    fresh interpreter, because the test suite imports scipy itself."""
     code = ("import sys; import blueskylab as b, blueskylab.cli; "
             f"b.load_model({config('demo_m0')!r}); "
             f"m = b.load_model({config('demo_m1')!r}); "
+            f"k = b.load_model({config('demo_m-1')!r}); "
+            "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported at set-up'; "
             "b.graph_transform_curve(m, 1e-4, 2 ** 12, tol=1e-6); "
             "assert b.classify_attractor(m, 1e-4).label.value == 'InvariantTorus'; "
-            "assert b.circle_degree(m, 1e-4) == 1; "
+            "assert b.classify_attractor(k, 1e-4).label.value == 'KleinBottle'; "
+            "assert b.circle_degree(m, 1e-4) == 1 and b.circle_degree(k, 1e-4) == -1; "
+            f"assert b.cli.main(['classify', {config('demo_m-1')!r}, '--mu', '1e-4', "
+            f"'--out', {str(tmp_path)!r}]) == 0; "
+            f"assert b.cli.main(['sweep', {config('demo_m1')!r}, '--mu-min', '1e-5', "
+            f"'--mu-max', '1e-3', '--per-decade', '2', '--out', {str(tmp_path)!r}]) == 0; "
+            "assert 'numpy.fft' in sys.modules; "
             "assert 'scipy' not in sys.modules, 'scipy imported'")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
