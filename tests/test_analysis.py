@@ -1,10 +1,10 @@
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import blueskylab as bsl
@@ -30,6 +30,7 @@ from blueskylab import (
 from blueskylab.analysis import (
     _cone_upper_bounds,
     _max_operator_norm,
+    _periodic_interp,
     _prefix_diameters,
     _trapping_jacobians,
 )
@@ -44,6 +45,14 @@ from helpers import (
     random_region_points,
     trig_interpolant,
     uncoupled_config,
+)
+import pchip_reference
+from pchip_reference import (
+    REFERENCE_FILE,
+    REFERENCE_NODES,
+    REFERENCE_STRIDE,
+    pchip_graph_transform,
+    periodic_pchip,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -117,13 +126,15 @@ def test_curve_uncoupled_matches_preimage_formula():
 def test_curve_matches_the_dense_piecewise_cubic_solve():
     # reference: every 1,024th node of the 2^17-node piecewise-cubic (PCHIP)
     # graph transform that this spectral solve replaced, at its default tol
-    ref = np.load(Path(__file__).parent / "data" / "curve_reference.npz")
+    # (pchip_reference.py rebuilds the file)
+    ref = np.load(REFERENCE_FILE)
     for name in ("demo_m1", "demo_m-1"):
         model = demo_model(name)
         assert len(ref["mu"]) == 9 and len(ref[name]) == 9
         for mu, nodes in zip(ref["mu"], ref[name]):
-            curve = graph_transform_curve(model, mu, 2 ** 17)
-            np.testing.assert_allclose(curve.radial_values[::1024], nodes, rtol=0, atol=1e-9)
+            curve = graph_transform_curve(model, mu, REFERENCE_NODES)
+            np.testing.assert_allclose(curve.radial_values[::REFERENCE_STRIDE], nodes,
+                                       rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("grid_size", [8, 1000, 2 ** 17])
@@ -194,6 +205,143 @@ def test_curve_requires_unit_degree():
     model = demo_model("demo_m2")
     with pytest.raises(CaseMismatch):
         graph_transform_curve(model, 1e-5)
+
+
+def _graph_transform_step_3n(model, mu, theta, radial):
+    """One graph-transform step with PCHIP on the full 3N-node periodic
+    extension (w - 2 pi, w, w + 2 pi) of the mapped curve."""
+    Xb, Yb, lift, _ = model.rescaled_step(radial[:, 0], radial[:, 1:].T, theta, mu)
+    sign = 1.0 if lift[1] > lift[0] else -1.0
+    w = sign * lift
+    values = np.column_stack([Xb, Yb.T])
+    interp = PchipInterpolator(np.concatenate([w - TWO_PI, w, w + TWO_PI]),
+                               np.vstack([values] * 3), axis=0)
+    targets = sign * theta
+    return interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
+
+
+def _node_major_residual(model, mu, theta, radial):
+    """The invariance residual of node rows ``radial`` (shape (N, 1 + k)),
+    with the Y components of each node summed along the rows."""
+    Xb, Yb, lift, _ = model.rescaled_step(radial[:, 0], radial[:, 1:].T, theta, mu)
+    interp = _periodic_interp(radial, lift)
+    dy = Yb.T - interp[:, 1:]
+    return float(np.max(np.sqrt((Xb - interp[:, 0]) ** 2 + np.sum(dy ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1"] + [
+    pytest.param((n, m), id=f"random-n{n}-m{m}")
+    for n, m in ((2, 1), (4, -1), (5, 1), (10, 1))])
+def test_curve_equals_the_3n_extension_bit_for_bit(name):
+    # the PCHIP oracle at 2^12 nodes takes two interpolation steps; its
+    # padded PCHIP must reproduce the 3N-extension iterate exactly, not just
+    # closely, and its residual the node-major one.  The spectral solve must
+    # then agree with the oracle's 2^15-node curve.  The random (n, m)
+    # configs take k = 0, 2, 3 and 8 strong-stable rows
+    if isinstance(name, str):
+        model = demo_model(name)
+    else:
+        n, m = name
+        model = validate_config(random_config(np.random.default_rng(2), m=m, n=n))
+    mu = 1e-4
+    curve = pchip_graph_transform(model, mu, grid_size=2 ** 12, tol=1e-6)
+    theta = curve.theta_grid
+    radial = np.column_stack([model.limit_radial(theta), np.zeros((len(theta), model.ydim))])
+    iterates = []
+    for _ in range(4):
+        radial = _graph_transform_step_3n(model, mu, theta, radial)
+        iterates.append(radial)
+    assert not np.array_equal(iterates[0], curve.radial_values)
+    same = [it for it in iterates if np.array_equal(it, curve.radial_values)]
+    assert same
+    assert _node_major_residual(model, mu, theta, same[0]) == curve.residual_sup
+
+    dense = pchip_graph_transform(model, mu, grid_size=2 ** 15)
+    spectral = graph_transform_curve(model, mu, grid_size=2 ** 12)
+    assert spectral.orientation is dense.orientation
+    np.testing.assert_allclose(spectral.radial_values, dense.radial_values[::8],
+                               rtol=0, atol=1e-9)
+
+
+def _pchip_4_node_pad(w, values, targets):
+    """scipy's PCHIP on the curve padded by 4 nodes from the other end of
+    the turn on each side, value rows on axis 1."""
+    w_ext = np.concatenate([w[-4:] - TWO_PI, w, w[:4] + TWO_PI])
+    v_ext = np.concatenate([values[:, -4:], values, values[:, :4]], axis=1)
+    return PchipInterpolator(w_ext, v_ext, axis=1)(targets)
+
+
+def _periodic_nodes(rng, n):
+    """Strictly increasing nodes spanning less than one turn, and the node
+    targets of a uniform grid shifted onto [w[0], w[0] + 2 pi] for both
+    orientations, as the graph transform shifts them."""
+    gaps = rng.uniform(0.2, 1.0, n)
+    w = rng.uniform(-20.0, 20.0) + np.concatenate([[0.0], np.cumsum(gaps[:-1])]) \
+        * (TWO_PI / gaps.sum())
+    theta = np.arange(n) * (TWO_PI / n) + rng.uniform(0.0, TWO_PI / n)
+    shifted = []
+    for sign in (1.0, -1.0):
+        targets = sign * theta
+        shifted.append(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI))
+    return w, shifted
+
+
+@pytest.mark.parametrize("block", [5, 64, pchip_reference.PCHIP_BLOCK])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_periodic_pchip_equals_scipy_bit_for_bit(monkeypatch, rows, block):
+    # the PCHIP oracle's interpolation; small blocks put block edges inside
+    # the nodes and the targets
+    monkeypatch.setattr(pchip_reference, "PCHIP_BLOCK", block)
+    rng = np.random.default_rng(rows)
+    for n in (8, 9, 64, 1000):
+        w, shifted = _periodic_nodes(rng, n)
+        values = rng.normal(size=(rows, n))
+        for targets in shifted + [rng.uniform(w[0], w[0] + TWO_PI, 3 * n)]:
+            got = periodic_pchip(w, values, targets)
+            assert got.shape == (rows, len(targets))
+            assert np.array_equal(got, _pchip_4_node_pad(w, values, targets))
+
+
+def test_periodic_pchip_flat_secants_and_sign_changes():
+    # repeated values (a zero secant) and alternating secant signs take the
+    # zero-slope branch of the Fritsch & Butland slopes
+    rng = np.random.default_rng(3)
+    w, shifted = _periodic_nodes(rng, 12)
+    values = np.array([[0.0, 1.0, 1.0, 1.0, -2.0, 3.0, -4.0, 0.0, 0.0, 5.0, 5.0, 0.5],
+                       [1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, 2.0, 3.0, 1.0]])
+    secants = np.diff(np.concatenate([values, values[:, :1]], axis=1), axis=1)
+    assert np.any(secants == 0.0) and np.any(secants[:, 1:] * secants[:, :-1] < 0.0)
+    for targets in shifted + [np.linspace(w[0], w[0] + TWO_PI, 97)]:
+        assert np.array_equal(periodic_pchip(w, values, targets),
+                              _pchip_4_node_pad(w, values, targets))
+    # a -0.0 node between secants -1/3, -1 and -7, where every coefficient
+    # of the cubic is negative: scipy sums from +0.0, so the node gives +0.0
+    secants = np.array([1.0, 1.0, 1.0, 1.0, -1 / 3, -1.0, -7.0, 1.0, 1.0, 1.0, 1.0])
+    values = np.concatenate([[0.0], np.cumsum(secants * np.diff(w))])[None]
+    values -= values[0, 5]
+    values[0, 5] = -0.0
+    got = periodic_pchip(w, values, w[4:7])
+    assert got.tobytes() == _pchip_4_node_pad(w, values, w[4:7]).tobytes()
+    assert not np.signbit(got[0, 1])
+
+
+def test_periodic_pchip_target_on_the_closing_node():
+    # the target shift can round onto w[0] + 2 pi exactly; there the
+    # interval starts at the first node's copy, whose value comes back
+    rng = np.random.default_rng(4)
+    w, _ = _periodic_nodes(rng, 16)
+    values = rng.normal(size=(3, 16))
+    targets = np.array([w[0], w[0] + TWO_PI, w[5], w[-1], w[0] + TWO_PI])
+    got = periodic_pchip(w, values, targets)
+    assert np.array_equal(got, _pchip_4_node_pad(w, values, targets))
+    assert np.array_equal(got[:, 1], values[:, 0]) and np.array_equal(got[:, 4], values[:, 0])
+    # one ulp below each node of a fine curve, where a located position can
+    # round up onto the node
+    w, _ = _periodic_nodes(rng, 4096)
+    values = rng.normal(size=(2, 4096))
+    below = np.nextafter(np.append(w, w[0] + TWO_PI), -np.inf)
+    assert np.array_equal(periodic_pchip(w, values, below),
+                          _pchip_4_node_pad(w, values, below))
 
 
 def _linear_periodic(values, theta):
