@@ -84,6 +84,10 @@ LYAPUNOV_ENSEMBLE = 256
 ITINERARY_TRANSIENT = 64
 BOUNDARY_TOL = 1e-9
 MAX_RESAMPLE_ROUNDS = 8
+# bracketed root solves of the branch boundaries: the bracket width taken as
+# converged, and the step budget
+ROOT_XTOL = 1e-14
+ROOT_MAX_STEPS = 200
 # Newton fixed points: residual tolerance and step budget of each row
 NEWTON_TOL = 1e-13
 NEWTON_MAX_STEPS = 100
@@ -592,7 +596,6 @@ class ConeCertificate:
     sup_qr: float
     cross_sup_pr: float
     cross_sup_ptheta_bar: float
-    cross_sup_qtheta_bar: float
     cross_sup_qr: float
     L_interval: tuple[float, float] | None
     verdict: bool
@@ -616,7 +619,6 @@ class ConeCertificate:
             "sup_qr": self.sup_qr,
             "cross_sup_pr": self.cross_sup_pr,
             "cross_sup_ptheta_bar": self.cross_sup_ptheta_bar,
-            "cross_sup_qtheta_bar": self.cross_sup_qtheta_bar,
             "cross_sup_qr": self.cross_sup_qr,
             "L_interval": interval,
             "verdict": self.verdict,
@@ -624,17 +626,20 @@ class ConeCertificate:
         }
 
 
-def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt, cross_qt, cross_qr):
+def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt):
     """Whether the forward and cross-form conditions hold with a nonempty
     interval of admissible cone apertures cross_pt/(1-cross_pr) < L <
-    (1-cross_qt)/cross_qr, and that interval (None when empty)."""
+    (1-qt_inv)/qr_over_qt, and that interval (None when empty).  The
+    forward terms |(dq/dtheta)^-1| and |dq/dr| / |dq/dtheta| are also the
+    cross form's |dtheta/dtheta_bar| and |dtheta/dr|, so both conditions
+    read ``qt_inv`` and ``qr_over_qt``."""
     c_forward = pr < 1.0 and (1.0 - pr) * (1.0 - qt_inv) > ptheta * qr_over_qt
-    c_cross = cross_pr < 1.0 and cross_qt < 1.0 and \
-        (1.0 - cross_pr) * (1.0 - cross_qt) >= cross_pt * cross_qr
+    c_cross = cross_pr < 1.0 and qt_inv < 1.0 and \
+        (1.0 - cross_pr) * (1.0 - qt_inv) >= cross_pt * qr_over_qt
     interval = None
-    if cross_pr < 1.0 and cross_qt < 1.0:
+    if cross_pr < 1.0 and qt_inv < 1.0:
         low = cross_pt / (1.0 - cross_pr)
-        high = np.inf if cross_qr == 0.0 else (1.0 - cross_qt) / cross_qr
+        high = np.inf if qr_over_qt == 0.0 else (1.0 - qt_inv) / qr_over_qt
         if low < high:
             interval = (float(low), float(high))
     return c_forward and c_cross and interval is not None, interval
@@ -657,8 +662,8 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     bounds : dict
         The certified record over the whole region, as
         ``_cone_upper_bounds`` returns it: upper bounds ``pr``, ``ptheta``,
-        ``qr``, ``cross_pr``, ``cross_ptheta_bar``, ``cross_qtheta_bar``,
-        ``cross_qr`` and the lower bound ``qtheta_lower`` of |dq/dtheta|.
+        ``qr``, ``cross_pr``, ``cross_ptheta_bar`` and the lower bound
+        ``qtheta_lower`` of |dq/dtheta|.
 
     The verdict is True only when this record satisfies the forward and
     cross-form conditions with a nonempty aperture interval.  Otherwise
@@ -669,21 +674,16 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     """
     sups, count = _sample_maxima(jacobians)
     cert = dict(bounds)
-    verdict, interval = _cone_checks(
-        cert["pr"], cert["ptheta"], 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"],
-        cert["cross_pr"], cert["cross_ptheta_bar"], cert["cross_qtheta_bar"], cert["cross_qr"])
+    qt_inv, qr_over_qt = 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"]
+    verdict, interval = _cone_checks(cert["pr"], cert["ptheta"], qt_inv, qr_over_qt,
+                                     cert["cross_pr"], cert["cross_ptheta_bar"])
     cert["L_interval"] = interval
-    # sampled, the forward terms |(dq/dtheta)^-1| and |dq/dr| / |dq/dtheta|
-    # are the cross-form |dtheta/dtheta_bar| and |dtheta/dr|: one maximum each
     if not verdict and _cone_checks(
             sups["sup_pr"], sups["sup_ptheta"], sups["sup_qtheta_inv"], sups["cross_sup_qr"],
-            sups["cross_sup_pr"], sups["cross_sup_ptheta_bar"], sups["sup_qtheta_inv"],
-            sups["cross_sup_qr"])[0]:
-        margin = (1.0 - cert["cross_pr"]) * (1.0 - cert["cross_qtheta_bar"]) \
-            - cert["cross_ptheta_bar"] * cert["cross_qr"]
+            sups["cross_sup_pr"], sups["cross_sup_ptheta_bar"])[0]:
+        margin = (1.0 - cert["cross_pr"]) * (1.0 - qt_inv) - cert["cross_ptheta_bar"] * qr_over_qt
         raise Inconclusive(CaseTag.SOLENOID, margin, None, count)
-    return ConeCertificate(**sups, cross_sup_qtheta_bar=sups["sup_qtheta_inv"],
-                           L_interval=interval, verdict=verdict, certified=cert)
+    return ConeCertificate(**sups, L_interval=interval, verdict=verdict, certified=cert)
 
 
 def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
@@ -751,8 +751,6 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
         "qr": b_qr,
         "cross_pr": b_pr + b_ptheta * b_qr / qtheta_lo,
         "cross_ptheta_bar": b_ptheta / qtheta_lo,
-        "cross_qtheta_bar": 1.0 / qtheta_lo,
-        "cross_qr": b_qr / qtheta_lo,
         "qtheta_lower": qtheta_lo,
     }
 
@@ -916,6 +914,52 @@ class ItineraryReport:
         }
 
 
+def _bracketed_roots(g, targets, nodes, values):
+    """The x with g(x) = targets, each bracketed between consecutive
+    ``nodes`` by the samples ``values`` = g(nodes) (increasing) and refined
+    together: one call of the vectorised ``g`` on every bracket per step.
+
+    Each step is the Illinois modified regula falsi (Dowell & Jarratt, BIT
+    11, 168, 1971): the secant through the bracket ends, with the value at
+    an end kept twice running halved, and the new point at least
+    0.4 ROOT_XTOL inside the bracket, so an end sitting on the root cannot
+    stall it.  A bracket not halved by the two steps before bisects instead
+    (as in Brent's method), so every bracket shrinks below ROOT_XTOL; its
+    midpoint is returned.  A root on a bracket end comes
+    back as that end.  NotACircleMap where the samples do not change sign
+    about a target; NoConvergence after ROOT_MAX_STEPS steps.
+    """
+    targets = np.asarray(targets, dtype=float)
+    i = np.searchsorted(values, targets)
+    below, above = np.maximum(i - 1, 0), np.minimum(i, len(nodes) - 1)
+    f_lo, f_hi = values[below] - targets, values[above] - targets
+    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0.0):
+        raise NotACircleMap("the angular lift does not bracket a branch target")
+    lo = np.where(f_hi == 0.0, nodes[above], nodes[below])
+    hi = np.where(f_lo == 0.0, nodes[below], nodes[above])
+    side = np.zeros(len(targets))        # the end that moved last: -1 lower, +1 upper
+    earlier = previous = np.full(len(targets), np.inf)   # widths two and one steps before
+    for _ in range(ROOT_MAX_STEPS):
+        width = hi - lo
+        active = width > ROOT_XTOL
+        if not active.any():
+            return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lo - f_lo * width / (f_hi - f_lo)
+        x = np.clip(x, lo + 0.4 * ROOT_XTOL, hi - 0.4 * ROOT_XTOL)
+        x = np.where(np.isnan(x) | (width > 0.5 * earlier), 0.5 * (lo + hi), x)
+        fx = g(x) - targets
+        same = np.sign(fx) * np.sign(f_hi)       # +1: x is the new upper end, -1 the lower
+        upper, lower, root = active & (same > 0.0), active & (same < 0.0), active & (fx == 0.0)
+        f_lo = np.where(upper & (side > 0.0), 0.5 * f_lo, f_lo)
+        f_hi = np.where(lower & (side < 0.0), 0.5 * f_hi, f_hi)
+        side = np.where(upper, 1.0, np.where(lower, -1.0, side))
+        lo, f_lo = np.where(lower | root, x, lo), np.where(lower, fx, f_lo)
+        hi, f_hi = np.where(upper | root, x, hi), np.where(upper, fx, f_hi)
+        earlier, previous = previous, width
+    raise NoConvergence(f"bracketed roots wider than {ROOT_XTOL} after {ROOT_MAX_STEPS} steps")
+
+
 def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, float]:
     """Branch cells of the degree-m angular factor along the limit curve.
 
@@ -925,6 +969,13 @@ def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, flo
     itself a boundary, so the set of angles sharing a depth-k itinerary is
     a single arc contracting at the inverse expansion rate.
 
+    The signed lift is sampled at 4,096 + 1 angles over one turn, where it
+    must be strictly increasing (NotACircleMap); the samples bracket the
+    fixed point and then the |m| pre-images.  Each stage is one vectorised
+    bracketed solve (``_bracketed_roots``: safeguarded Illinois steps, one
+    ``rescaled_step`` call per step for all brackets) down to a bracket
+    width of ROOT_XTOL = 1e-14.
+
     Returns (boundaries sorted in [0, 2pi), first window target t0 of the
     signed lift); the |m| arcs between consecutive boundaries are the
     symbol cells.
@@ -933,7 +984,6 @@ def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, flo
     if abs(m) < 2:
         raise CaseMismatch(f"branch coding requires |m| >= 2, got m={m}")
     sign = 1.0 if m > 0 else -1.0
-    from scipy.optimize import brentq  # lazy: scipy would dominate import time
 
     dense = np.linspace(0.0, TWO_PI, 4096 + 1)
     lift_dense = np.asarray(_reference_lift(model, mu, dense), dtype=float)
@@ -945,25 +995,16 @@ def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, flo
     # multiple; sign * (lift - theta) is monotone increasing either way
     g_dense = sign * (lift_dense - dense)
     g_target = TWO_PI * (np.floor(g_dense[0] / TWO_PI) + 1.0)
-    i = int(np.searchsorted(g_dense, g_target))
-    fixed = brentq(
-        lambda x: sign * (float(_reference_lift(model, mu, x)) - x) - g_target,
-        dense[max(i - 1, 0)], dense[min(i, len(dense) - 1)], xtol=1e-14,
-    )
+    fixed, = _bracketed_roots(lambda x: sign * (_reference_lift(model, mu, x) - x),
+                              [g_target], dense, g_dense)
     fixed = float(reduce_angle(fixed))
-
-    def w(theta):
-        return sign * float(_reference_lift(model, mu, theta))
 
     sp = sign * fixed
     k0 = int(np.ceil((w_dense[0] - sp) / TWO_PI))
     targets = sp + TWO_PI * (k0 + np.arange(abs(m)))
-    bounds = []
-    for t in targets:
-        i = int(np.searchsorted(w_dense, t))
-        lo, hi = dense[max(i - 1, 0)], dense[min(i, len(dense) - 1)]
-        bounds.append(brentq(lambda x, t=t: w(x) - t, lo, hi, xtol=1e-14))
-    return np.sort(reduce_angle(np.array(bounds))), float(targets[0])
+    bounds = _bracketed_roots(lambda x: sign * _reference_lift(model, mu, x),
+                              targets, dense, w_dense)
+    return np.sort(reduce_angle(bounds)), float(targets[0])
 
 
 def _prefix_diameters(angles: np.ndarray, symbols: np.ndarray,

@@ -16,10 +16,9 @@ F = FourierSeries
 
 # the exact certified record of the skew map r_bar = 0.3 r + 0.1 cos(theta),
 # theta_bar = 2 theta: |dp/dr| = 0.3, |dp/dtheta| <= 0.1, dq/dr = 0,
-# dq/dtheta = 2, and its cross form (theta from theta_bar) 0.3, 0.05, 0.5, 0
+# dq/dtheta = 2, and its cross form (theta from theta_bar) 0.3, 0.05
 SKEW_MAP_RECORD = {"pr": 0.3, "ptheta": 0.1, "qr": 0.0, "qtheta_lower": 2.0,
-                   "cross_pr": 0.3, "cross_ptheta_bar": 0.05, "cross_qtheta_bar": 0.5,
-                   "cross_qr": 0.0}
+                   "cross_pr": 0.3, "cross_ptheta_bar": 0.05}
 
 
 def demo_model(name: str) -> bsl.ValidatedModel:

@@ -28,6 +28,7 @@ from blueskylab import (
     validate_config,
 )
 from blueskylab.analysis import (
+    _bracketed_roots,
     _cone_upper_bounds,
     _max_operator_norm,
     _periodic_interp,
@@ -37,6 +38,7 @@ from blueskylab.analysis import (
 from blueskylab.model import angle_diff, reduce_angle
 
 from helpers import (
+    CONFIG_DIR,
     SKEW_MAP_RECORD,
     advance,
     coupled_config,
@@ -428,7 +430,6 @@ def test_skew_map_certificate_hand_values():
     assert cert.sup_qr == pytest.approx(0.0, abs=1e-12)
     assert cert.cross_sup_pr == pytest.approx(0.3, abs=1e-9)
     assert cert.cross_sup_ptheta_bar == pytest.approx(0.05, abs=1e-9)
-    assert cert.cross_sup_qtheta_bar == pytest.approx(0.5, abs=1e-9)
     assert cert.cross_sup_qr == pytest.approx(0.0, abs=1e-12)
     low, high = cert.L_interval
     assert low == pytest.approx(1.0 / 14.0, abs=1e-9)
@@ -633,8 +634,7 @@ def test_homotopy_to_skew_product_keeps_certificate():
         assert cert.sup_qtheta_inv <= 1.0 / record["qtheta_lower"]
         assert cert.cross_sup_pr <= record["cross_pr"]
         assert cert.cross_sup_ptheta_bar <= record["cross_ptheta_bar"]
-        assert cert.cross_sup_qtheta_bar <= record["cross_qtheta_bar"]
-        assert cert.cross_sup_qr <= record["cross_qr"]
+        assert cert.cross_sup_qr <= record["qr"] / record["qtheta_lower"]
 
 
 # -- lyapunov spectrum -----------------------------------------------------------
@@ -674,12 +674,12 @@ def test_cone_certificate_serialization_fields():
     payload = cert.to_dict()
     assert set(payload) == {
         "sup_pr", "sup_ptheta", "sup_qtheta_inv", "sup_qr",
-        "cross_sup_pr", "cross_sup_ptheta_bar", "cross_sup_qtheta_bar",
-        "cross_sup_qr", "L_interval", "verdict", "certified",
+        "cross_sup_pr", "cross_sup_ptheta_bar", "cross_sup_qr",
+        "L_interval", "verdict", "certified",
     }
     assert set(payload["certified"]) == {
         "pr", "ptheta", "qr", "qtheta_lower",
-        "cross_pr", "cross_ptheta_bar", "cross_qtheta_bar", "cross_qr",
+        "cross_pr", "cross_ptheta_bar",
     }
     low, high = payload["L_interval"]
     assert low > 0.0 and (high is None or high > low)
@@ -777,6 +777,80 @@ def test_lyapunov_escape_propagates():
 
 
 # -- itineraries -------------------------------------------------------------------
+
+
+def _brentq_branch_boundaries(model, mu):
+    """Reference for ``branch_boundaries``: one scalar ``brentq`` solve per
+    root, on the brackets of the same 4,097-point sampled lift."""
+    sign = 1.0 if model.m > 0 else -1.0
+
+    def lift(x):
+        x = np.asarray(x, dtype=float)
+        Y = np.zeros((model.ydim,) + x.shape)
+        return model.rescaled_step(model.limit_radial(x), Y, x, mu)[2]
+
+    dense = np.linspace(0.0, TWO_PI, 4096 + 1)
+
+    def solve(f, values, target):
+        i = int(np.searchsorted(values, target))
+        return brentq(lambda x: f(x) - target, dense[max(i - 1, 0)], dense[min(i, 4096)],
+                      xtol=1e-14)
+
+    lift_dense = lift(dense)
+    g_dense = sign * (lift_dense - dense)
+    g_target = TWO_PI * (np.floor(g_dense[0] / TWO_PI) + 1.0)
+    fixed = float(reduce_angle(solve(lambda x: sign * (float(lift(x)) - x), g_dense, g_target)))
+    w_dense = sign * lift_dense
+    k0 = np.ceil((w_dense[0] - sign * fixed) / TWO_PI)
+    targets = sign * fixed + TWO_PI * (k0 + np.arange(abs(model.m)))
+    roots = [solve(lambda x: sign * float(lift(x)), w_dense, t) for t in targets]
+    return np.sort(reduce_angle(np.array(roots))), float(targets[0])
+
+
+@pytest.mark.parametrize("m", [2, -2, 3])
+@pytest.mark.parametrize("mu", [1e-7, 1e-5, 1e-3])
+def test_branch_boundaries_match_brentq(m, mu):
+    cfg = bsl.load_config(CONFIG_DIR / "demo_m2.json")
+    cfg.m = m
+    model = validate_config(cfg)
+    bounds, t0 = branch_boundaries(model, mu)
+    ref_bounds, ref_t0 = _brentq_branch_boundaries(model, mu)
+    assert bounds.shape == (abs(m),)
+    assert np.max(np.abs(bounds - ref_bounds)) <= 1e-13
+    assert abs(t0 - ref_t0) <= 1e-13
+
+
+def test_bracketed_roots_on_ends_and_inside():
+    nodes = np.linspace(0.0, 2.0, 5)
+    # exact sample values: each root on a bracket end comes back as that end
+    roots = _bracketed_roots(lambda x: 2.0 * x, [1.0, 0.0, 4.0], nodes, 2.0 * nodes)
+    assert roots.tolist() == [0.5, 0.0, 2.0]
+    calls = []
+
+    def cube(x):
+        calls.append(len(x))
+        return x ** 3
+
+    root, = _bracketed_roots(cube, [2.0], nodes, nodes ** 3)
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-14
+    assert len(calls) <= 12 and set(calls) == {1}
+
+
+def test_bracketed_roots_without_sign_change_is_named():
+    nodes = np.linspace(0.0, 2.0, 5)
+    with pytest.raises(NotACircleMap) as err:
+        _bracketed_roots(lambda x: x, [3.0], nodes, nodes)
+    assert not isinstance(err.value, ValueError)
+
+
+def test_bracketed_roots_step_cap(monkeypatch):
+    nodes = np.linspace(0.0, 2.0, 5)
+    # a function that never settles its sign ends at the cap, not in a loop
+    with pytest.raises(bsl.NoConvergence, match="200 steps"):
+        _bracketed_roots(lambda x: np.full_like(x, np.nan), [1.3], nodes, nodes)
+    monkeypatch.setattr(bsl.analysis, "ROOT_MAX_STEPS", 2)
+    with pytest.raises(bsl.NoConvergence, match="after 2 steps"):
+        _bracketed_roots(lambda x: x ** 3, [2.0], nodes, nodes ** 3)
 
 
 def test_itinerary_doubling_map_binary_expansion():

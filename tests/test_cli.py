@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -237,29 +238,56 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    """Importing the package and loading models load neither scipy nor
-    numpy.fft, and the whole |m| = 1 path (the graph transform,
-    classification, the circle degree, the CLI classify and sweep, for
-    m = 1 and m = -1) reaches numpy.fft but not scipy; only the branch
-    coding (``branch_boundaries``' ``brentq``) loads scipy.  Checked in a
-    fresh interpreter, because the test suite imports scipy itself."""
-    code = ("import sys; import blueskylab as b, blueskylab.cli; "
-            f"b.load_model({config('demo_m0')!r}); "
-            f"m = b.load_model({config('demo_m1')!r}); "
-            f"k = b.load_model({config('demo_m-1')!r}); "
-            "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported at set-up'; "
-            "b.graph_transform_curve(m, 1e-4, 2 ** 12, tol=1e-6); "
-            "assert b.classify_attractor(m, 1e-4).label.value == 'InvariantTorus'; "
-            "assert b.classify_attractor(k, 1e-4).label.value == 'KleinBottle'; "
-            "assert b.circle_degree(m, 1e-4) == 1 and b.circle_degree(k, 1e-4) == -1; "
-            f"assert b.cli.main(['classify', {config('demo_m-1')!r}, '--mu', '1e-4', "
-            f"'--out', {str(tmp_path)!r}]) == 0; "
-            f"assert b.cli.main(['sweep', {config('demo_m1')!r}, '--mu-min', '1e-5', "
-            f"'--mu-max', '1e-3', '--per-decade', '2', '--out', {str(tmp_path)!r}]) == 0; "
-            "assert 'numpy.fft' in sys.modules; "
-            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    """No path of the package loads scipy, a test-only dependency.
+    Importing the package and loading models load neither scipy nor
+    numpy.fft.  The |m| = 1 path (the graph transform, classification, the
+    circle degree, the CLI classify and sweep, for m = 1 and m = -1)
+    reaches numpy.fft; the |m| >= 2 path (the branch coding, itineraries,
+    the cone certificate, the Lyapunov spectrum, the CLI certify, classify
+    and sweep of demo_m2) runs too.  Checked in a fresh interpreter,
+    because the test suite imports scipy itself."""
+    out = str(tmp_path)
+    code = "\n".join([
+        "import sys",
+        "import blueskylab as b, blueskylab.cli",
+        f"b.load_model({config('demo_m0')!r})",
+        f"m = b.load_model({config('demo_m1')!r})",
+        f"k = b.load_model({config('demo_m-1')!r})",
+        f"s = b.load_model({config('demo_m2')!r})",
+        "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported at set-up'",
+        "b.graph_transform_curve(m, 1e-4, 2 ** 12, tol=1e-6)",
+        "assert b.classify_attractor(m, 1e-4).label.value == 'InvariantTorus'",
+        "assert b.classify_attractor(k, 1e-4).label.value == 'KleinBottle'",
+        "assert b.circle_degree(m, 1e-4) == 1 and b.circle_degree(k, 1e-4) == -1",
+        f"assert b.cli.main(['classify', {config('demo_m-1')!r}, '--mu', '1e-4', "
+        f"'--out', {out!r}]) == 0",
+        f"assert b.cli.main(['sweep', {config('demo_m1')!r}, '--mu-min', '1e-5', "
+        f"'--mu-max', '1e-3', '--per-decade', '2', '--out', {out!r}]) == 0",
+        "assert 'numpy.fft' in sys.modules",
+        "assert len(b.branch_boundaries(s, 1e-5)[0]) == 2",
+        "assert b.itinerary_semiconjugacy(s, 1e-5, depth=6, samples=512).shift_consistent",
+        "assert b.cone_certify(s, 1e-5, 64).verdict",
+        "assert b.lyapunov_spectrum(s, 1e-5, 1000, transient=10).top > 0.0",
+        f"assert b.cli.main(['certify', {config('demo_m2')!r}, '--mu', '1e-5', "
+        f"'--grid', '64', '--out', {out!r}]) == 0",
+        f"assert b.cli.main(['classify', {config('demo_m2')!r}, '--mu', '1e-5', "
+        f"'--out', {out!r}]) == 0",
+        f"assert b.cli.main(['sweep', {config('demo_m2')!r}, '--mu-min', '1e-5', "
+        f"'--mu-max', '1e-3', '--per-decade', '1', '--out', {out!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported'",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    """The package installs with numpy alone; scipy serves the tests only."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(CONFIG_DIR.parent / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    names = [re.split(r"[ <>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 @pytest.mark.parametrize("argv, message", [
