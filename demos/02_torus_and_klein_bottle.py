@@ -30,7 +30,7 @@ def show(name):
           f"-> {diag.satisfied}")
 
     curve = bsl.graph_transform_curve(model, MU, grid_size=2 ** 15)
-    print(f"graph transform: trigonometric polynomial sampled on {len(curve.theta_grid)} "
+    print(f"graph transform: trigonometric polynomial sampled on {len(curve.radial_values)} "
           f"angles, residual at its nodes={curve.residual_sup:.2e}, "
           f"orientation={curve.orientation.value}")
     print(f"curve radial range: X in [{curve.X.min():.4f}, {curve.X.max():.4f}]")

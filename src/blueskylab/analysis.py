@@ -257,18 +257,21 @@ class InvariantCurve:
 
     The graph transform represents the curve by the trigonometric
     interpolant of its values at N uniform nodes (N from 128 to 4,096,
-    chosen by the solve).  ``theta_grid`` and ``radial_values`` sample that
-    polynomial at the requested ``grid_size`` angles, and ``radial_at``
-    interpolates the samples linearly.  ``residual_sup`` is the invariance
-    residual at the solve's N nodes: the sup over them of the distance
-    between the image of the node's curve point and the polynomial
-    evaluated at the image angle.
+    chosen by the solve).  The curve keeps only ``radial_values``, that
+    polynomial at ``grid_size`` uniform angles, and ``radial_at``
+    interpolates them linearly.  ``theta_grid`` computes the angles on each
+    access, so a caller indexing them in a loop should keep a local copy.
+    ``residual_sup`` is the invariance residual: the sup over the solve's
+    N nodes of the distance from a node's image to the polynomial there.
     """
 
-    theta_grid: np.ndarray
     radial_values: np.ndarray      # (grid_size, 1 + ydim), column 0 is X
     residual_sup: float
     orientation: Orientation
+
+    @property
+    def theta_grid(self) -> np.ndarray:
+        return np.arange(len(self.radial_values)) * (TWO_PI / len(self.radial_values))
 
     @property
     def X(self) -> np.ndarray:
@@ -321,30 +324,30 @@ def _trig_eval(coef, x):
 
 def _trig_resample(coef, size):
     """The interpolants of ``_trig_eval`` at the ``size`` uniform angles
-    i * 2 pi / size: one zero-padded inverse transform, or a direct
-    evaluation when ``size`` is below their node count."""
+    i * 2 pi / size, C-contiguous (size, rows): one zero-padded inverse
+    transform down the columns, or direct evaluation below their node count."""
     n = 2 * (coef.shape[1] - 1)
     if size < n:
-        return _trig_eval(coef, np.arange(size) * (TWO_PI / size))
-    padded = np.zeros((len(coef), size // 2 + 1), dtype=complex)
-    padded[:, : n // 2 + 1] = coef
-    if size > n:
-        padded[:, n // 2] *= 0.5       # the Nyquist cosine splits between +-n/2
-    return np.fft.irfft(padded, size) * (size / n)
+        return np.ascontiguousarray(_trig_eval(coef, np.arange(size) * (TWO_PI / size)).T)
+    padded = np.zeros((size // 2 + 1, len(coef)), dtype=complex)
+    padded[: n // 2 + 1] = coef.T
+    padded[n // 2] *= 0.5 if size > n else 1.0     # the Nyquist cosine splits between +-n/2
+    out = np.fft.irfft(padded, size, axis=0)
+    out *= size / n
+    return out
 
 
-def _preimages(g_coef, w, targets, start):
+def _preimages(g_coef, w, targets, phi):
     """The angles phi with phi + g(phi) = targets (mod 2 pi), for the
     interpolant g of ``g_coef`` on the uniform nodes theta: Newton's method
-    from ``start``, or without one from the linear inverse of the node
+    from ``phi``, or without one from the linear inverse of the node
     values ``w`` = theta + g (increasing, closing at w[0] + 2 pi).
     NotACircleMap where 1 + g' is not positive; NoConvergence after
     PREIMAGE_MAX_SWEEPS sweeps."""
-    if start is None:
+    if phi is None:
         theta = np.arange(len(w)) * (TWO_PI / len(w))
-        start = np.interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI),
-                          np.append(w, w[0] + TWO_PI), np.append(theta, TWO_PI))
-    phi = start
+        phi = np.interp(targets + TWO_PI * np.ceil((w[0] - targets) / TWO_PI),
+                        np.append(w, w[0] + TWO_PI), np.append(theta, TWO_PI))
     rows = np.stack([g_coef, 1j * np.arange(len(g_coef)) * g_coef])
     for _ in range(PREIMAGE_MAX_SWEEPS):
         g, slope = _trig_eval(rows, phi)
@@ -377,7 +380,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     falling above ``tol`` or the top quarter of the iterate's coefficients
     stays above ``tol``; past 2^12 nodes, NoConvergence.
 
-    ``grid_size`` is the output sampling only: the curve comes back as the
+    ``grid_size`` is the output sampling only: the curve keeps just the
     polynomial at ``grid_size`` uniform angles (one zero-padded inverse FFT,
     or direct evaluation below N nodes), and ``residual_sup`` is its
     residual at the solve's N nodes (see InvariantCurve).
@@ -404,7 +407,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
             radial = np.zeros((1 + model.ydim, n))
             radial[0] = model.limit_radial(theta)
         else:
-            radial = _trig_resample(coef, n)
+            radial = _trig_resample(coef, n).T
         preimage = None
         previous = np.inf
         while True:
@@ -432,14 +435,11 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
 
 def _sampled_curve(coef, g_coef, residual, sign, size) -> InvariantCurve:
     """The converged polynomial ``coef`` at ``size`` uniform angles, after
-    checking 1 + g' > 0 there for the lift's ``g_coef``."""
-    slope = _trig_resample(1j * np.arange(len(g_coef)) * g_coef[None], size)[0]
-    if not np.all(slope > -1.0):
+    checking 1 + g' > 0 there for the lift's ``g_coef`` (g' freed first)."""
+    if not np.all(_trig_resample(1j * np.arange(len(g_coef)) * g_coef[None], size) > -1.0):
         raise NotACircleMap("angular component is not strictly monotone along the curve")
     orientation = Orientation.PRESERVING if sign > 0 else Orientation.REVERSING
-    return InvariantCurve(np.arange(size) * (TWO_PI / size),
-                          np.ascontiguousarray(_trig_resample(coef, size).T),
-                          residual, orientation)
+    return InvariantCurve(_trig_resample(coef, size), residual, orientation)
 
 
 @dataclass
@@ -1145,7 +1145,7 @@ class ClassificationRecord:
             out["fixed_point"] = self.fixed_point.to_dict()
         if self.curve is not None:
             out["curve"] = {
-                "grid_size": len(self.curve.theta_grid),
+                "grid_size": len(self.curve.radial_values),
                 "residual_sup": self.curve.residual_sup,
                 "orientation": self.curve.orientation.value,
             }

@@ -144,7 +144,7 @@ def pchip_graph_transform(model: bsl.ValidatedModel, mu: float, grid_size: int =
         raise bsl.NoConvergence(f"PCHIP graph transform residual {residual:.3e} after 10^4 steps")
 
     orientation = bsl.Orientation.PRESERVING if sign > 0 else bsl.Orientation.REVERSING
-    return bsl.InvariantCurve(theta, np.ascontiguousarray(radial.T), residual, orientation)
+    return bsl.InvariantCurve(np.ascontiguousarray(radial.T), residual, orientation)
 
 
 def reference_curves() -> dict:

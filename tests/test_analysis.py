@@ -34,6 +34,8 @@ from blueskylab.analysis import (
     _periodic_interp,
     _prefix_diameters,
     _trapping_jacobians,
+    _trig_eval,
+    _trig_resample,
 )
 from blueskylab.model import angle_diff, reduce_angle
 
@@ -148,7 +150,8 @@ def test_curve_output_grid_samples_the_polynomial(grid_size):
     curve = graph_transform_curve(model, 1e-4, grid_size)
     assert curve.theta_grid.shape == (grid_size,)
     assert curve.radial_values.shape == (grid_size, 1 + model.ydim)
-    np.testing.assert_array_equal(curve.theta_grid, np.arange(grid_size) * (TWO_PI / grid_size))
+    assert curve.radial_values.flags.c_contiguous
+    assert curve.theta_grid.tobytes() == (np.arange(grid_size) * (TWO_PI / grid_size)).tobytes()
     every = slice(None, None, 1 + grid_size // 2000)
     np.testing.assert_allclose(curve.radial_values[every],
                                trig_interpolant(nodes, curve.theta_grid[every]).T,
@@ -156,6 +159,44 @@ def test_curve_output_grid_samples_the_polynomial(grid_size):
     again = graph_transform_curve(model, 1e-4, grid_size)
     assert again.radial_values.tobytes() == curve.radial_values.tobytes()
     assert again.residual_sup == curve.residual_sup
+
+
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_trig_resample_matches_the_row_major_transform(rows):
+    # oracle: the row-major zero-padded transform and its transpose, which
+    # the column layout replaced; the samples must be the same bits
+    n = 128
+    coef = np.fft.rfft(np.random.default_rng(rows).standard_normal((rows, n)))
+    for size in (n, 2 * n, 1000, 2 ** 17, 100):
+        if size < n:
+            expect = _trig_eval(coef, np.arange(size) * (TWO_PI / size))
+        else:
+            padded = np.zeros((rows, size // 2 + 1), dtype=complex)
+            padded[:, : n // 2 + 1] = coef
+            if size > n:
+                padded[:, n // 2] *= 0.5
+            expect = np.fft.irfft(padded, size) * (size / n)
+        out = _trig_resample(coef, size)
+        assert out.shape == (size, rows) and out.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(expect.T).tobytes()
+
+
+def test_curve_keeps_only_its_samples():
+    """A 2^17-sample curve retains its samples and no angle grid (1.5x the
+    samples with one), and sampling peaks at the padded spectrum plus the
+    samples (3x with a row-major transform and a transposed copy)."""
+    model = demo_model("demo_m1")
+    graph_transform_curve(model, 1e-4, 2 ** 17)
+    tracemalloc.start()
+    try:
+        curve = graph_transform_curve(model, 1e-4, 2 ** 17)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = curve.radial_values.nbytes
+    assert "theta_grid" not in vars(curve)
+    assert retained <= 1.05 * nbytes
+    assert peak <= 2.25 * nbytes
 
 
 def test_curve_orbits_attracted():
@@ -978,7 +1019,7 @@ def test_fixed_point_takes_the_converged_step(monkeypatch, name, mu):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_radial_at_rejects_non_finite_angles(bad):
     theta = np.arange(64) * (TWO_PI / 64)
-    curve = bsl.InvariantCurve(theta, np.column_stack([1.0 + 0.1 * np.cos(theta), 0.0 * theta]),
+    curve = bsl.InvariantCurve(np.column_stack([1.0 + 0.1 * np.cos(theta), 0.0 * theta]),
                                0.0, Orientation.PRESERVING)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
