@@ -68,9 +68,10 @@ LYAPUNOV_FLOOR = -50.0
 # fewest angles a graph-transform curve may be sampled on
 MIN_CURVE_NODES = 8
 # the graph transform's trigonometric nodes: the first count, and the cap
-# that doubling may reach
+# that doubling may reach; the bound on its residual and coefficient tail
 SPECTRAL_NODES = 128
 SPECTRAL_NODE_CAP = 2 ** 12
+CURVE_TOL = 1e-8
 # Newton preimages of the graph transform: the step taken as converged, and
 # the sweep budget
 PREIMAGE_TOL = 1e-13
@@ -361,24 +362,23 @@ def _preimages(g_coef, w, targets, phi):
                         f"{PREIMAGE_MAX_SWEEPS} sweeps")
 
 
-def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 1024,
-                          tol: float = 1e-8) -> InvariantCurve:
+def graph_transform_curve(model: ValidatedModel, mu: float,
+                          grid_size: int = 1024) -> InvariantCurve:
     """Graph transform for the attracting invariant curve at degree |m| = 1.
 
     The iterate is held as rows X, Y... at N uniform nodes and stands for
     their trigonometric interpolant, starting from the limit curve
     (X, Y) = (alpha(theta)^nu, 0).  Each step maps the nodes with one
-    ``rescaled_step`` (the series evaluated once per N), finds each node's
-    preimage under the angular lift by Newton's method on the interpolant
-    of g = m * lift - theta, warm-started from the previous step, and takes
-    the interpolant of the mapped rows there.  The lift has degree m, so g
-    is periodic and the curve's circle map preserves orientation for m = 1
-    and reverses it for m = -1.  It must be strictly monotone at the nodes,
-    with 1 + g' positive at the preimages and at the output angles
-    (NotACircleMap).  N starts at 128, or at the power of two that reaches
+    ``rescaled_step``, finds each node's preimage under the angular lift by
+    Newton's method on the interpolant of g = m * lift - theta, warm-started
+    from the previous step, and takes the interpolant of the mapped rows
+    there.  The lift has degree m, so g is periodic and the curve's circle
+    map preserves orientation for m = 1 and reverses it for m = -1.  It
+    must be strictly monotone at the nodes, with 1 + g' positive at the
+    preimages and at the output angles (NotACircleMap).  N starts at 128, or at the power of two that reaches
     4x the series' largest degree, and doubles while the residual stops
-    falling above ``tol`` or the top quarter of the iterate's coefficients
-    stays above ``tol``; past 2^12 nodes, NoConvergence.
+    falling above CURVE_TOL or the top quarter of the iterate's coefficients
+    stays above CURVE_TOL; past 2^12 nodes, NoConvergence.
 
     ``grid_size`` is the output sampling only: the curve keeps just the
     polynomial at ``grid_size`` uniform angles (one zero-padded inverse FFT,
@@ -386,13 +386,11 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     residual at the solve's N nodes (see InvariantCurve).
 
     Raises ValueError unless ``grid_size`` is an integer of at least
-    MIN_CURVE_NODES and ``tol`` is finite and positive.
+    MIN_CURVE_NODES.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
     size = require_count("grid_size", grid_size, MIN_CURVE_NODES)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
     sign = float(model.m)
     n = SPECTRAL_NODES
@@ -402,7 +400,6 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
     residual = tail = np.inf
     while n <= SPECTRAL_NODE_CAP:
         theta = np.arange(n) * (TWO_PI / n)
-        series = model._bank.eval(theta)
         if coef is None:
             radial = np.zeros((1 + model.ydim, n))
             radial[0] = model.limit_radial(theta)
@@ -411,7 +408,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
         preimage = None
         previous = np.inf
         while True:
-            Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu, series=series)
+            Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu)
             w = sign * lift
             if not (np.all(np.diff(w) > 0.0) and w[-1] < w[0] + TWO_PI):
                 raise NotACircleMap("angular component is not strictly monotone along the curve")
@@ -421,16 +418,16 @@ def graph_transform_curve(model: ValidatedModel, mu: float, grid_size: int = 102
             defect = mapped - _trig_eval(coef, reduce_angle(lift))
             residual = float(np.sqrt(np.sum(defect * defect, axis=0)).max())
             tail = float(np.abs(coef[:, 3 * n // 8 :]).max()) * 2.0 / n
-            if residual < tol and tail < tol:
+            if residual < CURVE_TOL and tail < CURVE_TOL:
                 return _sampled_curve(coef, g_coef, residual, sign, size)
-            if tail >= tol or residual >= previous:
+            if tail >= CURVE_TOL or residual >= previous:
                 break
             previous = residual
             preimage = _preimages(g_coef, w, sign * theta, preimage)
             radial = _trig_eval(np.fft.rfft(mapped), preimage)
         n *= 2
-    raise NoConvergence(f"graph transform residual {residual:.3e} (coefficient tail "
-                        f"{tail:.3e}) above tol={tol} at the cap of {SPECTRAL_NODE_CAP} nodes")
+    raise NoConvergence(f"graph transform residual {residual:.3e} (coefficient tail {tail:.3e}) "
+                        f"above tol={CURVE_TOL} at the cap of {SPECTRAL_NODE_CAP} nodes")
 
 
 def _sampled_curve(coef, g_coef, residual, sign, size) -> InvariantCurve:
@@ -481,19 +478,17 @@ def annulus_diagnostic(model: ValidatedModel, mu: float) -> AnnulusDiagnostic:
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"annulus diagnostic requires |m| = 1, got m={model.m}")
-    sups, _ = _sample_maxima(_trapping_jacobians(model, mu, 256))
+    sups, _ = _sample_maxima(_trapping_jacobians(model, mu, 256, model.trapping_radius(mu)))
     sup_pr, sup_qtinv, sup_qr = sups["sup_pr"], sups["sup_qtheta_inv"], sups["sup_qr"]
     lhs = 1.0 - sup_qtinv * sup_pr
     rhs = 2.0 * float(np.sqrt(sup_qtinv * sup_qr * sups["cross_sup_ptheta_bar"]))
     return AnnulusDiagnostic(sup_pr, sups["sup_ptheta"], sup_qtinv, sup_qr, lhs, rhs)
 
 
-def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int, K: float | None = None):
+def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int, K: float):
     """Return-map derivatives at the trapping samples of the uniform grid
     of ``grid`` angles, one (M_i, n, n) block per block of angles.  ``K``
-    is the trapping radius at ``mu``, computed here when not given."""
-    if K is None:
-        K = model.trapping_radius(mu)
+    is the trapping radius at ``mu``."""
     for theta in uniform_grid(grid):
         th, X, Y, _ = model.trapping_samples(mu, theta, K=K)
         yield model.rescaled_step(X, Y, th, mu, with_jacobian=True)[4]

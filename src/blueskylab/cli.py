@@ -176,8 +176,7 @@ def cmd_classify(manifest: RunManifest, mu: float) -> int:
     return 0 if record.label is not AttractorLabel.INDETERMINATE else 3
 
 
-def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float,
-              per_decade: int = 10) -> int:
+def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float, per_decade: int) -> int:
     """Sweep mu, write the CSV and the scaling fit; exit 1 if all escaped."""
     mus = geometric_mu_grid(mu_min, mu_max, per_decade)
     model = _load_model(manifest)
@@ -201,7 +200,7 @@ def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float,
     return 0
 
 
-def cmd_certify(manifest: RunManifest, mu: float, grid: int = 256) -> int:
+def cmd_certify(manifest: RunManifest, mu: float, grid: int) -> int:
     """Write the cone certificate; exit 0 iff the verdict is true."""
     require_mu(mu)
     cert = cone_certify(_load_model(manifest), mu, grid)

@@ -289,14 +289,7 @@ class ValidatedModel:
         self.alpha_min = alpha_min          # certified positive lower bound
         self.alpha_sup = cfg.alpha.sup_bound()
         self._memo: dict = {}
-
-        k = self.ydim
         self._bank = SeriesBank(cfg.all_series())
-        self._iA, self._iH, self._iFX, self._iHX = 0, 1, 2, 3
-        self._sFY = slice(4, 4 + k)
-        self._sHY = slice(4 + k, 4 + 2 * k)
-        self._sG0 = slice(4 + 2 * k, 4 + 3 * k)
-        self._doff = 4 + 3 * k
 
     def memoized(self, key, compute):
         """``compute()``, evaluated once per model and ``key`` (for the mu-free
@@ -345,18 +338,24 @@ class ValidatedModel:
         theta1 = np.asarray(theta1, dtype=float)
         return self._t1(self._bank.eval(theta1), x1, y1, theta1, mu)
 
+    def _profiles(self, rows):
+        """(alpha, h, F_x, H_x, F_y, H_y, g0) from series-bank rows in
+        ``ModelConfig.all_series`` order, F_y, H_y and g0 with a leading
+        axis of length n - 2; rows past the last g0 are ignored."""
+        k = self.ydim
+        return (*rows[:4], rows[4 : 4 + k], rows[4 + k : 4 + 2 * k], rows[4 + 2 * k : 4 + 3 * k])
+
     def _t1(self, vals, x1, y1, theta1, mu):
         """The global map on the series-bank values ``vals`` at ``theta1``."""
-        fy, hy = vals[self._sFY], vals[self._sHY]
-        z0 = mu * vals[self._iA] + x1 * vals[self._iFX] + np.sum(fy * y1, axis=0)
-        y0 = vals[self._sG0] + x1 * fy + hy * y1
-        theta0 = self.m * theta1 + vals[self._iH] + x1 * vals[self._iHX] \
-            + np.sum(hy * y1, axis=0)
+        a, h, fx, hx, fy, hy, g0 = self._profiles(vals)
+        z0 = mu * a + x1 * fx + np.sum(fy * y1, axis=0)
+        y0 = g0 + x1 * fy + hy * y1
+        theta0 = self.m * theta1 + h + x1 * hx + np.sum(hy * y1, axis=0)
         return z0, y0, theta0
 
     # -- rescaled return map -------------------------------------------------
 
-    def rescaled_step(self, X, Y, theta, mu, with_jacobian: bool = False, *, series=None):
+    def rescaled_step(self, X, Y, theta, mu, with_jacobian: bool = False):
         """One application of the rescaled return map T = T0 o T1.
 
         Parameters
@@ -368,10 +367,6 @@ class ValidatedModel:
         with_jacobian : also return the derivative in (X, Y, theta), an
             array of shape S + (n, n) with variable order (X, Y..., theta);
             the theta derivative is taken on the lift.
-        series : optional values of the model's series bank at ``theta``
-            (with the derivative rows when ``with_jacobian``), for a caller
-            that steps from the same angles many times; the result is the
-            same bit for bit.
 
         Returns
         -------
@@ -384,16 +379,15 @@ class ValidatedModel:
         ------
         EscapedTube if any intermediate z0 is not finite and positive, or
         any image Xb, Yb is not finite; ValueError for a mu that breaks
-        ``require_mu`` or does not broadcast to S, or ``series`` not of the
-        shape (rows,) + S of the bank's values.
+        ``require_mu`` or does not broadcast to S.
         """
-        out, escaped = self._step(X, Y, theta, mu, with_jacobian, series)
+        out, escaped = self._step(X, Y, theta, mu, with_jacobian)
         if escaped.any():
             raise EscapedTube(f"orbit left the homoclinic tube at mu={mu!r}: z0 not finite "
                               f"and positive, or image not finite")
         return out
 
-    def _step(self, X, Y, theta, mu, with_jacobian=False, series=None):
+    def _step(self, X, Y, theta, mu, with_jacobian=False):
         """``rescaled_step`` with escapes reported per point instead of
         raised: returns (the tuple ``rescaled_step`` returns, escaped), with
         ``escaped`` a boolean array of shape S and every output NaN at the
@@ -414,15 +408,7 @@ class ValidatedModel:
                 raise ValueError(f"mu of shape {mu.shape} does not broadcast to the "
                                  f"state's shape {shape}")
 
-        if series is None:
-            vals = self._bank.eval(theta, derivatives=with_jacobian)
-        else:
-            vals = np.asarray(series, dtype=float)
-            rows = self._bank.n_rows if with_jacobian else self._bank.n_base
-            if vals.shape != (rows,) + theta.shape:
-                raise ValueError(f"series of shape {vals.shape}, expected "
-                                 f"{(rows,) + theta.shape}")
-
+        vals = self._bank.eval(theta, derivatives=with_jacobian)
         gamma, nu, bg, d, m = self.gamma, self.nu, self.beta_over_gamma, self.d, self.m
         mu_nu = mu ** nu
         c_x = d ** (1.0 - nu) * mu_nu
@@ -452,14 +438,8 @@ class ValidatedModel:
         if not with_jacobian:
             return (Xb, Yb, theta_lift, flight), escaped
 
-        a, fx, hx = vals[self._iA], vals[self._iFX], vals[self._iHX]
-        fy, hy = vals[self._sFY], vals[self._sHY]
-        do = self._doff
-        a1, hv1 = vals[do + self._iA], vals[do + self._iH]
-        fx1, hx1 = vals[do + self._iFX], vals[do + self._iHX]
-        fy1 = vals[do + self._sFY.start : do + self._sFY.stop]
-        hy1 = vals[do + self._sHY.start : do + self._sHY.stop]
-        g01 = vals[do + self._sG0.start : do + self._sG0.stop]
+        _, _, fx, hx, fy, hy, _ = self._profiles(vals)
+        a1, hv1, fx1, hx1, fy1, hy1, g01 = self._profiles(vals[self._bank.n_base :])
         # first-stage partials (z0, y0, theta0) w.r.t. (X, Y, theta)
         dz0_dX = c_x * fx
         dz0_dY = mu_nu * fy

@@ -112,14 +112,13 @@ def pchip_graph_transform(model: bsl.ValidatedModel, mu: float, grid_size: int =
     improvement or 10^4 steps, NotACircleMap where the lift is not
     monotone along the nodes."""
     theta = np.arange(grid_size) * (TWO_PI / grid_size)
-    series = model._bank.eval(theta)
     radial = np.zeros((1 + model.ydim, grid_size))
     radial[0] = model.limit_radial(theta)
 
     residual = best = np.inf
     stalled = 0
     for _ in range(10 ** 4):
-        Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu, series=series)
+        Xb, Yb, lift, _ = model.rescaled_step(radial[0], radial[1:], theta, mu)
         diffs = np.diff(lift)
         if np.all(diffs > 0.0) and lift[-1] < lift[0] + TWO_PI:
             sign = 1.0

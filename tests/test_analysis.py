@@ -202,7 +202,7 @@ def test_curve_keeps_only_its_samples():
 def test_curve_orbits_attracted():
     model = demo_model("demo_m1")
     mu = 1e-4
-    curve = graph_transform_curve(model, mu, grid_size=2 ** 15, tol=1e-7)
+    curve = graph_transform_curve(model, mu, grid_size=2 ** 15)
     rng = np.random.default_rng(6)
     X, Y, theta = random_region_points(rng, model, mu, 50)
     X, Y, theta = advance(model, mu, X, Y, theta, 300)
@@ -234,14 +234,31 @@ def test_curve_rejects_a_fold_between_the_nodes():
 
 def test_curve_below_the_spectral_floor_raises_at_the_node_cap(monkeypatch):
     model = demo_model("demo_m1")
+    monkeypatch.setattr(bsl.analysis, "CURVE_TOL", 1e-16)
     with pytest.raises(bsl.NoConvergence, match="4096 nodes"):
-        graph_transform_curve(model, 1e-4, grid_size=1024, tol=1e-16)
-    solve = bsl.analysis.graph_transform_curve
-    monkeypatch.setattr(bsl.analysis, "graph_transform_curve",
-                        lambda model, mu, grid_size: solve(model, mu, grid_size, tol=1e-16))
+        graph_transform_curve(model, 1e-4, grid_size=1024)
     record, = bsl.classify_attractors(model, [1e-4])
     assert record.label is AttractorLabel.INDETERMINATE
     assert record.reason.startswith("NoConvergence:") and "4096 nodes" in record.reason
+
+
+def test_curve_solve_evaluates_the_series_once_per_step(monkeypatch):
+    """Every step of the solve enters the kernel through ``rescaled_step``,
+    which evaluates the series bank itself: one evaluation per step."""
+    model = demo_model("demo_m1")
+    calls = {"eval": 0, "step": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model._bank, "eval", counted("eval", model._bank.eval))
+    monkeypatch.setattr(model, "rescaled_step", counted("step", model.rescaled_step))
+    graph_transform_curve(model, 1e-4, grid_size=1024)
+    assert calls["step"] > 1
+    assert calls["eval"] == calls["step"]
 
 
 def test_curve_requires_unit_degree():
@@ -402,7 +419,7 @@ def _linear_periodic(values, theta):
 
 def test_radial_at_scalar_and_array_angles():
     model = demo_model("demo_m1")
-    curve = graph_transform_curve(model, 1e-4, grid_size=2 ** 12, tol=1e-6)
+    curve = graph_transform_curve(model, 1e-4, grid_size=2 ** 12)
     cases = [2.5, -0.7, TWO_PI, 9.0, np.float64(-13.1), np.array(7.25),
              [0.0, -1e-17, TWO_PI - 1e-15, 3.3],
              np.linspace(-8.0, 15.0, 42).reshape(6, 7)]
@@ -418,9 +435,6 @@ def test_radial_at_scalar_and_array_angles():
     ("grid_size", 1),
     ("grid_size", 7),
     ("grid_size", 1024.7),
-    ("tol", 0.0),
-    ("tol", -1.0),
-    ("tol", float("nan")),
 ])
 def test_curve_input_rule(arg, value):
     model = validate_config(uncoupled_config(m=1, gamma=1.0, lam=1.6, beta=2.5))
@@ -594,9 +608,10 @@ def test_ragged_stream_matches_one_block():
     certificate equals the one from a single block of every sample."""
     model, mu, grid = demo_model("demo_m2"), 1e-5, 8197
     per_angle = 2 * (model.n - 1) + 1
-    blocks = list(_trapping_jacobians(model, mu, grid))
+    K = model.trapping_radius(mu)
+    blocks = list(_trapping_jacobians(model, mu, grid, K))
     assert [len(b) for b in blocks] == [4096 * per_angle, 4096 * per_angle, 5 * per_angle]
-    th, X, Y, K = model.trapping_samples(mu, np.arange(grid) * (TWO_PI / grid))
+    th, X, Y, _ = model.trapping_samples(mu, np.arange(grid) * (TWO_PI / grid), K=K)
     *_, whole = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
     one_block = certify_jacobian_field([whole], _cone_upper_bounds(model, mu, K))

@@ -1,21 +1,30 @@
 """The benchmark traces public functions from outside (``benchmark/spans.py``):
 every traced name must resolve on the package, and the argument positions
-its hooks read must match the signatures."""
+its hooks read must match the signatures.  One round of each workload runs
+and passes its checks."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 
 import numpy as np
+import pytest
 
 from helpers import CONFIG_DIR, trig_interpolant
 
-SPANS = CONFIG_DIR.parent / "benchmark" / "spans.py"
+ROOT = CONFIG_DIR.parent
+BENCH = ROOT / "benchmark"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+def _bench(name):
+    """``benchmark/<name>.py``, loaded as the module ``benchmark_<name>``
+    (registered first, as its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -31,14 +40,14 @@ def _resolve(module_name, cls_name, attr):
 
 
 def test_every_traced_function_resolves():
-    spans = _spans()
+    spans = _bench("spans")
     for qual, (module_name, cls_name, attr) in spans.TRACED.items():
         assert callable(_resolve(module_name, cls_name, attr)), qual
     assert set(spans.HOOKS) <= set(spans.TRACED)
 
 
 def test_hook_argument_positions_match_the_signatures():
-    spans = _spans()
+    spans = _bench("spans")
     read = {
         "model.rescaled_step": {"X": 1, "theta": 3, "with_jacobian": 5},
         "cli.main": {"argv": 0},
@@ -70,10 +79,11 @@ def test_graph_transform_steps_through_the_traced_kernel(monkeypatch):
         return out
 
     monkeypatch.setattr(bsl.ValidatedModel, "rescaled_step", counted)
+    monkeypatch.setattr(bsl.analysis, "CURVE_TOL", 1e-11)
     model = bsl.load_model(CONFIG_DIR / "demo_m1.json")
-    # at this tol the solve takes two steps on 128 nodes, doubles, and takes
-    # three on 256
-    curve = bsl.graph_transform_curve(model, 1e-4, 2 ** 12, tol=1e-11)
+    # at this tolerance the solve takes two steps on 128 nodes, doubles, and
+    # takes three on 256
+    curve = bsl.graph_transform_curve(model, 1e-4, 2 ** 12)
     assert [len(theta) for _, theta, _, _ in calls] == [128, 128, 256, 256, 256]
     assert np.array_equal(calls[0][0], np.vstack([model.limit_radial(calls[0][1]),
                                                   np.zeros((model.ydim, 128))]))
@@ -93,3 +103,17 @@ def test_graph_transform_steps_through_the_traced_kernel(monkeypatch):
     last = calls[-1][0]
     np.testing.assert_allclose(curve.radial_values[:: 2 ** 12 // last.shape[1]].T, last,
                                rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_one_benchmark_round_runs_and_passes_its_checks(name, tmp_path, monkeypatch):
+    """One round of each workload through ``run.run_round`` (seed 5): no
+    operation fails and ``check`` finds no problem, so a change of the API
+    the benchmark calls shows here, not as a failed benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH))     # workloads.py imports reference.py
+    importlib.import_module("blueskylab.cli")   # the sweep operations call bsl.cli.main
+    bsl = importlib.import_module("blueskylab")
+    workload = _bench("workloads").WORKLOADS[name](5, tmp_path, ROOT)
+    result = _bench("run").run_round(workload.ops(bsl))
+    assert result["failed"] == []
+    assert workload.check(bsl, result["outputs"]) == []

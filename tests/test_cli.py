@@ -255,7 +255,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         f"k = b.load_model({config('demo_m-1')!r})",
         f"s = b.load_model({config('demo_m2')!r})",
         "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported at set-up'",
-        "b.graph_transform_curve(m, 1e-4, 2 ** 12, tol=1e-6)",
+        "b.graph_transform_curve(m, 1e-4, 2 ** 12)",
         "assert b.classify_attractor(m, 1e-4).label.value == 'InvariantTorus'",
         "assert b.classify_attractor(k, 1e-4).label.value == 'KleinBottle'",
         "assert b.circle_degree(m, 1e-4) == 1 and b.circle_degree(k, 1e-4) == -1",

@@ -248,40 +248,6 @@ def test_mu_array_matches_scalar_steps(name):
                                        rtol=1e-13, atol=1e-300)
 
 
-def _series_models():
-    return [demo_model("demo_m1"),
-            validate_config(random_config(np.random.default_rng(8), m=2, n=5))]
-
-
-@pytest.mark.parametrize("model", _series_models(), ids=["demo_m1", "k3"])
-def test_step_from_given_series_values_is_bit_identical(model):
-    """Passing the series values at theta gives the step bit for bit."""
-    rng = np.random.default_rng(9)
-    X, Y, theta = random_region_points(rng, model, 1e-4, 33)
-    theta = theta.reshape(3, 11)
-    X, Y = X.reshape(3, 11), Y.reshape(-1, 3, 11)
-    for with_jacobian in (False, True):
-        series = model._bank.eval(theta, derivatives=with_jacobian)
-        got = model.rescaled_step(X, Y, theta, 1e-4, with_jacobian, series=series)
-        want = model.rescaled_step(X, Y, theta, 1e-4, with_jacobian)
-        assert len(got) == len(want) == 4 + with_jacobian
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-
-
-def test_step_series_values_shape_rule():
-    model = validate_config(random_config(np.random.default_rng(8), m=2, n=5))
-    X, Y, theta = random_region_points(np.random.default_rng(9), model, 1e-4, 6)
-    base = model._bank.eval(theta)
-    full = model._bank.eval(theta, derivatives=True)
-    assert full.shape[0] > base.shape[0] == 4 + 3 * model.ydim
-    for bad in (base[:, :5], base[:-1], base[None], base[:, 0]):
-        with pytest.raises(ValueError, match="series"):
-            model.rescaled_step(X, Y, theta, 1e-4, series=bad)
-    with pytest.raises(ValueError, match="series"):
-        model.rescaled_step(X, Y, theta, 1e-4, with_jacobian=True, series=base)
-
-
 def test_escapes_are_masked_per_point_without_warnings():
     cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
     cfg.coupling_fx = F.constant(-4.0)
