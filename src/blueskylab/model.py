@@ -366,7 +366,11 @@ class ValidatedModel:
             broadcasts to S (one mu per point).
         with_jacobian : also return the derivative in (X, Y, theta), an
             array of shape S + (n, n) with variable order (X, Y..., theta);
-            the theta derivative is taken on the lift.
+            the theta derivative is taken on the lift.  It is a view onto
+            a component-major (n, n) + S block, one contiguous row per
+            entry (``np.moveaxis(jac, (-2, -1), (0, 1))`` gives it back
+            without a copy); a caller that needs a contiguous S + (n, n)
+            array must copy it.
 
         Returns
         -------
@@ -460,24 +464,25 @@ class ValidatedModel:
         q = c_y * u_bg
         inv_gz = 1.0 / (gamma * z0)
 
+        # component-major: each partial derivative is one contiguous row of shape S
         nn = self.n
-        jac = np.zeros(np.shape(Xb) + (nn, nn))
-        jac[..., 0, 0] = w * dz0_dX
-        jac[..., 0, nn - 1] = w * dz0_dth
-        jac[..., nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
-        jac[..., nn - 1, nn - 1] = dth0_dth - dz0_dth * inv_gz
+        jac = np.empty((nn, nn) + np.shape(Xb))
+        jac[0, 0] = w * dz0_dX
+        jac[0, nn - 1] = w * dz0_dth
+        jac[nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
+        jac[nn - 1, nn - 1] = dth0_dth - dz0_dth * inv_gz
         if k:
-            jac[..., 0, 1 : 1 + k] = np.moveaxis(w * dz0_dY, 0, -1)
-            jac[..., nn - 1, 1 : 1 + k] = np.moveaxis(dth0_dY - dz0_dY * inv_gz, 0, -1)
-            jac[..., 1 : 1 + k, 0] = np.moveaxis(v * y0 * dz0_dX + q * dy0_dX, 0, -1)
-            jac[..., 1 : 1 + k, nn - 1] = np.moveaxis(v * y0 * dz0_dth + q * dy0_dth, 0, -1)
-            yy = np.einsum("i...,j...->...ij", v * y0, dz0_dY)
-            idx = np.arange(k)
-            yy[..., idx, idx] += np.moveaxis(q * dy0_dYdiag, 0, -1)
-            jac[..., 1 : 1 + k, 1 : 1 + k] = yy
+            vy0 = v * y0
+            jac[0, 1 : 1 + k] = w * dz0_dY
+            jac[nn - 1, 1 : 1 + k] = dth0_dY - dz0_dY * inv_gz
+            jac[1 : 1 + k, 0] = vy0 * dz0_dX + q * dy0_dX
+            jac[1 : 1 + k, nn - 1] = vy0 * dz0_dth + q * dy0_dth
+            np.multiply(vy0[:, None], dz0_dY[None], out=jac[1 : 1 + k, 1 : 1 + k])
+            idx = np.arange(1, 1 + k)
+            jac[idx, idx] += q * dy0_dYdiag
         if any_escaped:
-            jac[escaped] = np.nan
-        return (Xb, Yb, theta_lift, flight, jac), escaped
+            jac[:, :, escaped] = np.nan
+        return (Xb, Yb, theta_lift, flight, np.moveaxis(jac, (0, 1), (-2, -1))), escaped
 
     def advance(self, X, Y, theta, mu, steps: int):
         """``steps`` (>= 0) applications of the rescaled map, reducing the

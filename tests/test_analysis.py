@@ -33,6 +33,7 @@ from blueskylab.analysis import (
     _max_operator_norm,
     _periodic_interp,
     _prefix_diameters,
+    _reorthonormalize,
     _trapping_jacobians,
     _trig_eval,
     _trig_resample,
@@ -697,8 +698,12 @@ def test_homotopy_to_skew_product_keeps_certificate():
 
 
 def test_lyapunov_uncoupled_doubling():
+    """The rank-1 uncoupled Jacobian kills 3 of 4 frame columns on every
+    return; their completion raises no warning of any kind."""
     model = validate_config(uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))
-    spectrum = lyapunov_spectrum(model, 1e-5, 10 ** 4, transient=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum = lyapunov_spectrum(model, 1e-5, 10 ** 4, transient=100)
     assert spectrum.exponents[0] == pytest.approx(np.log(2.0), abs=1e-9)
     assert all(e == -np.inf for e in spectrum.exponents[1:])
     assert spectrum.orbit_length == 10 ** 4
@@ -816,6 +821,124 @@ def test_find_fixed_point_saddle_at_degree_two():
     moduli = np.sort(np.abs(fp.multipliers))
     assert moduli[-1] > 1.0          # expanding angular direction
     assert np.all(moduli[:-1] < 1.0)
+
+
+def _lapack_frames(rng, n, B):
+    """Random (B, n, n) Jacobians with singular values in [1/e, e] and
+    random orthonormal frames, stacked for LAPACK and component-major
+    for ``_reorthonormalize``."""
+    U, V, Q = (np.linalg.qr(rng.standard_normal((B, n, n)))[0] for _ in range(3))
+    jac = U * np.exp(rng.uniform(-1.0, 1.0, (B, 1, n))) @ V
+    return jac, Q, np.ascontiguousarray(np.moveaxis(jac, 0, -1)), np.ascontiguousarray(Q.T)
+
+
+def _gram_error(Q):
+    """Largest Frobenius norm of Q^T Q - I over the (column, component, B) frames."""
+    gram = np.einsum("kib,lib->bkl", Q, Q) - np.eye(len(Q))
+    return float(np.max(np.sqrt(np.einsum("bkl,bkl->b", gram, gram))))
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_cgs2_step_matches_lapack_qr(n):
+    """log|R_jj| to 5e-14 and Q up to column signs, against a stacked LAPACK
+    QR on well-conditioned frames (near-singular ones lose digits to
+    cancellation in both algorithms)."""
+    jac, frame, J, Q = _lapack_frames(np.random.default_rng(n), n, 256)
+    Q_new, log_r = _reorthonormalize(J, Q)
+    Q_ref, R = np.linalg.qr(jac @ frame)
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    np.testing.assert_allclose(log_r, np.log(np.abs(diag)).T, rtol=0.0, atol=5e-14)
+    np.testing.assert_allclose(Q_new, (Q_ref * np.sign(diag)[:, None, :]).T, rtol=0.0, atol=1e-13)
+
+
+def _high_n_m2(n=7):
+    """demo_m2 with small couplings on extra strong-stable components."""
+    cfg = bsl.load_config(CONFIG_DIR / "demo_m2.json")
+    extra = n - cfg.n
+    cfg.coupling_fy += tuple(F(6e-4 + 1e-4 * i, (), (5e-4,)) for i in range(extra))
+    cfg.coupling_hy += tuple(F(7e-4, (-2e-4 * i,), ()) for i in range(extra))
+    cfg.g0 += tuple(F(0.04 * (-1) ** i, (), (0.02,)) for i in range(extra))
+    cfg.n = n
+    return validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", ["demo_m2", "high_n_m2"])
+def test_cgs2_frames_stay_orthonormal(name):
+    """||Q^T Q - I|| < 1e-12 after every return of a 2*10^4-return cocycle
+    (16 orbits, 1,250 returns each)."""
+    model = demo_model(name) if name == "demo_m2" else _high_n_m2()
+    B, mu = 16, 1e-5
+    th = reduce_angle(0.5 + 2.0 * np.pi * np.arange(B) / B)
+    X, Y, th, _ = model.advance(model.limit_radial(th), np.zeros((model.ydim, B)), th, mu, 100)
+    Q = np.broadcast_to(np.eye(model.n)[:, :, None], (model.n, model.n, B))
+    worst = 0.0
+    for _ in range(20_000 // B):
+        X, Y, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
+        th = reduce_angle(lift)
+        Q, log_r = _reorthonormalize(np.moveaxis(jac, (-2, -1), (0, 1)), Q)
+        worst = max(worst, _gram_error(Q))
+    assert np.all(np.isfinite(log_r))
+    assert worst < 1e-12
+
+
+def _stacked_lapack_rates(model, mu, iterations, transient):
+    """``lyapunov_spectrum``'s ensemble cocycle with a stacked LAPACK QR
+    per return: the growth rates, sorted descending."""
+    warmup, B = min(200, transient), min(256, iterations)
+    steps = -(-iterations // B)
+    last = iterations - B * (steps - 1)
+    th = reduce_angle(0.5 + 2.0 * np.pi * np.arange(B) / B)
+    X, Y, th, _ = model.advance(model.limit_radial(th), np.zeros((model.ydim, B)), th, mu,
+                                transient - warmup)
+    Q, acc = np.eye(model.n), np.zeros((B, model.n))
+    for step in range(warmup + steps):
+        X, Y, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
+        th = reduce_angle(lift)
+        Q, R = np.linalg.qr(jac @ Q)
+        if step >= warmup:
+            counted = last if step == warmup + steps - 1 else B
+            acc[:counted] += np.log(np.abs(np.diagonal(R, axis1=1, axis2=2)[:counted]))
+    return np.sort(acc.sum(axis=0) / iterations)[::-1]
+
+
+def test_lyapunov_top_matches_stacked_lapack_cocycle():
+    model = demo_model("demo_m2")
+    spectrum = lyapunov_spectrum(model, 1e-5, 10 ** 5, transient=2000)
+    reference = _stacked_lapack_rates(model, 1e-5, 10 ** 5, 2000)
+    assert abs(spectrum.top - reference[0]) < 1e-10
+
+
+def test_lyapunov_never_calls_lapack_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for model in (demo_model("demo_m2"),
+                  validate_config(uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))):
+        assert lyapunov_spectrum(model, 1e-5, 1000, transient=10).top > 0.0
+
+
+@pytest.mark.parametrize("orbits", ["all", "some"])
+@pytest.mark.parametrize("column", [0, 2, 3])
+def test_cgs2_completes_an_exactly_zero_column(orbits, column):
+    """A column of J Q that is exactly zero gets log|R_jj| = -inf and is
+    replaced by a unit vector orthogonal to the earlier columns; a NaN
+    frame stays NaN."""
+    n, B = 4, 64
+    J = _lapack_frames(np.random.default_rng(column), n, B)[2]
+    Q = np.broadcast_to(np.eye(n)[:, :, None], (n, n, B))
+    dead = np.ones(B, dtype=bool) if orbits == "all" else np.arange(B) % 3 == 0
+    J[:, column, dead] = 0.0
+    Q_new, log_r = _reorthonormalize(J, Q)
+    assert np.all(log_r[column, dead] == -np.inf)
+    assert np.all(np.isfinite(np.delete(log_r, column, axis=0)))
+    assert np.all(np.isfinite(log_r[column, ~dead]))
+    assert _gram_error(Q_new) < 1e-12
+
+    J[:, :, 0] = np.nan
+    Q_nan, log_nan = _reorthonormalize(J, Q)
+    assert np.all(np.isnan(Q_nan[:, :, 0])) and np.all(np.isnan(log_nan[:, 0]))
+    np.testing.assert_array_equal(Q_nan[:, :, 1:], Q_new[:, :, 1:])
 
 
 def test_lyapunov_torus_rotation_is_neutral():

@@ -367,6 +367,38 @@ def test_jacobian_n2_no_strong_stable_block():
     assert jac[1, 1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape", [(), (256,), (3, 5)])
+@pytest.mark.parametrize("name", ["demo_m2", "demo_m1"])
+def test_jacobian_is_a_view_of_a_component_major_block(name, shape):
+    """The Jacobian comes back as S + (n, n), a view whose (n, n) + S
+    transpose is contiguous: one row of length S per entry.  Its values are
+    those of the flattened batch."""
+    model = demo_model(name)
+    X, Y, theta = random_region_points(np.random.default_rng(3), model, 1e-5, int(np.prod(shape)))
+    X, theta, Y = X.reshape(shape), theta.reshape(shape), Y.reshape((model.ydim,) + shape)
+    jac = model.rescaled_step(X, Y, theta, 1e-5, with_jacobian=True)[4]
+    assert jac.shape == shape + (model.n, model.n)
+    assert np.moveaxis(jac, (-2, -1), (0, 1)).flags.c_contiguous
+    flat = model.rescaled_step(X.ravel(), Y.reshape(model.ydim, -1), theta.ravel(), 1e-5,
+                               with_jacobian=True)[4]
+    np.testing.assert_array_equal(jac.reshape(flat.shape), flat)
+
+
+def test_escaped_jacobian_blocks_are_nan():
+    """An escaped point's (n, n) block is all NaN, alone (a 0-d escape
+    mask) and inside a batch, where the other points stay finite."""
+    cfg = uncoupled_config(m=0, gamma=1.0, lam=1.5, beta=3.0)
+    cfg.coupling_fx = F.constant(-4.0)
+    model = validate_config(cfg)
+    (*_, jac), escaped = model._step(1.0, np.zeros(1), 0.2, 0.9, with_jacobian=True)
+    assert escaped and jac.shape == (3, 3) and np.all(np.isnan(jac))
+    mus = np.array([1e-6, 0.9, 1e-5])
+    (*_, jac), escaped = model._step(np.ones(3), np.zeros((1, 3)), np.array([0.1, 0.2, 0.3]), mus,
+                                     with_jacobian=True)
+    assert escaped.tolist() == [False, True, False]
+    assert np.all(np.isnan(jac[1])) and np.all(np.isfinite(jac[[0, 2]]))
+
+
 def test_return_map_matches_raw_composition():
     """The rescaled step must agree with unrescale -> T1 -> T0 -> rescale."""
     rng = np.random.default_rng(77)
