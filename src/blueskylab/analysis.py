@@ -24,7 +24,7 @@ from .conditions import (
     certified_angular_expansion,
     check_case,
 )
-from .fourier import TWO_PI, uniform_grid
+from .fourier import TWO_PI, lipschitz_grid_extrema, uniform_grid
 from .model import (
     EscapedTube,
     TorusPoint,
@@ -65,8 +65,6 @@ __all__ = [
 ]
 
 LYAPUNOV_FLOOR = -50.0
-# fewest angles a graph-transform curve may be sampled on
-MIN_CURVE_NODES = 8
 # the graph transform's trigonometric nodes: the first count, and the cap
 # that doubling may reach; the bound on its residual and coefficient tail
 SPECTRAL_NODES = 128
@@ -254,21 +252,21 @@ def find_fixed_points(model: ValidatedModel, mus) -> list:
 
 @dataclass
 class InvariantCurve:
-    """A closed curve theta -> (X, Y) sampled on a uniform angular grid.
-
-    The graph transform represents the curve by the trigonometric
-    interpolant of its values at N uniform nodes (N from 128 to 4,096,
-    chosen by the solve).  The curve keeps only ``radial_values``, that
-    polynomial at ``grid_size`` uniform angles, and ``radial_at``
-    interpolates them linearly.  ``theta_grid`` computes the angles on each
-    access, so a caller indexing them in a loop should keep a local copy.
-    ``residual_sup`` is the invariance residual: the sup over the solve's
-    N nodes of the distance from a node's image to the polynomial there.
+    """A closed curve theta -> (X, Y): the graph transform's trigonometric
+    polynomial, the interpolant of its values at N uniform nodes (N from
+    128 to 4,096, chosen by the solve), whose ``np.fft.rfft`` rows are
+    ``coef``.  ``radial_at`` evaluates it; ``radial_values`` samples it at
+    ``grid_size`` uniform angles, on which no verdict depends.
+    ``theta_grid`` computes the angles on each access, so a caller indexing
+    them in a loop should keep a local copy.  ``residual_sup`` is the
+    invariance residual: the sup over the solve's N nodes of the distance
+    from a node's image to the polynomial there.
     """
 
     radial_values: np.ndarray      # (grid_size, 1 + ydim), column 0 is X
     residual_sup: float
     orientation: Orientation
+    coef: np.ndarray               # (1 + ydim, N/2 + 1) complex, row 0 is X
 
     @property
     def theta_grid(self) -> np.ndarray:
@@ -283,23 +281,13 @@ class InvariantCurve:
         return self.radial_values[:, 1:]
 
     def radial_at(self, theta):
-        """Linear interpolation of (X, Y) at arbitrary finite angles; shape
-        (..., 1+ydim).  Raises ValueError for a non-finite angle."""
+        """The polynomial (X, Y) at arbitrary finite angles; shape (..., 1+ydim).
+        Raises ValueError for a non-finite angle."""
         theta = np.asarray(theta, dtype=float)
         if not np.all(np.isfinite(theta)):
             raise ValueError("radial_at needs finite angles")
-        return _periodic_interp(self.radial_values, theta)
-
-
-def _periodic_interp(radial, theta):
-    """Linear interpolation at ``theta`` of node rows ``radial`` given on a
-    uniform grid over one turn; shape theta.shape + radial.shape[1:]."""
-    # the cell index lies in [0, n], so it and the next node wrap at most once
-    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / len(radial))
-    base = np.floor(pos)
-    i0, frac = base.astype(np.intp), pos - base
-    return (1.0 - frac)[..., None] * radial.take(i0, axis=0, mode="wrap") \
-        + frac[..., None] * radial.take(i0 + 1, axis=0, mode="wrap")
+        out = _trig_eval(self.coef, reduce_angle(theta).ravel())
+        return out.T.reshape(theta.shape + (len(self.coef),))
 
 
 def _trig_eval(coef, x):
@@ -314,11 +302,17 @@ def _trig_eval(coef, x):
     out = np.empty((len(coef), len(x)))
     step = max(1, TRIG_BLOCK // len(k))
     for a in range(0, len(x), step):
-        # e^{ikx} as running powers of e^{ix}: a product per entry, not an exp
-        e = np.empty((len(k), len(x[a : a + step])), dtype=complex)
+        xs = x[a : a + step]
+        # e^{ikx} by doubling: rows [h, 2h) are rows [0, h) times
+        # e^{ihx} = e^{i(h-1)x} e^{ix}, one exponential per angle
+        e = np.empty((len(k), len(xs)), dtype=complex)
         e[0] = 1.0
-        e[1:] = np.exp(1j * x[a : a + step])
-        np.cumprod(e, axis=0, out=e)
+        e[1] = np.exp(1j * xs)
+        h = 2
+        while h < len(k):
+            top = e[h : 2 * h]
+            np.multiply(e[: len(top)], e[h - 1] * e[1], out=top)
+            h *= 2
         out[:, a : a + step] = (scaled @ e).real
     return out
 
@@ -375,22 +369,23 @@ def graph_transform_curve(model: ValidatedModel, mu: float,
     there.  The lift has degree m, so g is periodic and the curve's circle
     map preserves orientation for m = 1 and reverses it for m = -1.  It
     must be strictly monotone at the nodes, with 1 + g' positive at the
-    preimages and at the output angles (NotACircleMap).  N starts at 128, or at the power of two that reaches
-    4x the series' largest degree, and doubles while the residual stops
-    falling above CURVE_TOL or the top quarter of the iterate's coefficients
-    stays above CURVE_TOL; past 2^12 nodes, NoConvergence.
+    preimages and certified positive on the whole circle (NotACircleMap).
+    N starts at 128, or at the power of two that reaches 4x the series'
+    largest degree, and doubles while the residual stops falling above
+    CURVE_TOL or the top quarter of the iterate's coefficients stays above
+    CURVE_TOL; past 2^12 nodes, NoConvergence.
 
-    ``grid_size`` is the output sampling only: the curve keeps just the
-    polynomial at ``grid_size`` uniform angles (one zero-padded inverse FFT,
-    or direct evaluation below N nodes), and ``residual_sup`` is its
-    residual at the solve's N nodes (see InvariantCurve).
+    ``grid_size`` is the output sampling only, and no verdict depends on
+    it: the curve keeps the solve's coefficients and the polynomial at
+    ``grid_size`` uniform angles (one zero-padded inverse FFT, or direct
+    evaluation below N nodes), and ``residual_sup`` is its residual at the
+    solve's N nodes (see InvariantCurve).
 
-    Raises ValueError unless ``grid_size`` is an integer of at least
-    MIN_CURVE_NODES.
+    Raises ValueError unless ``grid_size`` is a positive integer.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"graph transform requires |m| = 1, got m={model.m}")
-    size = require_count("grid_size", grid_size, MIN_CURVE_NODES)
+    size = require_count("grid_size", grid_size, 1)
 
     sign = float(model.m)
     n = SPECTRAL_NODES
@@ -419,7 +414,9 @@ def graph_transform_curve(model: ValidatedModel, mu: float,
             residual = float(np.sqrt(np.sum(defect * defect, axis=0)).max())
             tail = float(np.abs(coef[:, 3 * n // 8 :]).max()) * 2.0 / n
             if residual < CURVE_TOL and tail < CURVE_TOL:
-                return _sampled_curve(coef, g_coef, residual, sign, size)
+                _certify_circle_map(g_coef)
+                orientation = Orientation.PRESERVING if sign > 0 else Orientation.REVERSING
+                return InvariantCurve(_trig_resample(coef, size), residual, orientation, coef)
             if tail >= CURVE_TOL or residual >= previous:
                 break
             previous = residual
@@ -430,13 +427,25 @@ def graph_transform_curve(model: ValidatedModel, mu: float,
                         f"above tol={CURVE_TOL} at the cap of {SPECTRAL_NODE_CAP} nodes")
 
 
-def _sampled_curve(coef, g_coef, residual, sign, size) -> InvariantCurve:
-    """The converged polynomial ``coef`` at ``size`` uniform angles, after
-    checking 1 + g' > 0 there for the lift's ``g_coef`` (g' freed first)."""
-    if not np.all(_trig_resample(1j * np.arange(len(g_coef)) * g_coef[None], size) > -1.0):
-        raise NotACircleMap("angular component is not strictly monotone along the curve")
-    orientation = Orientation.PRESERVING if sign > 0 else Orientation.REVERSING
-    return InvariantCurve(_trig_resample(coef, size), residual, orientation)
+def _certify_circle_map(g_coef) -> float:
+    """A certified positive lower bound of 1 + g' over the circle for the
+    lift's ``g_coef``: ``lipschitz_grid_extrema`` on the rows ``1j * k * g_coef``
+    with the Lipschitz bound sum_k w_k k^2 |g_k|, where w_k are
+    ``_trig_eval``'s weights (1/N at k = N/2, 2/N below; k = 0 adds 0).
+    NotACircleMap where a grid angle has 1 + g' <= 0, or at the grid cap."""
+    k = np.arange(len(g_coef))
+    slope = (1j * k * g_coef)[None]
+    lip = float(np.sum(np.where(k == k[-1], 1.0, 2.0) * k * k * np.abs(g_coef))) / (2 * k[-1])
+    vmin, _, grid, inflation, decided = lipschitz_grid_extrema(
+        lambda theta: 1.0 + _trig_eval(slope, theta)[0], lip,
+        lambda vmin, vmax, inflation: vmin <= 0.0 or vmin > inflation)
+    if vmin <= 0.0:
+        raise NotACircleMap(f"the curve's circle map folds: min 1 + g' = {vmin:.3e} "
+                            f"on {grid} angles")
+    if not decided:
+        raise NotACircleMap(f"1 + g' > 0 undecided at the cap of {grid} angles: "
+                            f"min {vmin:.3e}, inflation {inflation:.3e}")
+    return vmin - inflation
 
 
 @dataclass
@@ -517,34 +526,42 @@ _SAMPLE_MAXIMA = ("sup_pr", "sup_ptheta", "sup_qtheta_inv", "sup_qr",
 
 def _sample_maxima(jacobians) -> tuple[dict, int]:
     """The sample maxima of ``certify_jacobian_field``'s blocks, named as
-    the ConeCertificate fields (``_SAMPLE_MAXIMA``; the cross form solves
-    theta from (r, theta_bar)), and the sample count.  Each block's maxima
-    are computed once and reduced with np.maximum, which is exact, so they
-    are those of one block holding every sample."""
+    the ConeCertificate fields (``_SAMPLE_MAXIMA``), and the sample count.
+    Each block's maxima are computed once and reduced with np.maximum,
+    which is exact, so they are those of one block holding every sample.
+    A block is released before the next is drawn, so a generator of blocks
+    holds one at a time."""
     top, count, dim = None, 0, None
-    for block in jacobians:
-        jac = np.asarray(block, dtype=float)
+    for jac in jacobians:
+        jac = np.asarray(jac, dtype=float)
         dim = dim or (jac.shape[1] if jac.ndim == 3 else None)
         if not dim or jac.shape[1:] != (dim, dim):
             raise ValueError("jacobians must be (M, dim, dim) blocks of one field")
-        if not len(jac):
-            continue
-        r = dim - 1
-        p_r, p_t, q_r, q_t = jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
-        if np.any(q_t == 0.0):
-            raise NotACircleMap("vanishing angular derivative at a sample")
-        inv_qt = 1.0 / q_t
-        abs_inv = np.abs(inv_qt)
-        pt_norm, qr_norm = np.linalg.norm(p_t, axis=1), np.linalg.norm(q_r, axis=1)
-        cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * inv_qt[:, None])
-        block_top = np.array([
-            _max_operator_norm(p_r), np.max(pt_norm), np.max(abs_inv), np.max(qr_norm),
-            _max_operator_norm(cross_pr), np.max(pt_norm * abs_inv), np.max(qr_norm * abs_inv)])
-        top = block_top if top is None else np.maximum(top, block_top)
-        count += len(jac)
+        if len(jac):
+            block_top = _block_maxima(jac)
+            top = block_top if top is None else np.maximum(top, block_top)
+            count += len(jac)
+        del jac     # before the generator computes the next block
     if not count:
         raise ValueError("jacobians must hold at least one sample")
     return dict(zip(_SAMPLE_MAXIMA, top.tolist())), count
+
+
+def _block_maxima(jac) -> np.ndarray:
+    """``_SAMPLE_MAXIMA`` over one nonempty (M, r + 1, r + 1) block; the
+    cross form solves theta from (r, theta_bar).  Its temporaries die on
+    return."""
+    r = jac.shape[1] - 1
+    p_r, p_t, q_r, q_t = jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]
+    if np.any(q_t == 0.0):
+        raise NotACircleMap("vanishing angular derivative at a sample")
+    inv_qt = 1.0 / q_t
+    abs_inv = np.abs(inv_qt)
+    pt_norm, qr_norm = np.linalg.norm(p_t, axis=1), np.linalg.norm(q_r, axis=1)
+    cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * inv_qt[:, None])
+    return np.array([
+        _max_operator_norm(p_r), np.max(pt_norm), np.max(abs_inv), np.max(qr_norm),
+        _max_operator_norm(cross_pr), np.max(pt_norm * abs_inv), np.max(qr_norm * abs_inv)])
 
 
 def _reference_lift(model: ValidatedModel, mu: float, theta):
@@ -1187,12 +1204,12 @@ class ClassificationRecord:
 
 def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord:
     """Run the case condition and the case-appropriate computation: a
-    Newton fixed point, a graph-transform curve sampled on 2^16 angles, or
-    a cone certificate on 256 angles.  The curve is solved on 128 to 4,096
-    trigonometric nodes; 2^16 is only its output sampling, and the record's
-    ``residual_sup`` is the invariance residual at the solve's nodes (see
-    InvariantCurve).  The orientation follows from m: the curve's circle
-    map has the lift's degree.
+    Newton fixed point, a graph-transform curve, or a cone certificate on
+    256 angles.  The curve is solved on 128 to 4,096 trigonometric nodes,
+    its circle map certified monotone, and the record keeps it sampled on
+    SPECTRAL_NODES angles; its ``residual_sup`` is the invariance residual
+    at the solve's nodes (see InvariantCurve).  The orientation follows
+    from m: the curve's circle map has the lift's degree.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
     Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
@@ -1247,7 +1264,7 @@ def _fixed_point_record(mu, condition, fp):
 def _curve_or_cone_record(model: ValidatedModel, mu, condition):
     try:
         if condition.case_tag is CaseTag.TORUS_OR_KLEIN:
-            curve = graph_transform_curve(model, mu, 2 ** 16)
+            curve = graph_transform_curve(model, mu, SPECTRAL_NODES)
             label = AttractorLabel.INVARIANT_TORUS if model.m == 1 else AttractorLabel.KLEIN_BOTTLE
             return ClassificationRecord(label, mu, condition=condition, curve=curve)
         certificate = cone_certify(model, mu)

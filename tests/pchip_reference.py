@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 import blueskylab as bsl
-from blueskylab.analysis import _periodic_interp
 from blueskylab.fourier import TWO_PI
+from blueskylab.model import reduce_angle
 
 # nodes and targets that a periodic PCHIP evaluation holds at once
 PCHIP_BLOCK = 8192
@@ -27,6 +27,18 @@ REFERENCE_FILE = Path(__file__).resolve().parent / "data" / "curve_reference.npz
 REFERENCE_MUS = np.logspace(-6, -2, 9)
 REFERENCE_NODES = 2 ** 17
 REFERENCE_STRIDE = 1024
+
+
+def _periodic_interp(radial, theta):
+    """Linear interpolation at ``theta`` of node rows ``radial`` given on a
+    uniform grid over one turn; shape theta.shape + radial.shape[1:].  It
+    defines the oracle's residual."""
+    # the cell index lies in [0, n], so it and the next node wrap at most once
+    pos = reduce_angle(np.asarray(theta, dtype=float)) / (TWO_PI / len(radial))
+    base = np.floor(pos)
+    i0, frac = base.astype(np.intp), pos - base
+    return (1.0 - frac)[..., None] * radial.take(i0, axis=0, mode="wrap") \
+        + frac[..., None] * radial.take(i0 + 1, axis=0, mode="wrap")
 
 
 def periodic_pchip(w, values, targets):
@@ -110,7 +122,8 @@ def pchip_graph_transform(model: bsl.ValidatedModel, mu: float, grid_size: int =
     the linearly interpolated iterate at its image angle, summed over the
     node's rows) drops below ``tol``; NoConvergence after 50 steps without
     improvement or 10^4 steps, NotACircleMap where the lift is not
-    monotone along the nodes."""
+    monotone along the nodes.  The curve's ``coef`` are the ``np.fft.rfft``
+    rows of its nodes."""
     theta = np.arange(grid_size) * (TWO_PI / grid_size)
     radial = np.zeros((1 + model.ydim, grid_size))
     radial[0] = model.limit_radial(theta)
@@ -143,7 +156,8 @@ def pchip_graph_transform(model: bsl.ValidatedModel, mu: float, grid_size: int =
         raise bsl.NoConvergence(f"PCHIP graph transform residual {residual:.3e} after 10^4 steps")
 
     orientation = bsl.Orientation.PRESERVING if sign > 0 else bsl.Orientation.REVERSING
-    return bsl.InvariantCurve(np.ascontiguousarray(radial.T), residual, orientation)
+    return bsl.InvariantCurve(np.ascontiguousarray(radial.T), residual, orientation,
+                              np.fft.rfft(radial))
 
 
 def reference_curves() -> dict:

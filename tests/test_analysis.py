@@ -30,8 +30,8 @@ from blueskylab import (
 from blueskylab.analysis import (
     _bracketed_roots,
     _cone_upper_bounds,
+    _certify_circle_map,
     _max_operator_norm,
-    _periodic_interp,
     _prefix_diameters,
     _reorthonormalize,
     _trapping_jacobians,
@@ -53,6 +53,7 @@ from helpers import (
 )
 import pchip_reference
 from pchip_reference import (
+    _periodic_interp,
     REFERENCE_FILE,
     REFERENCE_NODES,
     REFERENCE_STRIDE,
@@ -131,8 +132,10 @@ def test_curve_uncoupled_matches_preimage_formula():
 def test_curve_matches_the_dense_piecewise_cubic_solve():
     # reference: every 1,024th node of the 2^17-node piecewise-cubic (PCHIP)
     # graph transform that this spectral solve replaced, at its default tol
-    # (pchip_reference.py rebuilds the file)
+    # (pchip_reference.py rebuilds the file); the samples and the polynomial
+    # itself at the reference angles both hold
     ref = np.load(REFERENCE_FILE)
+    theta = np.arange(0, REFERENCE_NODES, REFERENCE_STRIDE) * (TWO_PI / REFERENCE_NODES)
     for name in ("demo_m1", "demo_m-1"):
         model = demo_model(name)
         assert len(ref["mu"]) == 9 and len(ref[name]) == 9
@@ -140,6 +143,7 @@ def test_curve_matches_the_dense_piecewise_cubic_solve():
             curve = graph_transform_curve(model, mu, REFERENCE_NODES)
             np.testing.assert_allclose(curve.radial_values[::REFERENCE_STRIDE], nodes,
                                        rtol=0, atol=1e-9)
+            np.testing.assert_allclose(curve.radial_at(theta), nodes, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("grid_size", [8, 1000, 2 ** 17])
@@ -182,10 +186,11 @@ def test_trig_resample_matches_the_row_major_transform(rows):
         assert out.tobytes() == np.ascontiguousarray(expect.T).tobytes()
 
 
-def test_curve_keeps_only_its_samples():
-    """A 2^17-sample curve retains its samples and no angle grid (1.5x the
-    samples with one), and sampling peaks at the padded spectrum plus the
-    samples (3x with a row-major transform and a transposed copy)."""
+def test_curve_keeps_its_samples_and_coefficients():
+    """A 2^17-sample curve retains its samples, the solve's coefficients
+    (128 nodes: 2 KB) and no angle grid (1.5x the samples with one), and
+    sampling peaks at the padded spectrum plus the samples (3x with a
+    row-major transform and a transposed copy)."""
     model = demo_model("demo_m1")
     graph_transform_curve(model, 1e-4, 2 ** 17)
     tracemalloc.start()
@@ -196,6 +201,7 @@ def test_curve_keeps_only_its_samples():
         tracemalloc.stop()
     nbytes = curve.radial_values.nbytes
     assert "theta_grid" not in vars(curve)
+    assert curve.coef.shape == (1 + model.ydim, 65)
     assert retained <= 1.05 * nbytes
     assert peak <= 2.25 * nbytes
 
@@ -231,6 +237,60 @@ def test_curve_rejects_a_fold_between_the_nodes():
     assert np.all(np.diff(lift) > 0.0)
     with pytest.raises(NotACircleMap):
         graph_transform_curve(model, 1e-4, grid_size=1024)
+
+
+def _fold_model(slope):
+    """The uncoupled m = 1 model with h = a sin(32 theta + pi/4), 32 a =
+    ``slope``: 1 + h' dips to 1 - slope between the 128 solve nodes."""
+    c = slope / 32 / np.sqrt(2.0)
+    h = F(0.0, (0.0,) * 31 + (c,), (0.0,) * 31 + (c,))
+    return validate_config(uncoupled_config(m=1, gamma=1.0, lam=1.6, beta=2.5, h=h))
+
+
+@pytest.mark.parametrize("grid_size", [1, 8, 64, 128, 1024, 2 ** 17])
+def test_curve_rejects_the_fold_at_every_output_grid(grid_size):
+    # the monotonicity check runs on the polynomial, not on the output
+    # samples, so no grid_size lets the fold through
+    with pytest.raises(NotACircleMap, match="1 \\+ g' = -"):
+        graph_transform_curve(_fold_model(1.02), 1e-4, grid_size)
+
+
+def test_curve_accepts_a_small_positive_slope_margin():
+    # 32 a = 0.98: min(1 + g') is near 0.02 > 0, below the inflation at
+    # 4,096 angles (about 0.024), so the check doubles and then decides
+    model = _fold_model(0.98)
+    curve = graph_transform_curve(model, 1e-4, 8)
+    assert curve.orientation is Orientation.PRESERVING
+    theta = np.arange(128) * (TWO_PI / 128)
+    radial = curve.radial_at(theta).T
+    g_coef = np.fft.rfft(model.rescaled_step(radial[0], radial[1:], theta, 1e-4)[2] - theta)
+    # oracle: g' on 2^14 angles, one exponential per mode and angle
+    k = np.arange(65)
+    weights = np.where((k == 0) | (k == 64), 1.0, 2.0) / 128
+    fine = np.arange(2 ** 14) * (TWO_PI / 2 ** 14)
+    slope_min = 1.0 + ((weights * 1j * k * g_coef) @ np.exp(1j * np.outer(k, fine))).real.min()
+    margin = _certify_circle_map(g_coef)
+    assert 0.0 < margin < slope_min < 0.05
+
+
+def test_circle_map_check_refines_past_folds_between_the_grid_angles():
+    # g' = -a cos(1024 (theta - c)), a = 1.0001, c half a step of the first
+    # 4,096-angle grid: every fold lies between its angles, where 1 + g' is
+    # 0.29, so only a Lipschitz bound of at least a k = 1024 sends the check
+    # on to 8,192 angles, which hit the folds
+    n, k, a = 4096, 1024, 1.0001
+    theta = np.arange(n) * (TWO_PI / n)
+    g_coef = np.fft.rfft(-(a / k) * np.sin(k * (theta - np.pi / n)))
+    with pytest.raises(NotACircleMap, match="on 8192 angles"):
+        _certify_circle_map(g_coef)
+
+
+def test_circle_map_check_reports_an_undecided_cap():
+    # 1 + g' = 1 - cos(theta - 1) touches 0 at theta = 1 only, which is no
+    # grid angle: every grid value is positive and no inflation clears it
+    g_coef = np.fft.rfft(-np.sin(np.arange(8) * (TWO_PI / 8) - 1.0))
+    with pytest.raises(NotACircleMap, match="undecided at the cap of 1048576 angles"):
+        _certify_circle_map(g_coef)
 
 
 def test_curve_below_the_spectral_floor_raises_at_the_node_cap(monkeypatch):
@@ -405,36 +465,39 @@ def test_periodic_pchip_target_on_the_closing_node():
                           _pchip_4_node_pad(w, values, below))
 
 
-def _linear_periodic(values, theta):
-    """Linear interpolation on a uniform grid over one turn, one angle at a time."""
-    n = len(values)
-    h = TWO_PI / n
-    out = []
-    for t in np.ravel(theta):
-        t = float(t) % TWO_PI
-        i = int(t // h)
-        frac = t / h - i
-        out.append((1.0 - frac) * values[i % n] + frac * values[(i + 1) % n])
-    return np.reshape(out, np.shape(theta) + values.shape[1:])
-
-
 def test_radial_at_scalar_and_array_angles():
+    # oracle: the interpolant of the solve's 128 nodes at the angles reduced
+    # to one turn, random and very large finite ones included
     model = demo_model("demo_m1")
+    nodes = graph_transform_curve(model, 1e-4, 128).radial_values.T
     curve = graph_transform_curve(model, 1e-4, grid_size=2 ** 12)
     cases = [2.5, -0.7, TWO_PI, 9.0, np.float64(-13.1), np.array(7.25),
              [0.0, -1e-17, TWO_PI - 1e-15, 3.3],
-             np.linspace(-8.0, 15.0, 42).reshape(6, 7)]
+             np.linspace(-8.0, 15.0, 42).reshape(6, 7),
+             np.random.default_rng(11).uniform(-20.0, 20.0, 500),
+             [1e9 + 0.3, -3e15, 1e300, -1.7e308]]
     for theta in cases:
         got = curve.radial_at(theta)
         assert got.shape == np.shape(theta) + (1 + model.ydim,)
-        np.testing.assert_allclose(got, _linear_periodic(curve.radial_values, theta),
-                                   rtol=1e-13, atol=1e-15)
+        expect = trig_interpolant(nodes, reduce_angle(np.ravel(theta)))
+        np.testing.assert_allclose(got, expect.T.reshape(got.shape), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("count", [2, 65, 1025, 2049])
+def test_trig_eval_equals_direct_exponentials(count):
+    # oracle: one np.exp(1j * k * x) per mode and angle, no recurrence
+    rng = np.random.default_rng(count)
+    coef = rng.standard_normal((3, count)) + 1j * rng.standard_normal((3, count))
+    coef /= np.arange(1, count + 1)
+    x = rng.uniform(0.0, TWO_PI, 3000)
+    k = np.arange(count)
+    weights = np.where((k == 0) | (k == count - 1), 1.0, 2.0) / (2 * (count - 1))
+    expect = ((coef * weights) @ np.exp(1j * np.outer(k, x))).real
+    np.testing.assert_allclose(_trig_eval(coef, x), expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("arg, value", [
     ("grid_size", 0),
-    ("grid_size", 1),
-    ("grid_size", 7),
     ("grid_size", 1024.7),
 ])
 def test_curve_input_rule(arg, value):
@@ -602,6 +665,23 @@ def test_cone_certify_memory_is_bounded_in_the_grid():
         tracemalloc.stop()
     assert cert.verdict is True
     assert peak < 32 * 2 ** 20
+
+
+def test_cone_certify_holds_one_block_at_a_time():
+    """Two blocks of 4096 angles peak as one: the fold releases each block
+    before the generator computes the next (one block more, about 6 MB,
+    while it held the previous one)."""
+    model = demo_model("demo_m2")
+    cone_certify(model, 1e-5, 4096)
+    peaks = []
+    for grid in (4096, 8192):
+        tracemalloc.start()
+        try:
+            cone_certify(model, 1e-5, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 19
 
 
 def test_ragged_stream_matches_one_block():
@@ -1157,8 +1237,9 @@ def test_fixed_point_takes_the_converged_step(monkeypatch, name, mu):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_radial_at_rejects_non_finite_angles(bad):
     theta = np.arange(64) * (TWO_PI / 64)
-    curve = bsl.InvariantCurve(np.column_stack([1.0 + 0.1 * np.cos(theta), 0.0 * theta]),
-                               0.0, Orientation.PRESERVING)
+    radial = np.stack([1.0 + 0.1 * np.cos(theta), 0.0 * theta])
+    curve = bsl.InvariantCurve(np.ascontiguousarray(radial.T), 0.0, Orientation.PRESERVING,
+                               np.fft.rfft(radial))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert curve.radial_at(1e300).shape == (2,)     # finite, however large
