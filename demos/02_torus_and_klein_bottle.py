@@ -7,7 +7,9 @@ when the circle map preserves orientation (m = 1) and to a Klein bottle
 when it reverses it (m = -1).  The graph transform returns the curve as a
 trigonometric polynomial whose circle map is certified monotone; the
 samples printed below are only its output grid, and the orbit distances
-are measured against the polynomial itself (``radial_at``).
+are measured against the polynomial itself (``radial_at``).  The annulus
+inequality is evaluated on certified worst-case bounds over the trapping
+torus, not on samples.
 """
 
 from pathlib import Path
@@ -29,7 +31,7 @@ def show(name):
           f"min={report.criterion_min:.4f}")
 
     diag = bsl.annulus_diagnostic(model, MU)
-    print(f"annulus contraction inequality: lhs={diag.lhs:.5f} > rhs={diag.rhs:.5f} "
+    print(f"certified annulus contraction inequality: lhs={diag.lhs:.5f} > rhs={diag.rhs:.5f} "
           f"-> {diag.satisfied}")
 
     curve = bsl.graph_transform_curve(model, MU, grid_size=2 ** 15)

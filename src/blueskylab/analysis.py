@@ -453,10 +453,11 @@ class AnnulusDiagnostic:
     """The square-root contraction inequality behind the invariant-curve case.
 
     ``lhs`` is 1 - sup|dp/dr| * sup|(dq/dtheta)^-1| and ``rhs`` is
-    2 sqrt(sup|(dq/dtheta)^-1| * sup|dq/dr| * sup|dp/dtheta (dq/dtheta)^-1|),
-    with suprema over the trapping samples (the core and the radial face
-    centres at each grid angle); ``satisfied`` means
-    lhs > rhs.  Diagnostic only: the certified angular condition
+    2 sqrt(sup|(dq/dtheta)^-1| * sup|dq/dr| * sup|dp/dtheta (dq/dtheta)^-1|).
+    The fields are the certified record's worst-case bounds over the whole
+    trapping torus (``pr``, ``ptheta``, 1 / ``qtheta_lower`` and ``qr``),
+    not sample maxima, so ``satisfied`` (lhs > rhs) rests on bounds alone.
+    Diagnostic only: no label reads it, and the certified angular condition
     1 + m*s > 0 is the effective criterion for this map family.
     """
 
@@ -477,21 +478,23 @@ class AnnulusDiagnostic:
 
 
 def annulus_diagnostic(model: ValidatedModel, mu: float) -> AnnulusDiagnostic:
-    """Evaluate the annulus contraction inequality at degree |m| = 1, over
-    the trapping samples at 256 angles.
+    """Evaluate the annulus contraction inequality at degree |m| = 1 from
+    the certified record of the trapping torus (``_certified_record``).
 
     Unlike the solenoid cone conditions this does not need angular
     expansion, so sup|(dq/dtheta)^-1| may exceed one; the inequality holds
     whenever the radial contraction beats the cross terms, which is the
-    regime where the graph transform converges to a smooth curve.
+    regime where the graph transform converges to a smooth curve.  Raises
+    NotACircleMap where the certified angular-derivative bound is not
+    positive, and Inconclusive where the curve condition is undecided.
     """
     if abs(model.m) != 1:
         raise CaseMismatch(f"annulus diagnostic requires |m| = 1, got m={model.m}")
-    sups, _ = _sample_maxima(_trapping_jacobians(model, mu, 256, model.trapping_radius(mu)))
-    sup_pr, sup_qtinv, sup_qr = sups["sup_pr"], sups["sup_qtheta_inv"], sups["sup_qr"]
-    lhs = 1.0 - sup_qtinv * sup_pr
-    rhs = 2.0 * float(np.sqrt(sup_qtinv * sup_qr * sups["cross_sup_ptheta_bar"]))
-    return AnnulusDiagnostic(sup_pr, sups["sup_ptheta"], sup_qtinv, sup_qr, lhs, rhs)
+    record = _certified_record(model, mu, model.trapping_radius(mu))
+    qt_inv = 1.0 / record["qtheta_lower"]
+    lhs = 1.0 - qt_inv * record["pr"]
+    rhs = 2.0 * float(np.sqrt(qt_inv * record["qr"] * record["cross_ptheta_bar"]))
+    return AnnulusDiagnostic(record["pr"], record["ptheta"], qt_inv, record["qr"], lhs, rhs)
 
 
 def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int, K: float):
@@ -673,7 +676,7 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
         items are (dim, dim) and fail the block shape rule.
     bounds : dict
         The certified record over the whole region, as
-        ``_cone_upper_bounds`` returns it: upper bounds ``pr``, ``ptheta``,
+        ``_certified_record`` returns it: upper bounds ``pr``, ``ptheta``,
         ``qr``, ``cross_pr``, ``cross_ptheta_bar`` and the lower bound
         ``qtheta_lower`` of |dq/dtheta|.
 
@@ -698,14 +701,17 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     return ConeCertificate(**sups, L_interval=interval, verdict=verdict, certified=cert)
 
 
-def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
-    """Worst-case bounds of the return-map partials over the trapping torus.
+def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
+    """Worst-case bounds of the return-map partials over the trapping torus,
+    the one record behind the cone (|m| >= 2) and the annulus (|m| = 1).
 
     Built from Fourier coefficient sums, the certified minimum of alpha,
-    and the certified angular expansion; over {|X - alpha^nu| <= K,
-    |Y| <= K} every bound dominates the true supremum, and
-    ``qtheta_lower`` lies below the infimum of |dq/dtheta|.  Raises
-    NotExpandingInTheta when ``qtheta_lower`` <= 1.
+    and the certified angular expansion read off the case report; over
+    {|X - alpha^nu| <= K, |Y| <= K} every bound dominates the true
+    supremum, and ``qtheta_lower`` lies below the infimum of |dq/dtheta|.
+    Raises NotExpandingInTheta when ``qtheta_lower`` <= 1 at |m| >= 2,
+    NotACircleMap when it is <= 0, and Inconclusive wherever the case
+    condition is undecided.
     """
     nu, bg, d, gamma, m = model.nu, model.beta_over_gamma, model.d, model.gamma, model.m
     cfg = model.cfg
@@ -718,11 +724,11 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
     c_y = mu ** (bg - nu)
     d_pow = d ** (1.0 - nu)
     x_abs, c_max, delta, u_lo, u_hi, y0_max = model._excursion_bounds(mu, K)
-    fy1_norm = float(np.sqrt(np.sum(sup["fy1"] ** 2))) if k else 0.0
+    fy1_norm = float(np.sqrt(np.sum(sup["fy1"] ** 2)))
     ct_max = d_pow * sup["fx1"] * x_abs + fy1_norm * K
     ut_max = a1 + mu ** (nu - 1.0) * ct_max
 
-    y0t_max = sup["g01"] + mu_nu * (d_pow * sup["fy1"] * x_abs + sup["hy1"] * K) if k else np.zeros(0)
+    y0t_max = sup["g01"] + mu_nu * (d_pow * sup["fy1"] * x_abs + sup["hy1"] * K)
 
     # radial block, entrywise bounds -> Frobenius dominates the operator norm
     w_hi = nu * u_hi ** (nu - 1.0) * mu ** (nu - 1.0)
@@ -740,23 +746,22 @@ def _cone_upper_bounds(model: ValidatedModel, mu: float, K: float) -> dict:
     b_pr = float(np.sqrt(b_pr_sq))
 
     w_th = nu * u_hi ** (nu - 1.0) * ut_max
-    y_th = v_hi / mu ** (nu - 1.0) * ut_max * y0_max + q_hi * (
-        y0t_max if k else np.zeros(0))
+    y_th = v_hi / mu ** (nu - 1.0) * ut_max * y0_max + q_hi * y0t_max
     b_ptheta = float(np.sqrt(w_th ** 2 + np.sum(y_th ** 2)))
 
     qr_x = mu_nu * d_pow * sup["hx"] + mu ** (nu - 1.0) * d_pow * sup["fx"] / (gamma * u_lo)
-    qr_y = mu_nu * sup["hy"] + mu ** (nu - 1.0) * sup["fy"] / (gamma * u_lo) if k \
-        else np.zeros(0)
+    qr_y = mu_nu * sup["hy"] + mu ** (nu - 1.0) * sup["fy"] / (gamma * u_lo)
     b_qr = float(np.sqrt(qr_x ** 2 + np.sum(qr_y ** 2)))
 
     # angular derivative: m + s(theta) plus bounded corrections
-    hy1_sum = float(np.sqrt(np.sum(sup["hy1"] ** 2))) if k else 0.0
+    hy1_sum = float(np.sqrt(np.sum(sup["hy1"] ** 2)))
     corr = mu_nu * d_pow * sup["hx1"] * x_abs + mu_nu * hy1_sum * K \
         + mu ** (nu - 1.0) * (a1 * c_max + a_hi * ct_max) / (gamma * a_lo * u_lo)
-    expansion = certified_angular_expansion(model)
-    qtheta_lo = expansion - corr
-    if qtheta_lo <= 1.0:
+    qtheta_lo = certified_angular_expansion(model) - corr
+    if abs(m) >= 2 and qtheta_lo <= 1.0:
         raise NotExpandingInTheta(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 1")
+    if qtheta_lo <= 0.0:
+        raise NotACircleMap(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 0")
     return {
         "pr": b_pr,
         "ptheta": b_ptheta,
@@ -784,7 +789,7 @@ def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCerti
     require_count("grid", grid, 1)
     K = model.trapping_radius(mu)
     return certify_jacobian_field(_trapping_jacobians(model, mu, grid, K),
-                                  _cone_upper_bounds(model, mu, K))
+                                  _certified_record(model, mu, K))
 
 
 # ---------------------------------------------------------------------------

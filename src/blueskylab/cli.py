@@ -5,7 +5,7 @@ false certificate, all records escaped); 2 usage or parse error; 3
 undecided (an inconclusive condition or certificate, a solver that did not
 converge, an indeterminate classification).  ``main`` maps exceptions to
 these codes with one table, ``EXIT_CODES``.  Nothing is random, and CSV
-floats use the shortest round-trip representation, so identical manifests
+floats use the shortest round-trip representation, so identical arguments
 produce byte-identical outputs.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .model import (
     validate_config,
 )
 
-__all__ = ["EXIT_CODES", "RunManifest", "cmd_certify", "cmd_classify", "cmd_sweep",
+__all__ = ["EXIT_CODES", "cmd_certify", "cmd_classify", "cmd_sweep",
            "cmd_validate", "main"]
 
 # exception class -> exit code and stderr prefix; the first match wins, and
@@ -47,16 +46,6 @@ EXIT_CODES = (
     (DomainError, 1, "error"),
     (ValueError, 2, "usage error"),
 )
-
-
-@dataclass
-class RunManifest:
-    """Everything a command run depends on; identical manifests produce
-    bit-identical file outputs."""
-
-    config_path: str
-    output_dir: str | None = None
-    overrides: list[str] = field(default_factory=list)
 
 
 def _parse_override_value(text: str):
@@ -104,10 +93,10 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     return data
 
 
-def _load_model(manifest: RunManifest) -> ValidatedModel:
+def _load_model(args: argparse.Namespace) -> ValidatedModel:
     """Read, override, parse and validate the config.  An unreadable or
     malformed file raises ValueError; a rule violation, InvalidModel."""
-    path = Path(manifest.config_path)
+    path = Path(args.config)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -115,7 +104,7 @@ def _load_model(manifest: RunManifest) -> ValidatedModel:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed config {path}: {exc}") from exc
-    apply_overrides(data, manifest.overrides)
+    apply_overrides(data, args.overrides)
     return validate_config(parse_config(data))
 
 
@@ -129,10 +118,10 @@ def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def cmd_validate(manifest: RunManifest) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """Exit 0 iff the config satisfies every model-family rule."""
     try:
-        model = _load_model(manifest)
+        model = _load_model(args)
     except InvalidModel as exc:
         print("invalid model; violated rules:")
         for name in exc.violations:
@@ -150,10 +139,10 @@ def _format_interval(interval) -> str:
     return f"({low:.6g}, {high_txt})"
 
 
-def cmd_classify(manifest: RunManifest, mu: float) -> int:
-    """Classify the attractor at mu; exit 3 when indeterminate."""
-    require_mu(mu)
-    record = classify_attractor(_load_model(manifest), mu)
+def cmd_classify(args: argparse.Namespace) -> int:
+    """Classify the attractor at ``--mu``; exit 3 when indeterminate."""
+    require_mu(args.mu)
+    record = classify_attractor(_load_model(args), args.mu)
     print(record.label.value)
     if record.condition is not None:
         cond = record.condition
@@ -172,16 +161,16 @@ def cmd_classify(manifest: RunManifest, mu: float) -> int:
               f"L_interval={_format_interval(record.certificate.L_interval)}")
     if record.reason:
         print(f"reason: {record.reason}")
-    _write_json(manifest.output_dir, "classification.json", record.to_dict())
+    _write_json(args.out, "classification.json", record.to_dict())
     return 0 if record.label is not AttractorLabel.INDETERMINATE else 3
 
 
-def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float, per_decade: int) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep mu, write the CSV and the scaling fit; exit 1 if all escaped."""
-    mus = geometric_mu_grid(mu_min, mu_max, per_decade)
-    model = _load_model(manifest)
+    mus = geometric_mu_grid(args.mu_min, args.mu_max, args.per_decade)
+    model = _load_model(args)
     records = mu_sweep(model, mus)
-    out_dir = Path(manifest.output_dir) if manifest.output_dir else Path(".")
+    out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     write_sweep_csv(records, csv_path)
@@ -200,16 +189,16 @@ def cmd_sweep(manifest: RunManifest, mu_min: float, mu_max: float, per_decade: i
     return 0
 
 
-def cmd_certify(manifest: RunManifest, mu: float, grid: int) -> int:
+def cmd_certify(args: argparse.Namespace) -> int:
     """Write the cone certificate; exit 0 iff the verdict is true."""
-    require_mu(mu)
-    cert = cone_certify(_load_model(manifest), mu, grid)
+    require_mu(args.mu)
+    cert = cone_certify(_load_model(args), args.mu, args.grid)
     print(f"verdict: {cert.verdict}")
     print(f"sup|dp/dr|={cert.sup_pr:.6g} sup|dp/dtheta|={cert.sup_ptheta:.6g} "
           f"sup|(dq/dtheta)^-1|={cert.sup_qtheta_inv:.6g} sup|dq/dr|={cert.sup_qr:.6g}")
     print(f"L_interval: {_format_interval(cert.L_interval)}")
     print(f"certified angular expansion >= {cert.expansion_lower_bound:.6g}")
-    _write_json(manifest.output_dir, "certificate.json", cert.to_dict())
+    _write_json(args.out, "certificate.json", cert.to_dict())
     return 0 if cert.verdict else 1
 
 
@@ -220,27 +209,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("config", help="model configuration file (JSON)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry (repeatable)")
         p.add_argument("--out", dest="out", default=None, help="output directory")
 
     p = sub.add_parser("validate", help="check the model-family rules")
-    common(p)
+    common(p, cmd_validate)
 
     p = sub.add_parser("classify", help="classify the attractor at one mu")
-    common(p)
+    common(p, cmd_classify)
     p.add_argument("--mu", type=float, required=True)
 
     p = sub.add_parser("sweep", help="classify along a mu grid and fit the period scaling")
-    common(p)
+    common(p, cmd_sweep)
     p.add_argument("--mu-min", type=float, required=True)
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--per-decade", type=int, default=10)
 
     p = sub.add_parser("certify", help="cone-condition hyperbolicity certificate (|m| >= 2)")
-    common(p)
+    common(p, cmd_certify)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--grid", type=int, default=256, help="angular sample count")
     return parser
@@ -248,19 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    manifest = RunManifest(
-        config_path=args.config,
-        output_dir=args.out,
-        overrides=list(args.overrides),
-    )
-    commands = {
-        "validate": lambda: cmd_validate(manifest),
-        "classify": lambda: cmd_classify(manifest, args.mu),
-        "sweep": lambda: cmd_sweep(manifest, args.mu_min, args.mu_max, args.per_decade),
-        "certify": lambda: cmd_certify(manifest, args.mu, args.grid),
-    }
     try:
-        return commands[args.command]()
+        return args.run(args)
     except (DomainError, ValueError) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in EXIT_CODES
                             if isinstance(exc, cls))

@@ -165,8 +165,7 @@ def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
         raise CaseMismatch(f"{case_tag.value} is inconsistent with degree m={m}")
 
     def compute():
-        lip_s = criterion_lipschitz(model)
-        lip = abs(m) * lip_s if case_tag is CaseTag.TORUS_OR_KLEIN else lip_s
+        lip = criterion_lipschitz(model)  # also bounds 1 + m*s at |m| = 1, and |m + s|
         values, margin = _case_criterion(case_tag, model)
 
         def decided(cmin, cmax, inflation):
@@ -187,17 +186,17 @@ def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
 
 
 def certified_angular_expansion(model: ValidatedModel) -> float:
-    """Certified lower bound of inf |m + s(theta)| over the circle.
+    """Certified lower bound of inf |m + s(theta)| over the circle, |m| >= 1.
 
-    The angular expansion rate of the limit return map; > 1 exactly when
-    the solenoid condition holds.  The grid starts at 4096 points and
-    doubles (evaluating only the new midpoints) while the bound is not
-    positive, up to 2^20 points, where the bound is returned as it stands.
-    It does not depend on mu, so it is computed once per model.
+    Read off the model's case report (``check_case``) as its certified
+    minimum, criterion_min - lipschitz_bound * pi / grid_size, with no grid
+    loop of its own: at |m| >= 2 the SOLENOID criterion is |m + s| itself
+    (> 1 exactly when the solenoid condition holds), and at |m| = 1 the
+    TORUS_OR_KLEIN criterion 1 + m*s equals |m + s| wherever it is positive
+    (a negative bound means the condition fails).  Raises CaseMismatch at
+    m = 0 and Inconclusive wherever ``check_case`` does.
     """
-    def compute():
-        vmin, _, _, inflation, _ = lipschitz_grid_extrema(
-            _case_criterion(CaseTag.SOLENOID, model)[0], criterion_lipschitz(model),
-            lambda vmin, vmax, inflation: vmin - inflation > 0.0)
-        return vmin - inflation
-    return model.memoized("certified_angular_expansion", compute)
+    if model.m == 0:
+        raise CaseMismatch("the angular expansion needs |m| >= 1, got m=0")
+    report = check_case(case_for_degree(model.m), model)
+    return report.criterion_min - report.lipschitz_bound * np.pi / report.grid_size

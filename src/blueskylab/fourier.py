@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -108,20 +109,27 @@ class FourierSeries:
     def from_dict(cls, data) -> "FourierSeries":
         """Build from a ``{"constant": c, "cos": [...], "sin": [...]}`` mapping.
 
-        A bare number is accepted as shorthand for a constant series.
+        A bare number is accepted as shorthand for a constant series.  Raises
+        ValueError for anything else, for an unknown key, for a ``constant``
+        that is not a number and for ``cos`` or ``sin`` that is not a list
+        of numbers.
         """
-        if isinstance(data, (int, float)):
+        if isinstance(data, Real):
             return cls.constant(data)
         if not isinstance(data, dict):
-            raise TypeError(f"expected mapping or number for a series, got {type(data).__name__}")
+            raise ValueError(f"expected a mapping or a number for a series, "
+                             f"got {type(data).__name__}")
         unknown = set(data) - {"constant", "cos", "sin"}
         if unknown:
             raise ValueError(f"unknown series keys: {sorted(unknown)}")
-        return cls(
-            data.get("constant", 0.0),
-            tuple(data.get("cos", ())),
-            tuple(data.get("sin", ())),
-        )
+        constant = data.get("constant", 0.0)
+        if not isinstance(constant, Real):
+            raise ValueError(f"series constant must be a number, got {type(constant).__name__}")
+        for key in ("cos", "sin"):
+            coef = data.get(key, ())
+            if not isinstance(coef, (list, tuple)) or not all(isinstance(c, Real) for c in coef):
+                raise ValueError(f"series {key} must be a list of numbers")
+        return cls(constant, tuple(data.get("cos", ())), tuple(data.get("sin", ())))
 
 
 class SeriesBank:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -215,31 +216,37 @@ def parse_config(data: dict) -> ModelConfig:
     if unknown:
         raise ValueError(f"config has unknown keys: {sorted(unknown)}")
 
+    def number(key) -> float:
+        if not isinstance(data[key], Real):
+            raise ValueError(f"{key} must be a number, got {type(data[key]).__name__}")
+        return float(data[key])
+
+    def series(key, raw) -> FourierSeries:
+        try:
+            return FourierSeries.from_dict(raw)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
     def series_list(key) -> tuple[FourierSeries, ...]:
         raw = data[key]
         if not isinstance(raw, (list, tuple)):
             raise ValueError(f"{key} must be a list of series (one per y-component)")
-        return tuple(FourierSeries.from_dict(item) for item in raw)
+        return tuple(series(f"{key}.{i}", item) for i, item in enumerate(raw))
 
-    n = data["n"]
-    if not float(n).is_integer():
+    n = number("n")
+    if not n.is_integer():
         raise ValueError("n must be an integer")
-    cfg = ModelConfig(
-        m=float(data["m"]),
-        gamma=float(data["gamma"]),
-        lam=float(data["lambda"]),
-        beta=float(data["beta"]),
-        d=float(data["d"]),
-        n=int(n),
-        alpha=FourierSeries.from_dict(data["alpha"]),
-        h=FourierSeries.from_dict(data["h"]),
-        coupling_fx=FourierSeries.from_dict(data["coupling_fx"]),
-        coupling_hx=FourierSeries.from_dict(data["coupling_hx"]),
+    return ModelConfig(
+        m=number("m"), gamma=number("gamma"), lam=number("lambda"), beta=number("beta"),
+        d=number("d"), n=int(n),
+        alpha=series("alpha", data["alpha"]),
+        h=series("h", data["h"]),
+        coupling_fx=series("coupling_fx", data["coupling_fx"]),
+        coupling_hx=series("coupling_hx", data["coupling_hx"]),
         coupling_fy=series_list("coupling_fy"),
         coupling_hy=series_list("coupling_hy"),
         g0=series_list("g0"),
     )
-    return cfg
 
 
 def load_config(path) -> ModelConfig:

@@ -29,11 +29,12 @@ from blueskylab import (
 )
 from blueskylab.analysis import (
     _bracketed_roots,
-    _cone_upper_bounds,
+    _certified_record,
     _certify_circle_map,
     _max_operator_norm,
     _prefix_diameters,
     _reorthonormalize,
+    _sample_maxima,
     _trapping_jacobians,
     _trig_eval,
     _trig_resample,
@@ -516,6 +517,44 @@ def test_annulus_diagnostic_holds_for_curve_regimes():
         bsl.annulus_diagnostic(demo_model("demo_m2"), 1e-5)
 
 
+@pytest.mark.parametrize("name", ["demo_m1", "demo_m-1", "n2"])
+@pytest.mark.parametrize("mu", [1e-6, 1e-4, 1e-2])
+def test_certified_annulus_dominates_the_samples(monkeypatch, name, mu):
+    """The annulus fields are the certified record's bounds: they dominate
+    the maxima of the 256-angle trapping samples, and no Jacobian is
+    sampled to compute them.  n = 2 has no strong-stable components, and
+    there the radial bound is attained by a sample; the record is not
+    rounded outward, so it may read a few ulps below that sample."""
+    model = validate_config(coupled_config(m=1, n=2)) if name == "n2" else demo_model(name)
+    sups, _ = _sample_maxima(_trapping_jacobians(model, mu, 256, model.trapping_radius(mu)))
+    step = model.rescaled_step
+
+    def no_jacobian(*args, with_jacobian=False, **kwargs):
+        assert not with_jacobian, "annulus_diagnostic sampled a Jacobian"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(model, "rescaled_step", no_jacobian)
+    diag = bsl.annulus_diagnostic(model, mu)
+    ulps = 1.0 - 1e-14
+    for key in ("sup_pr", "sup_ptheta", "sup_qtheta_inv", "sup_qr"):
+        assert getattr(diag, key) >= sups[key] * ulps
+    assert diag.lhs <= 1.0 - sups["sup_qtheta_inv"] * sups["sup_pr"] * ulps
+    assert diag.rhs >= 2.0 * np.sqrt(
+        sups["sup_qtheta_inv"] * sups["sup_qr"] * sups["cross_sup_ptheta_bar"]) * ulps
+    assert diag.satisfied
+
+
+def test_certified_annulus_without_a_circle_map():
+    """1 + m*s > 0 holds with a margin of about 2e-4, which the coupling
+    corrections at mu = 1e-2 exceed: the certified angular-derivative
+    bound is negative."""
+    model = validate_config(coupled_config(m=1, alpha=F.constant(1.0), h=F(0.0, (), (0.999,)),
+                                           scale=2e-2))
+    assert bsl.check_case(bsl.CaseTag.TORUS_OR_KLEIN, model).verdict is True
+    with pytest.raises(NotACircleMap, match="lower bound .* <= 0"):
+        bsl.annulus_diagnostic(model, 1e-2)
+
+
 # -- circle degree -------------------------------------------------------------
 
 
@@ -695,7 +734,7 @@ def test_ragged_stream_matches_one_block():
     th, X, Y, _ = model.trapping_samples(mu, np.arange(grid) * (TWO_PI / grid), K=K)
     *_, whole = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
-    one_block = certify_jacobian_field([whole], _cone_upper_bounds(model, mu, K))
+    one_block = certify_jacobian_field([whole], _certified_record(model, mu, K))
     streamed = cone_certify(model, mu, grid)
     assert streamed.to_dict() == one_block.to_dict()
     assert streamed.certified == one_block.certified
@@ -748,7 +787,7 @@ def test_homotopy_to_skew_product_keeps_certificate():
     model = demo_model("demo_m2")
     mu = 1e-5
     th, X, Y, K = model.trapping_samples(mu, np.arange(128) * (TWO_PI / 128))
-    record = _cone_upper_bounds(model, mu, K)
+    record = _certified_record(model, mu, K)
     base = model.limit_radial(th)
     delta = 1.0
     for eps in (delta, delta / 2.0, delta / 4.0, 0.0):
@@ -1364,7 +1403,7 @@ def test_max_operator_norm_is_the_stacked_svd_maximum(name, grid):
     cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * (1.0 / q_t)[:, None])
     want_pr, want_cross = _reference_max_norm(p_r), _reference_max_norm(cross_pr)
     assert _max_operator_norm(p_r) == want_pr and _max_operator_norm(cross_pr) == want_cross
-    cert = certify_jacobian_field([jac], _cone_upper_bounds(model, 1e-5, K))
+    cert = certify_jacobian_field([jac], _certified_record(model, 1e-5, K))
     assert cert.sup_pr == want_pr and cert.cross_sup_pr == want_cross
 
 

@@ -205,6 +205,21 @@ def test_non_finite_config_is_invalid_model(capsys):
     assert err.count("\n") == 1 and "NonFinite" in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("alpha=null", "alpha"),
+    ("h.sin=0.3", "h: series sin"),
+    ("alpha.cos=[[1]]", "alpha: series cos"),
+    ("alpha.constant=[1]", "alpha: series constant"),
+    ("coupling_fy.0=null", "coupling_fy.0"),
+    ("m=null", "m"),
+])
+def test_malformed_config_entry_is_usage_error(capsys, override, key):
+    assert run("validate", config("demo_m1"), "--set", override) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"usage error: ValueError: {key}")
+    assert "Traceback" not in err
+
+
 def test_sweep_determinism(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,12 @@ from blueskylab import (
     certified_angular_expansion,
     check_case,
     criterion_function,
+    parse_config,
     validate_config,
 )
+from blueskylab.fourier import lipschitz_grid_extrema
 
-from helpers import random_config, uncoupled_config
+from helpers import CONFIG_DIR, demo_model, random_config, uncoupled_config
 
 TWO_PI = 2.0 * np.pi
 
@@ -212,6 +215,54 @@ def test_mu_free_conditions_are_computed_once_per_model(criterion_calls):
     assert len(criterion_calls) == evaluations
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.margin = 0.0
+
+
+def _high_n_m2():
+    """demo_m2 extended to n = 7 with small strong-stable couplings, built
+    like the benchmark's ``high_n_m2``."""
+    data = json.loads((CONFIG_DIR / "demo_m2.json").read_text())
+    rng = np.random.default_rng(7)
+    for _ in range(7 - data["n"]):
+        data["coupling_fy"].append({"constant": rng.uniform(3e-4, 1e-3),
+                                    "sin": [rng.uniform(-1e-3, 1e-3)]})
+        data["coupling_hy"].append({"constant": rng.uniform(3e-4, 1e-3),
+                                    "cos": [rng.uniform(-4e-4, 4e-4)]})
+        data["g0"].append({"constant": rng.uniform(-0.05, 0.05),
+                           "sin": [rng.uniform(-0.03, 0.03)]})
+    data["n"] = 7
+    return validate_config(parse_config(data))
+
+
+@pytest.mark.parametrize("build", [lambda: demo_model("demo_m2"), _high_n_m2,
+                                   lambda: demo_model("demo_m1"), lambda: demo_model("demo_m-1")],
+                         ids=["demo_m2", "high_n_m2", "demo_m1", "demo_m-1"])
+def test_expansion_is_read_off_the_case_report(criterion_calls, build):
+    """No grid loop of its own: after check_case the expansion evaluates the
+    criterion nowhere, and equals both the report's certified minimum and
+    the stand-alone certified loop over |m + s| bit for bit (at |m| = 1,
+    where 1 + m*s > 0, the two criteria agree bit for bit)."""
+    model = build()
+    report = check_case(case_for_degree(model.m), model)
+    evaluations = len(criterion_calls)
+    bound = certified_angular_expansion(model)
+    assert len(criterion_calls) == evaluations
+    assert bound == report.criterion_min - report.lipschitz_bound * np.pi / report.grid_size
+    vmin, _, _, inflation, _ = lipschitz_grid_extrema(
+        lambda theta: np.abs(model.m + criterion_function(theta, model)),
+        conditions.criterion_lipschitz(model), lambda vmin, vmax, infl: vmin - infl > 0.0)
+    assert bound == vmin - inflation
+
+
+def test_expansion_is_undecided_where_the_case_is():
+    """At a = 1 the solenoid margin min|2 + a cos| - 1 is exactly 0: the
+    expansion raises Inconclusive, as check_case does; m = 0 has none."""
+    model = validate_config(
+        uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (1.0,))))
+    with pytest.raises(Inconclusive) as err:
+        certified_angular_expansion(model)
+    assert err.value.raw_margin == 0.0 and err.value.grid_size == 2 ** 20
+    with pytest.raises(CaseMismatch):
+        certified_angular_expansion(validate_config(uncoupled_config(m=0)))
 
 
 def test_grid_cap_case_evaluates_the_cap_grid_once(criterion_calls):

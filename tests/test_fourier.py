@@ -83,8 +83,9 @@ def test_dict_roundtrip_and_shorthand():
     assert FourierSeries.from_dict(2.0) == FourierSeries.constant(2.0)
     with pytest.raises(ValueError):
         FourierSeries.from_dict({"constant": 0.0, "cosine": [1.0]})
-    with pytest.raises(TypeError):
-        FourierSeries.from_dict([1.0])
+    for malformed in ([1.0], None, {"sin": 0.3}, {"cos": [[1.0]]}, {"constant": [1.0]}):
+        with pytest.raises(ValueError):
+            FourierSeries.from_dict(malformed)
 
 
 def test_scaled():
