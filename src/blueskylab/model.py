@@ -90,8 +90,8 @@ class InvalidModel(DomainError, ValueError):
 
 
 class EscapedTube(DomainError, RuntimeError):
-    """An orbit left the homoclinic tube: the global map produced a z0 that
-    is not finite and positive."""
+    """An orbit left the homoclinic tube, by the escape rule stated in
+    ``ValidatedModel._step``."""
 
 
 class NoTrappingRadius(Undecided, ValueError):
@@ -388,9 +388,9 @@ class ValidatedModel:
 
         Raises
         ------
-        EscapedTube if any intermediate z0 is not finite and positive, or
-        any image Xb, Yb is not finite; ValueError for a mu that breaks
-        ``require_mu`` or does not broadcast to S.
+        EscapedTube if any point escaped (the rule in ``_step``);
+        ValueError for a mu that breaks ``require_mu`` or does not
+        broadcast to S.
         """
         out, escaped = self._step(X, Y, theta, mu, with_jacobian)
         if escaped.any():
@@ -402,7 +402,10 @@ class ValidatedModel:
         """``rescaled_step`` with escapes reported per point instead of
         raised: returns (the tuple ``rescaled_step`` returns, escaped), with
         ``escaped`` a boolean array of shape S and every output NaN at the
-        escaped points.  Escaped points raise no floating-point warning."""
+        escaped points.  The escape rule, stated here only: a point escaped
+        (its orbit left the homoclinic tube) when its z0 is not finite and
+        positive, or its Xb or any component of its Yb is not finite.
+        Escaped points raise no floating-point warning."""
         mu = require_mu(mu)
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -419,85 +422,70 @@ class ValidatedModel:
                 raise ValueError(f"mu of shape {mu.shape} does not broadcast to the "
                                  f"state's shape {shape}")
 
-        vals = self._bank.eval(theta, derivatives=with_jacobian)
         gamma, nu, bg, d, m = self.gamma, self.nu, self.beta_over_gamma, self.d, self.m
-        mu_nu = mu ** nu
-        c_x = d ** (1.0 - nu) * mu_nu
-
-        x = c_x * X
-        z0, y0, th0 = self._t1(vals, x, mu_nu * Y, theta, mu)
-        escaped = ~((z0 > 0.0) & (z0 < np.inf))
-        any_escaped = escaped.any()
-        if any_escaped:
-            z0 = np.where(escaped, mu, z0)      # any finite positive value: masked below
-
-        # an orbit that overflows here has left the tube: flag it on this step
-        with np.errstate(over="ignore", invalid="ignore"):
+        # escaped points compute whatever IEEE arithmetic gives; the mask NaNs them
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = self._bank.eval(theta, derivatives=with_jacobian)
+            mu_nu = mu ** nu
+            c_x = d ** (1.0 - nu) * mu_nu
+            x = c_x * X
+            z0, y0, th0 = self._t1(vals, x, mu_nu * Y, theta, mu)
             u = z0 / mu
             Xb = u ** nu
             c_y = mu ** (bg - nu)
-            u_bg = u ** bg
-            Yb = c_y * u_bg * y0
-        if not (np.isfinite(Xb).all() and np.isfinite(Yb).all()):
-            escaped = escaped | ~(np.isfinite(Xb) & np.all(np.isfinite(Yb), axis=0))
-            any_escaped = True
-        flight = (np.log(d) - np.log(z0)) / gamma
-        theta_lift = th0 + flight
-        if any_escaped:
-            Xb, Yb, theta_lift, flight = (np.where(escaped, np.nan, o)
-                                          for o in (Xb, Yb, theta_lift, flight))
-        if not with_jacobian:
-            return (Xb, Yb, theta_lift, flight), escaped
+            q = c_y * u ** bg
+            Yb = q * y0
+            escaped = ~((z0 > 0.0) & (z0 < np.inf) & np.isfinite(Xb)
+                        & np.all(np.isfinite(Yb), axis=0))
+            flight = (np.log(d) - np.log(z0)) / gamma
+            out = (Xb, Yb, th0 + flight, flight)
+            if escaped.any():
+                out = tuple(np.where(escaped, np.nan, o) for o in out)
+            if not with_jacobian:
+                return out, escaped
 
-        _, _, fx, hx, fy, hy, _ = self._profiles(vals)
-        a1, hv1, fx1, hx1, fy1, hy1, g01 = self._profiles(vals[self._bank.n_base :])
-        # first-stage partials (z0, y0, theta0) w.r.t. (X, Y, theta)
-        dz0_dX = c_x * fx
-        dz0_dY = mu_nu * fy
-        dz0_dth = mu * a1 + x * fx1 + mu_nu * np.sum(fy1 * Y, axis=0)
-        dy0_dX = c_x * fy
-        dy0_dYdiag = mu_nu * hy
-        dy0_dth = g01 + x * fy1 + mu_nu * hy1 * Y
-        dth0_dX = c_x * hx
-        dth0_dY = mu_nu * hy
-        dth0_dth = m + hv1 + x * hx1 + mu_nu * np.sum(hy1 * Y, axis=0)
+            _, _, fx, hx, fy, hy, _ = self._profiles(vals)
+            a1, hv1, fx1, hx1, fy1, hy1, g01 = self._profiles(vals[self._bank.n_base :])
+            # first-stage partials (z0, y0, theta0) w.r.t. (X, Y, theta)
+            dz0_dX = c_x * fx
+            dz0_dY = mu_nu * fy
+            dz0_dth = mu * a1 + x * fx1 + mu_nu * np.sum(fy1 * Y, axis=0)
+            dy0_dX = c_x * fy
+            dy0_dth = g01 + x * fy1 + mu_nu * hy1 * Y
+            dth0_dX = c_x * hx
+            dth0_dY = mu_nu * hy                  # also dy0_i/dY_i
+            dth0_dth = m + hv1 + x * hx1 + mu_nu * np.sum(hy1 * Y, axis=0)
 
-        # chain through the local map and the rescaling
-        if any_escaped:         # finite stand-ins at the escaped points, masked below
-            u = np.where(escaped, 1.0, u)
-            u_bg = np.where(escaped, 1.0, u_bg)
-        w = nu * u ** (nu - 1.0) / mu                 # dXb/dz0
-        v = c_y * bg * u ** (bg - 1.0) / mu           # dYb_i/dz0 factor on y0_i
-        q = c_y * u_bg
-        inv_gz = 1.0 / (gamma * z0)
+            # chain through the local map and the rescaling
+            w = nu * u ** (nu - 1.0) / mu                 # dXb/dz0
+            vy0 = c_y * bg * u ** (bg - 1.0) / mu * y0    # dYb/dz0
+            inv_gz = 1.0 / (gamma * z0)
 
-        # component-major: each partial derivative is one contiguous row of shape S
-        nn = self.n
-        jac = np.empty((nn, nn) + np.shape(Xb))
-        jac[0, 0] = w * dz0_dX
-        jac[0, nn - 1] = w * dz0_dth
-        jac[nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
-        jac[nn - 1, nn - 1] = dth0_dth - dz0_dth * inv_gz
-        if k:
-            vy0 = v * y0
+            # component-major: each partial derivative is one contiguous row of shape S
+            nn = self.n
+            jac = np.empty((nn, nn) + escaped.shape)
+            jac[0, 0] = w * dz0_dX
+            jac[0, nn - 1] = w * dz0_dth
+            jac[nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
+            jac[nn - 1, nn - 1] = dth0_dth - dz0_dth * inv_gz
             jac[0, 1 : 1 + k] = w * dz0_dY
             jac[nn - 1, 1 : 1 + k] = dth0_dY - dz0_dY * inv_gz
             jac[1 : 1 + k, 0] = vy0 * dz0_dX + q * dy0_dX
             jac[1 : 1 + k, nn - 1] = vy0 * dz0_dth + q * dy0_dth
             np.multiply(vy0[:, None], dz0_dY[None], out=jac[1 : 1 + k, 1 : 1 + k])
             idx = np.arange(1, 1 + k)
-            jac[idx, idx] += q * dy0_dYdiag
-        if any_escaped:
+            jac[idx, idx] += q * dth0_dY
+        if escaped.any():
             jac[:, :, escaped] = np.nan
-        return (Xb, Yb, theta_lift, flight, np.moveaxis(jac, (0, 1), (-2, -1))), escaped
+        return out + (np.moveaxis(jac, (0, 1), (-2, -1)),), escaped
 
     def advance(self, X, Y, theta, mu, steps: int):
         """``steps`` (>= 0) applications of the rescaled map, reducing the
         angle to [0, 2*pi) after each.  Returns (X, Y, theta, flight): the
         image and the flight time summed over the steps, per point.  A point
-        that leaves the tube (where ``rescaled_step`` would raise
-        EscapedTube) is NaN from that step on, its flight included, and the
-        other points go on; ``mu`` may be an array, one value per point."""
+        that escapes (the rule in ``_step``) is NaN from that step on, its
+        flight included, and the other points go on; ``mu`` may be an
+        array, one value per point."""
         flight = 0.0
         for _ in range(require_count("steps", steps, 0)):
             (X, Y, lift, step_flight), _ = self._step(X, Y, theta, mu)
@@ -546,7 +534,7 @@ class ValidatedModel:
         nu, d = self.nu, self.d
         sup = self.coupling_sup_bounds()
         d_pow = d ** (1.0 - nu)
-        fy_norm = float(np.sqrt(np.sum(sup["fy"] ** 2))) if self.ydim else 0.0
+        fy_norm = float(np.sqrt(np.sum(sup["fy"] ** 2)))
         x_abs = self.alpha_sup ** nu + K
         c_max = d_pow * sup["fx"] * x_abs + fy_norm * K
         delta = mu ** (nu - 1.0) * c_max
@@ -610,7 +598,7 @@ class ValidatedModel:
         th, X, Y, K = self.trapping_samples(mu, next(uniform_grid(128)))
         Xb, Yb, th_lift, _ = self.rescaled_step(X, Y, th, mu)
         dev = np.abs(Xb - self.limit_radial(reduce_angle(th_lift)))
-        y_norm = np.sqrt(np.sum(Yb ** 2, axis=0)) if self.ydim else np.zeros_like(Xb)
+        y_norm = np.sqrt(np.sum(Yb ** 2, axis=0))
         return bool(np.all(dev < K) and np.all(y_norm < K))
 
 
