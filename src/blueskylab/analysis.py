@@ -90,6 +90,9 @@ ROOT_MAX_STEPS = 200
 # Newton fixed points: residual tolerance and step budget of each row
 NEWTON_TOL = 1e-13
 NEWTON_MAX_STEPS = 100
+# relative outward rounding of the certified record (256 ulps at 1): its
+# floating-point sums may fall a few ulps short of the exact bounds
+RECORD_ROUNDING = 2.0 ** -44
 
 
 class NoConvergence(Undecided, RuntimeError):
@@ -200,7 +203,8 @@ def find_fixed_points(model: ValidatedModel, mus) -> list:
         active &= ~step_escaped
         g = np.concatenate((np.expand_dims(Xb - X, 0), Yb - Y,
                             np.expand_dims(angle_diff(lift, th), 0)))
-        step_residual = np.sqrt(np.sum(g * g, axis=0))
+        with np.errstate(over="ignore"):        # +inf: not converged
+            step_residual = np.sqrt(np.sum(g * g, axis=0))
         residual = np.where(active, step_residual, residual)
         done = active & (step_residual < NEWTON_TOL)
         iterations[done] = iteration
@@ -600,9 +604,8 @@ class ConeCertificate:
     kept as diagnostics; the verdict uses only the ``certified`` record
     (worst-case bounds over the whole trapping region) so that a true
     verdict has positive certified margins.  ``L_interval`` is the
-    certified admissible cone aperture range, computed from those bounds
-    (``certified["L_interval"]``), with +inf for an unbounded upper end
-    and None when empty.
+    certified admissible cone aperture range, computed from those bounds,
+    with +inf for an unbounded upper end and None when empty.
     """
 
     sup_pr: float
@@ -637,7 +640,7 @@ class ConeCertificate:
             "cross_sup_qr": self.cross_sup_qr,
             "L_interval": interval,
             "verdict": self.verdict,
-            "certified": {k: v for k, v in self.certified.items() if k != "L_interval"},
+            "certified": dict(self.certified),
         }
 
 
@@ -692,7 +695,6 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     qt_inv, qr_over_qt = 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"]
     verdict, interval = _cone_checks(cert["pr"], cert["ptheta"], qt_inv, qr_over_qt,
                                      cert["cross_pr"], cert["cross_ptheta_bar"])
-    cert["L_interval"] = interval
     if not verdict and _cone_checks(
             sups["sup_pr"], sups["sup_ptheta"], sups["sup_qtheta_inv"], sups["cross_sup_qr"],
             sups["cross_sup_pr"], sups["cross_sup_ptheta_bar"])[0]:
@@ -708,7 +710,8 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
     Built from Fourier coefficient sums, the certified minimum of alpha,
     and the certified angular expansion read off the case report; over
     {|X - alpha^nu| <= K, |Y| <= K} every bound dominates the true
-    supremum, and ``qtheta_lower`` lies below the infimum of |dq/dtheta|.
+    supremum, and ``qtheta_lower`` lies below the infimum of |dq/dtheta|,
+    each rounded outward by the relative ``RECORD_ROUNDING``.
     Raises NotExpandingInTheta when ``qtheta_lower`` <= 1 at |m| >= 2,
     NotACircleMap when it is <= 0, and Inconclusive wherever the case
     condition is undecided.
@@ -757,17 +760,19 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
     hy1_sum = float(np.sqrt(np.sum(sup["hy1"] ** 2)))
     corr = mu_nu * d_pow * sup["hx1"] * x_abs + mu_nu * hy1_sum * K \
         + mu ** (nu - 1.0) * (a1 * c_max + a_hi * ct_max) / (gamma * a_lo * u_lo)
-    qtheta_lo = certified_angular_expansion(model) - corr
+    qtheta_lo = (certified_angular_expansion(model) - corr) * (1.0 - RECORD_ROUNDING)
     if abs(m) >= 2 and qtheta_lo <= 1.0:
         raise NotExpandingInTheta(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 1")
     if qtheta_lo <= 0.0:
         raise NotACircleMap(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 0")
+    up = 1.0 + RECORD_ROUNDING
+    b_pr, b_ptheta, b_qr = b_pr * up, b_ptheta * up, b_qr * up
     return {
         "pr": b_pr,
         "ptheta": b_ptheta,
         "qr": b_qr,
-        "cross_pr": b_pr + b_ptheta * b_qr / qtheta_lo,
-        "cross_ptheta_bar": b_ptheta / qtheta_lo,
+        "cross_pr": (b_pr + b_ptheta * b_qr / qtheta_lo) * up,
+        "cross_ptheta_bar": b_ptheta / qtheta_lo * up,
         "qtheta_lower": qtheta_lo,
     }
 

@@ -104,7 +104,7 @@ def test_certify_demo(capsys, tmp_path):
     assert cert["L_interval"][0] > 0.0
     # the JSON carries the certified record the verdict rests on
     record = cone_certify(load_model(config("demo_m2")), 1e-5, 128).certified
-    assert cert["certified"] == {k: v for k, v in record.items() if k != "L_interval"}
+    assert cert["certified"] == record
 
 
 def test_certify_case_mismatch(capsys):
@@ -318,3 +318,26 @@ def test_empty_grid_is_usage_error(capsys, tmp_path, argv, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["classify", "--mu", "0.5", "--set", "coupling_fx.constant=1e3"], 1,
+     r"error: EscapedTube: [^\n]*\n"),
+    (["classify", "--mu", "0.5", "--set", "coupling_fx.constant=1e12"], 1,
+     r"error: EscapedTube: [^\n]*\n"),
+    (["sweep", "--mu-min", "1e-6", "--mu-max", "0.9", "--per-decade", "4",
+      "--set", "coupling_fx.constant=1e3"], 0, r""),
+    (["sweep", "--mu-min", "1e-6", "--mu-max", "0.9", "--per-decade", "4",
+      "--set", "coupling_fx.constant=1e12"], 1, r"error: every record escaped\n"),
+], ids=["classify-1e3", "classify-1e12", "sweep-1e3", "sweep-1e12"])
+def test_overflowing_orbits_leave_one_stderr_line(tmp_path, argv, code, stderr):
+    """A user sees at most the one error line on stderr, no floating-point
+    warning: a fresh interpreter runs with the default warning filters,
+    where a warning is printed, not raised."""
+    command, *options = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "blueskylab.cli", command, config("demo_m0"), *options,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == code
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr

@@ -306,6 +306,63 @@ def test_overflowing_image_is_an_escape_without_warnings():
                 model.rescaled_step(X, np.zeros((1,) + np.shape(X)), 0.0, 0.5)
 
 
+@pytest.mark.parametrize("name", ["demo_m0", "demo_m1", "demo_m2"])
+def test_huge_radial_input_is_an_escape_without_warnings(name):
+    # the Jacobian at the escaped point overflows too: still no warning
+    model = demo_model(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EscapedTube):
+            model.rescaled_step(1e300, np.zeros(model.ydim), 0.3, 1e-5, with_jacobian=True)
+
+
+def test_escape_contract_of_the_kernel():
+    """Random configs, mu and batches with huge and non-finite X: no
+    warning; escaped points are NaN in every output, the Jacobian included,
+    and the other points' images are finite; ``rescaled_step`` raises
+    exactly when a point escaped; and the other points' outputs are bit for
+    bit those of the same batch with each escaping X put back on the limit
+    curve."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    radial = st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300]))
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.floats(-3.0, 12.0),
+                      st.floats(-9.0, 0.0),
+                      st.integers(1, 64).flatmap(lambda size: st.lists(
+                          st.tuples(radial, st.floats(0.0, TWO_PI)), min_size=size,
+                          max_size=size)))
+    def check(seed, n, log_scale, log_mu, points):
+        rng = np.random.default_rng(seed)
+        model = validate_config(random_config(rng, n=n, coupling_scale=10.0 ** log_scale))
+        mu = 10.0 ** log_mu
+        X, theta = (np.array(column) for column in zip(*points))
+        Y = rng.normal(0.0, 0.1, (model.ydim, theta.size))
+        for with_jacobian in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out, escaped = model._step(X, Y, theta, mu, with_jacobian)
+                try:
+                    model.rescaled_step(X, Y, theta, mu, with_jacobian)
+                    raised = False
+                except EscapedTube:
+                    raised = True
+                assert raised == escaped.any()
+                X_on_curve = np.where(escaped, model.limit_radial(theta), X)
+                kept, _ = model._step(X_on_curve, Y, theta, mu, with_jacobian)
+            if with_jacobian:   # the point axes last, as in the other outputs
+                out, kept = (o[:4] + (np.moveaxis(o[4], (-2, -1), (0, 1)),) for o in (out, kept))
+            for value, again in zip(out, kept):
+                assert np.all(np.isnan(value[..., escaped]))
+                assert value[..., ~escaped].tobytes() == again[..., ~escaped].tobytes()
+            # the escape rule reads the images, not the Jacobian
+            assert all(np.all(np.isfinite(value[..., ~escaped])) for value in out[:4])
+
+    check()
+
+
 def test_return_map_converges_to_limit_formula():
     model = validate_config(coupled_config(m=1, n=3, alpha=F(1.0, (0.5,), ()),
                                            h=F(0.0, (), (0.2,))))
