@@ -395,7 +395,7 @@ class ValidatedModel:
         out, escaped = self._step(X, Y, theta, mu, with_jacobian)
         if escaped.any():
             raise EscapedTube(f"orbit left the homoclinic tube at mu={mu!r}: z0 not finite "
-                              f"and positive, or image not finite")
+                              f"and positive, or image or Jacobian not finite")
         return out
 
     def _step(self, X, Y, theta, mu, with_jacobian=False):
@@ -404,7 +404,8 @@ class ValidatedModel:
         ``escaped`` a boolean array of shape S and every output NaN at the
         escaped points.  The escape rule, stated here only: a point escaped
         (its orbit left the homoclinic tube) when its z0 is not finite and
-        positive, or its Xb or any component of its Yb is not finite.
+        positive, or its Xb or any component of its Yb is not finite, or,
+        with ``with_jacobian``, any entry of its Jacobian is not finite.
         Escaped points raise no floating-point warning."""
         mu = require_mu(mu)
         X = np.asarray(X, dtype=float)
@@ -435,49 +436,49 @@ class ValidatedModel:
             c_y = mu ** (bg - nu)
             q = c_y * u ** bg
             Yb = q * y0
-            escaped = ~((z0 > 0.0) & (z0 < np.inf) & np.isfinite(Xb)
-                        & np.all(np.isfinite(Yb), axis=0))
+            kept = (z0 > 0.0) & (z0 < np.inf) & np.isfinite(Xb) & np.all(np.isfinite(Yb), axis=0)
             flight = (np.log(d) - np.log(z0)) / gamma
             out = (Xb, Yb, th0 + flight, flight)
-            if escaped.any():
-                out = tuple(np.where(escaped, np.nan, o) for o in out)
-            if not with_jacobian:
-                return out, escaped
+            if with_jacobian:
+                _, _, fx, hx, fy, hy, _ = self._profiles(vals)
+                a1, hv1, fx1, hx1, fy1, hy1, g01 = self._profiles(vals[self._bank.n_base :])
+                # first-stage partials (z0, y0, theta0) w.r.t. (X, Y, theta)
+                dz0_dX = c_x * fx
+                dz0_dY = mu_nu * fy
+                dz0_dth = mu * a1 + x * fx1 + mu_nu * np.sum(fy1 * Y, axis=0)
+                dy0_dX = c_x * fy
+                dy0_dth = g01 + x * fy1 + mu_nu * hy1 * Y
+                dth0_dX = c_x * hx
+                dth0_dY = mu_nu * hy                  # also dy0_i/dY_i
+                dth0_dth = m + hv1 + x * hx1 + mu_nu * np.sum(hy1 * Y, axis=0)
 
-            _, _, fx, hx, fy, hy, _ = self._profiles(vals)
-            a1, hv1, fx1, hx1, fy1, hy1, g01 = self._profiles(vals[self._bank.n_base :])
-            # first-stage partials (z0, y0, theta0) w.r.t. (X, Y, theta)
-            dz0_dX = c_x * fx
-            dz0_dY = mu_nu * fy
-            dz0_dth = mu * a1 + x * fx1 + mu_nu * np.sum(fy1 * Y, axis=0)
-            dy0_dX = c_x * fy
-            dy0_dth = g01 + x * fy1 + mu_nu * hy1 * Y
-            dth0_dX = c_x * hx
-            dth0_dY = mu_nu * hy                  # also dy0_i/dY_i
-            dth0_dth = m + hv1 + x * hx1 + mu_nu * np.sum(hy1 * Y, axis=0)
+                # chain through the local map and the rescaling
+                w = nu * u ** (nu - 1.0) / mu                 # dXb/dz0
+                vy0 = c_y * bg * u ** (bg - 1.0) / mu * y0    # dYb/dz0
+                inv_gz = 1.0 / (gamma * z0)
 
-            # chain through the local map and the rescaling
-            w = nu * u ** (nu - 1.0) / mu                 # dXb/dz0
-            vy0 = c_y * bg * u ** (bg - 1.0) / mu * y0    # dYb/dz0
-            inv_gz = 1.0 / (gamma * z0)
-
-            # component-major: each partial derivative is one contiguous row of shape S
-            nn = self.n
-            jac = np.empty((nn, nn) + escaped.shape)
-            jac[0, 0] = w * dz0_dX
-            jac[0, nn - 1] = w * dz0_dth
-            jac[nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
-            jac[nn - 1, nn - 1] = dth0_dth - dz0_dth * inv_gz
-            jac[0, 1 : 1 + k] = w * dz0_dY
-            jac[nn - 1, 1 : 1 + k] = dth0_dY - dz0_dY * inv_gz
-            jac[1 : 1 + k, 0] = vy0 * dz0_dX + q * dy0_dX
-            jac[1 : 1 + k, nn - 1] = vy0 * dz0_dth + q * dy0_dth
-            np.multiply(vy0[:, None], dz0_dY[None], out=jac[1 : 1 + k, 1 : 1 + k])
-            idx = np.arange(1, 1 + k)
-            jac[idx, idx] += q * dth0_dY
+                # component-major: each partial derivative is one contiguous row of shape S
+                nn = self.n
+                jac = np.empty((nn, nn) + kept.shape)
+                jac[0, 0] = w * dz0_dX
+                jac[0, nn - 1] = w * dz0_dth
+                jac[nn - 1, 0] = dth0_dX - dz0_dX * inv_gz
+                jac[nn - 1, nn - 1] = dth0_dth - dz0_dth * inv_gz
+                jac[0, 1 : 1 + k] = w * dz0_dY
+                jac[nn - 1, 1 : 1 + k] = dth0_dY - dz0_dY * inv_gz
+                jac[1 : 1 + k, 0] = vy0 * dz0_dX + q * dy0_dX
+                jac[1 : 1 + k, nn - 1] = vy0 * dz0_dth + q * dy0_dth
+                np.multiply(vy0[:, None], dz0_dY[None], out=jac[1 : 1 + k, 1 : 1 + k])
+                idx = np.arange(1, 1 + k)
+                jac[idx, idx] += q * dth0_dY
+                kept = kept & np.all(np.isfinite(jac), axis=(0, 1))
+                out += (jac,)
+        escaped = ~kept
         if escaped.any():
-            jac[:, :, escaped] = np.nan
-        return out + (np.moveaxis(jac, (0, 1), (-2, -1)),), escaped
+            out = tuple(np.where(escaped, np.nan, o) for o in out)
+        if with_jacobian:
+            out = out[:4] + (np.moveaxis(out[4], (0, 1), (-2, -1)),)
+        return out, escaped
 
     def advance(self, X, Y, theta, mu, steps: int):
         """``steps`` (>= 0) applications of the rescaled map, reducing the

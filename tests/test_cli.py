@@ -212,6 +212,9 @@ def test_non_finite_config_is_invalid_model(capsys):
     ("alpha.constant=[1]", "alpha: series constant"),
     ("coupling_fy.0=null", "coupling_fy.0"),
     ("m=null", "m"),
+    ("gamma", "override 'gamma' is not of the form key=value"),
+    ("bogus.cos=[1]", "override 'bogus.cos=[1]': unknown key 'bogus'"),
+    ("gamma.cos=[1]", "override 'gamma.cos=[1]': cannot descend into float"),
 ])
 def test_malformed_config_entry_is_usage_error(capsys, override, key):
     assert run("validate", config("demo_m1"), "--set", override) == 2

@@ -89,6 +89,20 @@ def test_non_finite_inputs_rejected(field, value):
     assert err.value.violations == ["NonFinite"]
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("n", 1, "NTooSmall"),
+    ("gamma", 0.0, "GammaNotPositive"),
+    ("gamma", -1.0, "GammaNotPositive"),
+    ("d", 0.0, "DNotPositive"),
+])
+def test_scalar_rules_name_their_violation(field, value, rule):
+    cfg = uncoupled_config(n=4)
+    setattr(cfg, field, value)
+    with pytest.raises(InvalidModel) as err:
+        validate_config(cfg)
+    assert err.value.violations == [rule]
+
+
 def test_failure_classes_share_two_bases():
     undecided = (bsl.Inconclusive, bsl.NoTrappingRadius, bsl.NotExpandingInTheta,
                  bsl.NoConvergence, bsl.NotACircleMap, bsl.BranchAmbiguity)
@@ -357,10 +371,28 @@ def test_escape_contract_of_the_kernel():
             for value, again in zip(out, kept):
                 assert np.all(np.isnan(value[..., escaped]))
                 assert value[..., ~escaped].tobytes() == again[..., ~escaped].tobytes()
-            # the escape rule reads the images, not the Jacobian
-            assert all(np.all(np.isfinite(value[..., ~escaped])) for value in out[:4])
+            # kept points have finite images, and with the Jacobian a finite Jacobian
+            assert all(np.all(np.isfinite(value[..., ~escaped])) for value in out)
 
     check()
+
+
+def test_non_finite_jacobian_is_an_escape():
+    """A point whose image is finite but whose Jacobian has an infinite
+    entry is kept without the Jacobian and escaped with it."""
+    rng = np.random.default_rng(67585)
+    model = validate_config(random_config(rng, n=3, coupling_scale=10 ** 1.5))
+    Y = rng.normal(0.0, 0.1, (1, 1))
+    X, theta = np.array([-2.0840101310388343e97]), np.array([4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (Xb, *_), escaped = model._step(X, Y, theta, 0.1)
+        assert not escaped[0] and np.isfinite(Xb[0])
+        out, escaped = model._step(X, Y, theta, 0.1, with_jacobian=True)
+        assert escaped[0]
+        assert all(np.all(np.isnan(value)) for value in out)
+        with pytest.raises(EscapedTube, match="Jacobian"):
+            model.rescaled_step(X, Y, theta, 0.1, with_jacobian=True)
 
 
 def test_return_map_converges_to_limit_formula():
@@ -565,6 +597,18 @@ def test_parse_rejects_missing_and_unknown_keys():
     extra["bogus"] = 1
     with pytest.raises(ValueError, match="unknown"):
         parse_config(extra)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: [data], "config root must be a mapping"),
+    (lambda data: data | {"coupling_fy": {"constant": 0.0}}, "coupling_fy must be a list"),
+    (lambda data: data | {"n": 3.5}, "n must be an integer"),
+])
+def test_parse_rejects_malformed_entries(edit, message):
+    with open(CONFIG_DIR / "demo_m1.json", encoding="utf-8") as fh:
+        data = json.load(fh)
+    with pytest.raises(ValueError, match=message):
+        parse_config(edit(data))
 
 
 def test_config_roundtrip():
