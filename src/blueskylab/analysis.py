@@ -809,10 +809,10 @@ class LyapunovSpectrum:
     Directions whose growth rate falls below -50 (total contraction to
     numerical zero, e.g. vanishing couplings) are reported as -inf.
     ``orbit_length`` is the number of averaged returns and
-    ``transient_discarded`` the number of returns discarded before them,
-    both summed over the ensemble.  ``confidence_halfwidth`` is 1.96 times
-    the across-orbit standard error of the top exponent (nan with a single
-    orbit).
+    ``transient_discarded`` the transient asked for, both summed over the
+    ensemble; each orbit rounds its share of either up to a whole return.
+    ``confidence_halfwidth`` is 1.96 times the across-orbit standard error
+    of the top exponent (nan with a single orbit).
     """
 
     exponents: list[float]
@@ -870,24 +870,22 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
     ``B = min(LYAPUNOV_ENSEMBLE, iterations)`` orbits start on the limit
     curve at the equally spaced angles ``0.5 + 2*pi*j/B`` and are advanced
     together, one ``rescaled_step`` call per return.  ``transient``
-    counts over the ensemble, as ``iterations`` does: each orbit discards
-    ``ceil(transient / B)`` returns, ``B * ceil(transient / B)`` in all,
-    and the last ``min(200, ceil(transient / B))`` of them already evolve
-    the orbit's orthonormal frame, so the averages carry no
-    initial-alignment bias.  The orbits start on the attractor's limit
-    curve, where the frames align within a few returns.  Then the
-    analytic Jacobians are accumulated in the QR cocycle of Benettin et
-    al. (Meccanica 15, 1980), one batched two-pass classical Gram-Schmidt
-    (CGS2; Giraud et al., Numer. Math. 101, 87, 2005) per return; a
-    column that comes out exactly zero counts -inf and is completed
-    (``_reorthonormalize``).  The contracting exponents are at rounding
-    level, where CGS2 and Householder QR part by up to 5e-4, so the
-    tests' tolerances, not bit identity, are the contract.  Exactly
-    ``iterations`` returns are averaged: ``ceil(iterations / B)`` per
-    orbit, the last step counting only the first orbits.  On the
-    uniformly hyperbolic solenoid the ensemble average equals the time
-    average along one orbit.  Nothing is random, so repeated calls give
-    bit-identical exponents.
+    counts over the ensemble, as ``iterations`` does: each orbit first
+    discards ``ceil(transient / B)`` returns that already evolve its
+    orthonormal frame, so the averages carry no initial-alignment bias.
+    The orbits start on the attractor's limit curve, where the frames
+    align within a few returns.  Then the analytic Jacobians are
+    accumulated in the QR cocycle of Benettin et al. (Meccanica 15, 1980),
+    one batched two-pass classical Gram-Schmidt (CGS2; Giraud et al.,
+    Numer. Math. 101, 87, 2005) per return; a column that comes out
+    exactly zero counts -inf and is completed (``_reorthonormalize``).
+    The contracting exponents are at rounding level, where CGS2 and
+    Householder QR part by up to 5e-4, so the tests' tolerances, not bit
+    identity, are the contract.  Exactly ``iterations`` returns are
+    averaged: ``ceil(iterations / B)`` per orbit, the last step counting
+    only the first orbits.  On the uniformly hyperbolic solenoid the
+    ensemble average equals the time average along one orbit.  Nothing is
+    random, so repeated calls give bit-identical exponents.
 
     Raises ValueError unless ``iterations`` >= 1 and ``transient`` >= 0
     are integers, and for a non-finite or non-positive ``mu``; EscapedTube
@@ -898,14 +896,12 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
     transient = require_count("transient", transient, 0)
     require_mu(mu)
     B = min(LYAPUNOV_ENSEMBLE, iterations)
-    discard = -(-transient // B)
-    warmup = min(200, discard)
+    warmup = -(-transient // B)
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
 
     th = reduce_angle(0.5 + TWO_PI * np.arange(B) / B)
-    X, Y, th, _ = model.advance(model.limit_radial(th), np.zeros((model.ydim, B)), th, mu,
-                                discard - warmup)
+    X, Y = model.limit_radial(th), np.zeros((model.ydim, B))
     Q = np.broadcast_to(np.eye(model.n)[:, :, None], (model.n, model.n, B))
     acc = np.zeros((model.n, B))
     for step in range(warmup + steps):
@@ -930,7 +926,7 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
         half = 1.96 * float(np.std(top_orbits, ddof=1) / np.sqrt(top_orbits.size))
     else:
         half = float("nan")
-    return LyapunovSpectrum(exponents, iterations, B * discard, half)
+    return LyapunovSpectrum(exponents, iterations, transient, half)
 
 
 # ---------------------------------------------------------------------------

@@ -471,13 +471,14 @@ class ValidatedModel:
                 np.multiply(vy0[:, None], dz0_dY[None], out=jac[1 : 1 + k, 1 : 1 + k])
                 idx = np.arange(1, 1 + k)
                 jac[idx, idx] += q * dth0_dY
-                kept = kept & np.all(np.isfinite(jac), axis=(0, 1))
-                out += (jac,)
+                kept &= np.all(np.isfinite(jac), axis=(0, 1))
         escaped = ~kept
         if escaped.any():
             out = tuple(np.where(escaped, np.nan, o) for o in out)
+            if with_jacobian:
+                jac[:, :, escaped] = np.nan
         if with_jacobian:
-            out = out[:4] + (np.moveaxis(out[4], (0, 1), (-2, -1)),)
+            out += (np.moveaxis(jac, (0, 1), (-2, -1)),)
         return out, escaped
 
     def advance(self, X, Y, theta, mu, steps: int):

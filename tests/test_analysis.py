@@ -1005,15 +1005,13 @@ def test_cgs2_frames_stay_orthonormal(name):
 def _stacked_lapack_rates(model, mu, iterations, transient):
     """``lyapunov_spectrum``'s ensemble cocycle with a stacked LAPACK QR
     per return: the growth rates, sorted descending.  Each orbit discards
-    ``ceil(transient / B)`` returns."""
+    ``ceil(transient / B)`` returns while its frame aligns."""
     B = min(256, iterations)
-    discard = -(-transient // B)
-    warmup = min(200, discard)
+    warmup = -(-transient // B)
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
     th = reduce_angle(0.5 + 2.0 * np.pi * np.arange(B) / B)
-    X, Y, th, _ = model.advance(model.limit_radial(th), np.zeros((model.ydim, B)), th, mu,
-                                discard - warmup)
+    X, Y = model.limit_radial(th), np.zeros((model.ydim, B))
     Q, acc = np.eye(model.n), np.zeros((B, model.n))
     for step in range(warmup + steps):
         X, Y, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
@@ -1032,17 +1030,15 @@ def test_lyapunov_top_matches_stacked_lapack_cocycle():
     assert abs(spectrum.top - reference[0]) < 1e-10
 
 
-@pytest.mark.parametrize("iterations, transient, discarded", [
-    (10 ** 5, 2000, 2048),   # 8 returns per orbit, all of them frame warm-up
-    (1000, 0, 0),            # no transient and no warm-up
-    (1000, 100, 256),        # transient < B: one return per orbit
+@pytest.mark.parametrize("iterations, transient", [
+    (10 ** 5, 2000),   # 8 returns per orbit
+    (1000, 0),         # no transient and no warm-up
+    (1000, 100),       # transient < B: one return per orbit
 ])
-def test_lyapunov_transient_counts_over_the_ensemble(monkeypatch, iterations, transient,
-                                                     discarded):
+def test_lyapunov_transient_counts_over_the_ensemble(monkeypatch, iterations, transient):
     """Each of the B = 256 orbits discards ceil(transient / B) returns, so
     the kernel steps B * (ceil(iterations / B) + ceil(transient / B))
-    points, and ``transient_discarded`` is the B * ceil(transient / B)
-    returns discarded."""
+    points, and the spectrum reports the ensemble totals asked for."""
     model = demo_model("demo_m2")
     step, stepped = model._step, []
 
@@ -1053,7 +1049,7 @@ def test_lyapunov_transient_counts_over_the_ensemble(monkeypatch, iterations, tr
     monkeypatch.setattr(model, "_step", counting_step)
     spectrum = lyapunov_spectrum(model, 1e-5, iterations, transient=transient)
     assert sum(stepped) == 256 * (-(-iterations // 256) + -(-transient // 256))
-    assert spectrum.transient_discarded == discarded
+    assert spectrum.transient_discarded == transient
     assert spectrum.orbit_length == iterations
 
 
