@@ -84,9 +84,9 @@ ITINERARY_TRANSIENT = 64
 BOUNDARY_TOL = 1e-9
 MAX_RESAMPLE_ROUNDS = 8
 # bracketed root solves of the branch boundaries: the bracket width taken as
-# converged, and the step budget
+# converged, and the sections each multisection step cuts a bracket into
 ROOT_XTOL = 1e-14
-ROOT_MAX_STEPS = 200
+ROOT_SECTIONS = 64
 # Newton fixed points: residual tolerance and step budget of each row
 NEWTON_TOL = 1e-13
 NEWTON_MAX_STEPS = 100
@@ -582,13 +582,12 @@ def _reference_lift(model: ValidatedModel, mu: float, theta):
 def circle_degree(model: ValidatedModel, mu: float) -> int:
     """Winding number of the angular image along the limit curve.
 
-    Measured by unwrapping the reduced image angles at 4096 + 1 points over
-    one loop of the input angle; equals the model degree m for every valid
-    configuration.
+    Read off the unreduced angular lift at 4096 + 1 points over one loop
+    of the input angle, as its change over 2*pi; equals the model degree m
+    for every valid configuration.
     """
-    theta = np.linspace(0.0, TWO_PI, 4096 + 1)
-    unwrapped = np.unwrap(reduce_angle(_reference_lift(model, mu, theta)))
-    return int(np.round((unwrapped[-1] - unwrapped[0]) / TWO_PI))
+    lift = _reference_lift(model, mu, np.linspace(0.0, TWO_PI, 4096 + 1))
+    return int(np.round((lift[-1] - lift[0]) / TWO_PI))
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +862,13 @@ def _reorthonormalize(J, Q):
     return V, log_r
 
 
+def _ensemble_start(model: ValidatedModel, count: int):
+    """``count`` points (X, Y, theta) on the limit curve (alpha^nu, 0) at
+    the equally spaced angles ``0.5 + 2*pi*j/count``."""
+    theta = reduce_angle(0.5 + TWO_PI * np.arange(count) / count)
+    return model.limit_radial(theta), np.zeros((model.ydim, count)), theta
+
+
 def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
                       transient: int = 1000) -> LyapunovSpectrum:
     """Lyapunov exponents of the return map by ensemble QR cocycle averaging.
@@ -900,8 +906,7 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
 
-    th = reduce_angle(0.5 + TWO_PI * np.arange(B) / B)
-    X, Y = model.limit_radial(th), np.zeros((model.ydim, B))
+    X, Y, th = _ensemble_start(model, B)
     Q = np.broadcast_to(np.eye(model.n)[:, :, None], (model.n, model.n, B))
     acc = np.zeros((model.n, B))
     for step in range(warmup + steps):
@@ -975,17 +980,13 @@ class ItineraryReport:
 def _bracketed_roots(g, targets, nodes, values):
     """The x with g(x) = targets, each bracketed between consecutive
     ``nodes`` by the samples ``values`` = g(nodes) (increasing) and refined
-    together: one call of the vectorised ``g`` on every bracket per step.
-
-    Each step is the Illinois modified regula falsi (Dowell & Jarratt, BIT
-    11, 168, 1971): the secant through the bracket ends, with the value at
-    an end kept twice running halved, and the new point at least
-    0.4 ROOT_XTOL inside the bracket, so an end sitting on the root cannot
-    stall it.  A bracket not halved by the two steps before bisects instead
-    (as in Brent's method), so every bracket shrinks below ROOT_XTOL; its
-    midpoint is returned.  A root on a bracket end comes
-    back as that end.  NotACircleMap where the samples do not change sign
-    about a target; NoConvergence after ROOT_MAX_STEPS steps.
+    together by multisection: each step calls the vectorised ``g`` once, on
+    the ROOT_SECTIONS - 1 interior points of every bracket, and keeps the
+    section ending at the first point at or above the target.  The step
+    count is fixed beforehand, so that the widest bracket shrinks below
+    ROOT_XTOL; the brackets' midpoints are returned.  A root on a bracket
+    end, or on a section point, comes back as that point.  NotACircleMap
+    where the samples do not change sign about a target.
     """
     targets = np.asarray(targets, dtype=float)
     i = np.searchsorted(values, targets)
@@ -995,27 +996,18 @@ def _bracketed_roots(g, targets, nodes, values):
         raise NotACircleMap("the angular lift does not bracket a branch target")
     lo = np.where(f_hi == 0.0, nodes[above], nodes[below])
     hi = np.where(f_lo == 0.0, nodes[below], nodes[above])
-    side = np.zeros(len(targets))        # the end that moved last: -1 lower, +1 upper
-    earlier = previous = np.full(len(targets), np.inf)   # widths two and one steps before
-    for _ in range(ROOT_MAX_STEPS):
-        width = hi - lo
-        active = width > ROOT_XTOL
-        if not active.any():
-            return 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = lo - f_lo * width / (f_hi - f_lo)
-        x = np.clip(x, lo + 0.4 * ROOT_XTOL, hi - 0.4 * ROOT_XTOL)
-        x = np.where(np.isnan(x) | (width > 0.5 * earlier), 0.5 * (lo + hi), x)
-        fx = g(x) - targets
-        same = np.sign(fx) * np.sign(f_hi)       # +1: x is the new upper end, -1 the lower
-        upper, lower, root = active & (same > 0.0), active & (same < 0.0), active & (fx == 0.0)
-        f_lo = np.where(upper & (side > 0.0), 0.5 * f_lo, f_lo)
-        f_hi = np.where(lower & (side < 0.0), 0.5 * f_hi, f_hi)
-        side = np.where(upper, 1.0, np.where(lower, -1.0, side))
-        lo, f_lo = np.where(lower | root, x, lo), np.where(lower, fx, f_lo)
-        hi, f_hi = np.where(upper | root, x, hi), np.where(upper, fx, f_hi)
-        earlier, previous = previous, width
-    raise NoConvergence(f"bracketed roots wider than {ROOT_XTOL} after {ROOT_MAX_STEPS} steps")
+    rows = np.arange(len(targets))
+    sections = np.arange(1, ROOT_SECTIONS) / ROOT_SECTIONS
+    widest = max(float(np.max(hi - lo)), ROOT_XTOL)
+    for _ in range(int(np.ceil(np.log(widest / ROOT_XTOL) / np.log(ROOT_SECTIONS)))):
+        x = lo[:, None] + (hi - lo)[:, None] * sections
+        f = g(x.ravel()).reshape(x.shape) - targets[:, None]
+        edges = np.column_stack((lo, x, hi))
+        f = np.column_stack((f, np.full(len(rows), np.inf)))   # the upper end is above
+        j = np.argmax(f >= 0.0, axis=1)
+        hi = edges[rows, j + 1]
+        lo = np.where(f[rows, j] == 0.0, hi, edges[rows, j])
+    return 0.5 * (lo + hi)
 
 
 def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, float]:
@@ -1030,9 +1022,9 @@ def branch_boundaries(model: ValidatedModel, mu: float) -> tuple[np.ndarray, flo
     The signed lift is sampled at 4,096 + 1 angles over one turn, where it
     must be strictly increasing (NotACircleMap); the samples bracket the
     fixed point and then the |m| pre-images.  Each stage is one vectorised
-    bracketed solve (``_bracketed_roots``: safeguarded Illinois steps, one
-    ``rescaled_step`` call per step for all brackets) down to a bracket
-    width of ROOT_XTOL = 1e-14.
+    bracketed solve (``_bracketed_roots``: multisection, one
+    ``rescaled_step`` call per step on the ROOT_SECTIONS - 1 interior
+    points of every bracket) down to a bracket width of ROOT_XTOL = 1e-14.
 
     Returns (boundaries sorted in [0, 2pi), first window target t0 of the
     signed lift); the |m| arcs between consecutive boundaries are the

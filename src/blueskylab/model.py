@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import TWO_PI, FourierSeries, SeriesBank, lipschitz_grid_extrema, uniform_grid
+from .fourier import TWO_PI, FourierSeries, SeriesBank, lipschitz_grid_extrema
 
 __all__ = [
     "DomainError",
@@ -593,15 +593,6 @@ class ValidatedModel:
         X = np.repeat(self.limit_radial(theta), n_off) + np.tile(offsets[0], theta.size)
         Y = np.tile(offsets[1:], theta.size)
         return th, X, Y, K
-
-    def check_trapping(self, mu: float) -> bool:
-        """Test that the image of every ``trapping_samples`` point (core and
-        face centres, 128 angles) lies strictly inside the trapping torus."""
-        th, X, Y, K = self.trapping_samples(mu, next(uniform_grid(128)))
-        Xb, Yb, th_lift, _ = self.rescaled_step(X, Y, th, mu)
-        dev = np.abs(Xb - self.limit_radial(reduce_angle(th_lift)))
-        y_norm = np.sqrt(np.sum(Yb ** 2, axis=0))
-        return bool(np.all(dev < K) and np.all(y_norm < K))
 
 
 def validate_config(cfg: ModelConfig) -> ValidatedModel:

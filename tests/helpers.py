@@ -8,6 +8,8 @@ import numpy as np
 
 import blueskylab as bsl
 from blueskylab import FourierSeries
+from blueskylab.fourier import uniform_grid
+from blueskylab.model import reduce_angle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -142,6 +144,17 @@ def advance(model, mu, X, Y, theta, steps):
         Xb, Yb, lift, _ = model.rescaled_step(X, Y, theta, mu)
         X, Y, theta = Xb, Yb, reduce_angle(lift)
     return X, Y, theta
+
+
+def check_trapping(model, mu) -> bool:
+    """Sample oracle of the certified trapping torus: the image of every
+    ``trapping_samples`` point (core and face centres, 128 angles) lies
+    strictly inside the torus of radius ``trapping_radius(mu)``."""
+    th, X, Y, K = model.trapping_samples(mu, next(uniform_grid(128)))
+    Xb, Yb, th_lift, _ = model.rescaled_step(X, Y, th, mu)
+    dev = np.abs(Xb - model.limit_radial(reduce_angle(th_lift)))
+    y_norm = np.sqrt(np.sum(Yb ** 2, axis=0))
+    return bool(np.all(dev < K) and np.all(y_norm < K))
 
 
 def random_region_points(rng, model, mu, count):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -31,6 +32,7 @@ from blueskylab.analysis import (
     _bracketed_roots,
     _certified_record,
     _certify_circle_map,
+    _ensemble_start,
     _max_operator_norm,
     _prefix_diameters,
     _reorthonormalize,
@@ -1010,8 +1012,7 @@ def _stacked_lapack_rates(model, mu, iterations, transient):
     warmup = -(-transient // B)
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
-    th = reduce_angle(0.5 + 2.0 * np.pi * np.arange(B) / B)
-    X, Y = model.limit_radial(th), np.zeros((model.ydim, B))
+    X, Y, th = _ensemble_start(model, B)
     Q, acc = np.eye(model.n), np.zeros((B, model.n))
     for step in range(warmup + steps):
         X, Y, lift, _, jac = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
@@ -1146,9 +1147,10 @@ def test_branch_boundaries_match_brentq(m, mu):
 
 def test_bracketed_roots_on_ends_and_inside():
     nodes = np.linspace(0.0, 2.0, 5)
-    # exact sample values: each root on a bracket end comes back as that end
-    roots = _bracketed_roots(lambda x: 2.0 * x, [1.0, 0.0, 4.0], nodes, 2.0 * nodes)
-    assert roots.tolist() == [0.5, 0.0, 2.0]
+    # exact sample values: each root on a bracket end comes back as that end,
+    # and one on a section point as that point
+    roots = _bracketed_roots(lambda x: 2.0 * x, [1.0, 0.0, 4.0, 2.078125], nodes, 2.0 * nodes)
+    assert roots.tolist() == [0.5, 0.0, 2.0, 1.0390625]
     calls = []
 
     def cube(x):
@@ -1157,7 +1159,8 @@ def test_bracketed_roots_on_ends_and_inside():
 
     root, = _bracketed_roots(cube, [2.0], nodes, nodes ** 3)
     assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-14
-    assert len(calls) <= 12 and set(calls) == {1}
+    # 63 interior points per call; 0.5 / 64^8 < 1e-14 <= 0.5 / 64^7
+    assert calls == [bsl.analysis.ROOT_SECTIONS - 1] * 8
 
 
 def test_bracketed_roots_without_sign_change_is_named():
@@ -1167,14 +1170,18 @@ def test_bracketed_roots_without_sign_change_is_named():
     assert not isinstance(err.value, ValueError)
 
 
-def test_bracketed_roots_step_cap(monkeypatch):
+def test_bracketed_roots_step_cap():
+    """The step count is fixed before the first step: a g that never
+    settles its sign returns inside its bracket after the same 8 calls."""
     nodes = np.linspace(0.0, 2.0, 5)
-    # a function that never settles its sign ends at the cap, not in a loop
-    with pytest.raises(bsl.NoConvergence, match="200 steps"):
-        _bracketed_roots(lambda x: np.full_like(x, np.nan), [1.3], nodes, nodes)
-    monkeypatch.setattr(bsl.analysis, "ROOT_MAX_STEPS", 2)
-    with pytest.raises(bsl.NoConvergence, match="after 2 steps"):
-        _bracketed_roots(lambda x: x ** 3, [2.0], nodes, nodes ** 3)
+    calls = []
+
+    def undefined(x):
+        calls.append(len(x))
+        return np.full_like(x, np.nan)
+
+    root, = _bracketed_roots(undefined, [1.3], nodes, nodes)
+    assert len(calls) == 8 and 1.0 <= root <= 1.5
 
 
 def test_itinerary_doubling_map_binary_expansion():
@@ -1255,6 +1262,48 @@ def test_classify_condition_violation_is_indeterminate():
     assert record.label is AttractorLabel.INDETERMINATE
     assert record.condition is not None and not record.condition.verdict
     assert record.reason == "case condition violated"
+
+
+def test_classify_undecided_condition_is_indeterminate():
+    # sup|s| = sup|a cos| < 1 at a = 1 exactly: the grid loop ends at its cap
+    model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (1.0,))))
+    record = classify_attractor(model, 1e-5)
+    assert record.label is AttractorLabel.INDETERMINATE
+    assert record.condition is None and record.reason.startswith("Inconclusive: ")
+
+
+def test_classify_unstable_fixed_point_is_indeterminate():
+    # a strong x-dependence of the return angle (H_x = 100 cos theta) gives
+    # the fixed point a multiplier above 1 at mu = 0.5; the mu-free
+    # condition still holds
+    cfg = dataclasses.replace(demo_model("demo_m0").cfg, coupling_hx=F(0.0, (100.0,), ()))
+    record = classify_attractor(validate_config(cfg), 0.5)
+    assert record.label is AttractorLabel.INDETERMINATE
+    assert record.reason == "fixed point not stable"
+    assert record.condition.verdict and record.fixed_point is not None
+    assert not record.fixed_point.stable and np.max(np.abs(record.fixed_point.multipliers)) > 1.0
+
+
+def test_classify_curve_escape_is_returned_or_raised():
+    # z0 = mu alpha + x F_x < 0 on the limit curve: the graph transform escapes
+    cfg = dataclasses.replace(demo_model("demo_m1").cfg, coupling_fx=F(-1e3, (), ()))
+    model = validate_config(cfg)
+    assert bsl.check_case(bsl.CaseTag.TORUS_OR_KLEIN, model).verdict
+    row, = bsl.classify_attractors(model, [1e-4])
+    assert isinstance(row, bsl.EscapedTube)
+    with pytest.raises(bsl.EscapedTube, match="mu=0.0001"):
+        classify_attractor(model, 1e-4)
+
+
+def test_classify_violated_cone_is_indeterminate():
+    # a large constant H_x makes |dq/dr| too large for an admissible cone
+    cfg = dataclasses.replace(demo_model("demo_m2").cfg, coupling_hx=F(1e4, (), ()))
+    model = validate_config(cfg)
+    assert classify_attractor(model, 1e-3).label is AttractorLabel.SOLENOID
+    record = classify_attractor(model, 1e-2)
+    assert record.label is AttractorLabel.INDETERMINATE
+    assert record.reason == "cone conditions violated"
+    assert record.certificate is not None and not record.certificate.verdict
 
 
 def test_classify_record_serializes():

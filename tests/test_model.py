@@ -18,6 +18,7 @@ from blueskylab.model import reduce_angle, require_count
 from helpers import (
     CONFIG_DIR,
     advance,
+    check_trapping,
     coupled_config,
     demo_model,
     fd_jacobian,
@@ -522,8 +523,7 @@ def test_global_map_degree_periodicity():
 
 def test_trapping_region_maps_into_itself():
     for name, mu in (("demo_m0", 1e-4), ("demo_m1", 1e-4), ("demo_m2", 1e-5)):
-        model = demo_model(name)
-        assert model.check_trapping(mu)
+        assert check_trapping(demo_model(name), mu)
 
 
 def test_trapping_samples_are_the_core_and_face_centres():
