@@ -69,7 +69,6 @@ from .model import (
     TorusPoint,
     Undecided,
     ValidatedModel,
-    certified_series_min,
     load_config,
     load_model,
     parse_config,

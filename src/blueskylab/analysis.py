@@ -436,17 +436,17 @@ def _certify_circle_map(g_coef) -> float:
     lift's ``g_coef``: ``lipschitz_grid_extrema`` on the rows ``1j * k * g_coef``
     with the Lipschitz bound sum_k w_k k^2 |g_k|, where w_k are
     ``_trig_eval``'s weights (1/N at k = N/2, 2/N below; k = 0 adds 0).
-    NotACircleMap where a grid angle has 1 + g' <= 0, or at the grid cap."""
+    NotACircleMap where a grid angle has 1 + g' < 0, or at the grid cap
+    (where a zero of 1 + g' on a grid angle leaves it undecided)."""
     k = np.arange(len(g_coef))
     slope = (1j * k * g_coef)[None]
     lip = float(np.sum(np.where(k == k[-1], 1.0, 2.0) * k * k * np.abs(g_coef))) / (2 * k[-1])
-    vmin, _, grid, inflation, decided = lipschitz_grid_extrema(
-        lambda theta: 1.0 + _trig_eval(slope, theta)[0], lip,
-        lambda vmin, vmax, inflation: vmin <= 0.0 or vmin > inflation)
-    if vmin <= 0.0:
+    vmin, _, grid, inflation, monotone = lipschitz_grid_extrema(
+        lambda theta: 1.0 + _trig_eval(slope, theta)[0], lip)
+    if monotone is False:
         raise NotACircleMap(f"the curve's circle map folds: min 1 + g' = {vmin:.3e} "
                             f"on {grid} angles")
-    if not decided:
+    if monotone is None:
         raise NotACircleMap(f"1 + g' > 0 undecided at the cap of {grid} angles: "
                             f"min {vmin:.3e}, inflation {inflation:.3e}")
     return vmin - inflation

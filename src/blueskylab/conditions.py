@@ -16,7 +16,10 @@ bound of the criterion, computed from the Fourier coefficient sums of the
 derivative series and the certified positive lower bound of alpha.  The
 grid doubles while the margin is smaller than the inflation, each doubling
 evaluating only the new midpoints; exact trigonometric polynomials make
-this fully rigorous without interval arithmetic.
+this fully rigorous without interval arithmetic.  The verdict is
+``fourier.lipschitz_grid_extrema``'s strict rule: False for a grid margin
+< 0, True for a margin above the inflation, and ``Inconclusive`` at the
+grid cap, so a margin of exactly 0 is never decided.
 """
 
 from __future__ import annotations
@@ -76,11 +79,11 @@ class Inconclusive(Undecided, RuntimeError):
 class ConditionReport:
     """Certified min/max of a case criterion over the circle.
 
-    ``margin`` is the certified distance from the threshold, the grid
-    margin minus the Lipschitz inflation; a true verdict always has
-    margin > 0, a false verdict has a grid angle violating the strict
-    inequality outright.  Frozen: one report is shared by every caller
-    that checks the same model.
+    With a true verdict ``margin`` is the certified distance from the
+    threshold, the grid margin minus the Lipschitz inflation, always > 0.
+    With a false verdict it is the raw grid margin, < 0: a grid angle
+    violates the strict inequality outright.  Frozen: one report is shared
+    by every caller that checks the same model.
     """
 
     case_tag: CaseTag
@@ -150,12 +153,13 @@ def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
     """Certify the case inequality for the model's criterion function.
 
     Evaluates the criterion on a uniform grid of 4096 points and inflates
-    by lipschitz * (half spacing).  A grid angle violating the strict
-    inequality yields verdict False immediately; a margin exceeding the
-    inflation yields verdict True; otherwise the grid doubles, evaluating
-    only the new midpoints, up to the cap of 2^20 points (each evaluated
-    once), after which Inconclusive is raised (equality with the threshold
-    within the inflation is never turned into a verdict).
+    by lipschitz * (half spacing).  A grid margin < 0 (a grid angle
+    violating the strict inequality) yields verdict False immediately; a
+    margin exceeding the inflation yields verdict True; otherwise the grid
+    doubles, evaluating only the new midpoints, up to the cap of 2^20
+    points (each evaluated once), after which Inconclusive is raised.  The
+    rule is ``lipschitz_grid_extrema``'s: a margin of exactly 0, or one
+    within the inflation, is never turned into a verdict.
     The outcome does not depend on mu, so it is computed once per model;
     a repeated Inconclusive is raised afresh with the same fields.
     """
@@ -167,17 +171,12 @@ def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
     def compute():
         lip = criterion_lipschitz(model)  # also bounds 1 + m*s at |m| = 1, and |m + s|
         values, margin = _case_criterion(case_tag, model)
-
-        def decided(cmin, cmax, inflation):
-            return margin(cmin, cmax) < 0.0 or margin(cmin, cmax) > inflation
-
-        cmin, cmax, grid, inflation, _ = lipschitz_grid_extrema(values, lip, decided)
+        cmin, cmax, grid, inflation, verdict = lipschitz_grid_extrema(values, lip, margin)
         raw_margin = margin(cmin, cmax)
-        if raw_margin < 0.0:
-            return ConditionReport(case_tag, cmin, cmax, raw_margin, False, grid, lip)
-        if raw_margin > inflation:
-            return ConditionReport(case_tag, cmin, cmax, raw_margin - inflation, True, grid, lip)
-        return case_tag, raw_margin, inflation, grid
+        if verdict is None:
+            return case_tag, raw_margin, inflation, grid
+        certified = raw_margin - inflation if verdict else raw_margin
+        return ConditionReport(case_tag, cmin, cmax, certified, verdict, grid, lip)
 
     outcome = model.memoized("check_case", compute)
     if isinstance(outcome, ConditionReport):

@@ -11,8 +11,11 @@ sums: it stacks the coefficients of several series and their derivatives
 and evaluates them together in two matrix products per batch of angles.
 A single series evaluates as a one-row bank.  ``uniform_grid`` is the one
 source of uniform angle grids, yielded in bounded blocks, and
-``lipschitz_grid_extrema`` the one certified grid loop: it doubles its grid
-by evaluating only the new midpoints.
+``lipschitz_grid_extrema`` the one certified grid loop and the one place
+that turns grid extrema into a verdict: False for a grid margin < 0, True
+for a margin above the Lipschitz inflation, and None (undecided) at the
+grid cap, so a zero margin is never decided.  It doubles its grid by
+evaluating only the new midpoints.
 """
 
 from __future__ import annotations
@@ -182,13 +185,17 @@ def uniform_grid(grid: int, step: int = 1):
         yield np.arange(start, min(start + span, grid), step) * (TWO_PI / grid)
 
 
-def lipschitz_grid_extrema(values, lip: float, done):
-    """Extrema of ``values(theta)`` on a uniform grid of the circle, starting
-    at DEFAULT_GRID points and doubled until ``done(vmin, vmax, inflation)``
-    holds or the grid reaches GRID_CAP.  A function with Lipschitz constant
-    ``lip`` lies within ``inflation`` = lip * (half grid spacing) of its grid
-    values.  Returns (vmin, vmax, grid, inflation, status), ``status`` False
-    when stopped by the cap.
+def lipschitz_grid_extrema(values, lip: float, margin=lambda vmin, vmax: vmin):
+    """Extrema of ``values(theta)`` on a uniform grid of the circle and the
+    verdict on the strict inequality ``margin(vmin, vmax) > 0`` over the
+    whole circle.  A function with Lipschitz constant ``lip`` lies within
+    ``inflation`` = lip * (half grid spacing) of its grid values.  The grid
+    starts at DEFAULT_GRID points and doubles until the grid margin decides:
+    verdict False as soon as it is < 0 (a grid angle violates the
+    inequality), True once it is > inflation, and None when the grid
+    reaches GRID_CAP with 0 <= margin <= inflation, so a zero margin is
+    never decided.  Returns (vmin, vmax, grid, inflation, verdict), the
+    verdict a bool or None.
 
     Refinement is nested: a doubled grid evaluates only its new midpoints
     and folds them into the running extrema of the coarser grids, whose
@@ -205,8 +212,9 @@ def lipschitz_grid_extrema(values, lip: float, done):
             vmin, vmax = np.minimum(vmin, np.min(vals)), np.maximum(vmax, np.max(vals))
         vmin, vmax = float(vmin), float(vmax)
         inflation = lip * np.pi / grid
-        if done(vmin, vmax, inflation):
-            return vmin, vmax, grid, inflation, True
+        raw = margin(vmin, vmax)
+        if raw < 0.0 or raw > inflation:
+            return vmin, vmax, grid, inflation, bool(raw > inflation)
         if grid >= GRID_CAP:
-            return vmin, vmax, grid, inflation, False
+            return vmin, vmax, grid, inflation, None
         grid, step = 2 * grid, 2

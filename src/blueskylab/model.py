@@ -55,7 +55,6 @@ __all__ = [
     "TorusPoint",
     "Undecided",
     "ValidatedModel",
-    "certified_series_min",
     "load_config",
     "load_model",
     "parse_config",
@@ -258,22 +257,6 @@ def load_config(path) -> ModelConfig:
 
 def load_model(path) -> "ValidatedModel":
     return validate_config(load_config(path))
-
-
-def certified_series_min(series: FourierSeries) -> tuple[float, int, bool]:
-    """Certified lower bound for min of a trigonometric polynomial on the circle.
-
-    Evaluates on a uniform grid of 4096 points and subtracts the Lipschitz
-    inflation sup|f'| * (half grid spacing); the grid doubles, evaluating
-    only the new midpoints, while the bound stays inconclusive about the
-    sign.  Returns (lower_bound, grid_used, certified) where ``certified``
-    is False only if the cap of 2^20 points was reached with the sign still
-    straddling zero.
-    """
-    grid_min, _, grid, inflation, certified = lipschitz_grid_extrema(
-        series.eval, series.deriv_sup_bound(),
-        lambda vmin, vmax, inflation: vmin <= 0.0 or vmin - inflation > 0.0)
-    return grid_min - inflation, grid, certified
 
 
 class ValidatedModel:
@@ -600,7 +583,8 @@ def validate_config(cfg: ModelConfig) -> ValidatedModel:
 
     Rules: every scalar and series coefficient finite; nu = lam/gamma > 1;
     beta > lam (strong-stable block dominated); alpha strictly positive on
-    the circle (simultaneous splitting, checked only on finite input); m an
+    the circle (simultaneous splitting, checked only on finite input, by
+    the certified grid loop, whose undecided cap counts as a violation); m an
     integer; and the dimension constraint on m (n = 2 forces m = 1, n = 3
     allows |m| <= 1, n >= 4 allows any integer).
     """
@@ -643,8 +627,10 @@ def validate_config(cfg: ModelConfig) -> ValidatedModel:
                 break
 
     if finite:
-        alpha_min, _, certified = certified_series_min(cfg.alpha)
-        if alpha_min <= 0.0 or not certified:
+        grid_min, _, _, inflation, positive = lipschitz_grid_extrema(
+            cfg.alpha.eval, cfg.alpha.deriv_sup_bound())
+        alpha_min = grid_min - inflation
+        if not positive:
             violations.append("AlphaNotPositive")
 
     if violations:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import time
 import tracemalloc
 import warnings
@@ -41,6 +42,7 @@ from blueskylab.analysis import (
     _trig_eval,
     _trig_resample,
 )
+from blueskylab.fourier import lipschitz_grid_extrema
 from blueskylab.model import angle_diff, reduce_angle
 
 from helpers import (
@@ -294,6 +296,30 @@ def test_circle_map_check_reports_an_undecided_cap():
     g_coef = np.fft.rfft(-np.sin(np.arange(8) * (TWO_PI / 8) - 1.0))
     with pytest.raises(NotACircleMap, match="undecided at the cap of 1048576 angles"):
         _certify_circle_map(g_coef)
+
+
+@pytest.mark.parametrize("a, shift, verdict", [(0.5, 0.0, True), (1.5, 0.0, False),
+                                               (1.0, 1.0, None)],
+                         ids=["monotone", "folds", "undecided"])
+def test_circle_map_verdict_is_a_bool_or_none(monkeypatch, a, shift, verdict):
+    """1 + g' = 1 - a cos(theta - shift).  The lift's Lipschitz bound is an
+    np.float64 (divided by the np.int64 top mode), yet the loop's verdict
+    is a bool or None, which _certify_circle_map tells apart with ``is``."""
+    verdicts = []
+
+    def recording(*args):
+        result = lipschitz_grid_extrema(*args)
+        verdicts.append(result[-1])
+        return result
+
+    monkeypatch.setattr(bsl.analysis, "lipschitz_grid_extrema", recording)
+    g_coef = np.fft.rfft(-a * np.sin(np.arange(8) * (TWO_PI / 8) - shift))
+    if verdict:
+        assert _certify_circle_map(g_coef) > 0.0
+    else:
+        with pytest.raises(NotACircleMap):
+            _certify_circle_map(g_coef)
+    assert verdicts == [verdict] and type(verdicts[0]) is type(verdict)
 
 
 def test_curve_below_the_spectral_floor_raises_at_the_node_cap(monkeypatch):
@@ -832,6 +858,22 @@ def test_lyapunov_uncoupled_doubling():
     assert spectrum.orbit_length == 10 ** 4
 
 
+def test_lyapunov_spectrum_to_dict_writes_minus_inf_as_none():
+    model = validate_config(uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))
+    spectrum = lyapunov_spectrum(model, 1e-5, 1000, transient=10)
+    payload = spectrum.to_dict()
+    assert payload == {"exponents": [spectrum.top, None, None, None], "orbit_length": 1000,
+                       "transient_discarded": 10,
+                       "confidence_halfwidth": spectrum.confidence_halfwidth}
+    json.dumps(payload, allow_nan=False)
+
+
+def test_lyapunov_single_orbit_has_no_halfwidth():
+    spectrum = lyapunov_spectrum(demo_model("demo_m2"), 1e-5, 1, transient=0)
+    assert (spectrum.orbit_length, len(spectrum.exponents)) == (1, 4)
+    assert np.isnan(spectrum.confidence_halfwidth)
+
+
 def test_lyapunov_matches_multipliers_at_fixed_point():
     model = demo_model("demo_m0")
     mu = 1e-5
@@ -1228,6 +1270,18 @@ def test_itinerary_three_symbols():
     assert report.n_symbols == 3
     assert report.shift_consistent
     assert report.contraction_ratio <= 1.0 / report.expansion_lower_bound + 0.02
+
+
+def test_itinerary_report_to_dict():
+    report = itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=4, samples=256)
+    payload = report.to_dict()
+    fields = {f.name for f in dataclasses.fields(report)} - {"boundaries"}
+    assert set(payload) == fields
+    assert payload["max_diameter_by_depth"] == [[k, d] for k, d in report.max_diameter_by_depth]
+    assert [k for k, _ in payload["max_diameter_by_depth"]] == [1, 2, 3, 4]
+    for name in fields - {"max_diameter_by_depth"}:
+        assert payload[name] == getattr(report, name)
+    json.dumps(payload, allow_nan=False)
 
 
 @pytest.mark.parametrize("size", [dict(depth=0), dict(samples=0), dict(depth=2.5),

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -11,6 +12,11 @@ from blueskylab import cone_certify, load_model
 from blueskylab.cli import main
 
 from helpers import CONFIG_DIR
+
+
+# a fresh interpreter imports the package from this checkout, as the suite does
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run(*argv):
@@ -251,7 +257,7 @@ def test_console_script_entry_point():
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "blueskylab.cli", "validate", config("demo_m1")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
 
 
@@ -294,7 +300,8 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         f"'--mu-max', '1e-3', '--per-decade', '1', '--out', {out!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'scipy imported'",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -341,6 +348,6 @@ def test_overflowing_orbits_leave_one_stderr_line(tmp_path, argv, code, stderr):
     proc = subprocess.run(
         [sys.executable, "-m", "blueskylab.cli", command, config("demo_m0"), *options,
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == code
     assert re.fullmatch(stderr, proc.stderr), proc.stderr

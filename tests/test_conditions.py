@@ -249,7 +249,7 @@ def test_expansion_is_read_off_the_case_report(criterion_calls, build):
     assert bound == report.criterion_min - report.lipschitz_bound * np.pi / report.grid_size
     vmin, _, _, inflation, _ = lipschitz_grid_extrema(
         lambda theta: np.abs(model.m + criterion_function(theta, model)),
-        conditions.criterion_lipschitz(model), lambda vmin, vmax, infl: vmin - infl > 0.0)
+        conditions.criterion_lipschitz(model))
     assert bound == vmin - inflation
 
 

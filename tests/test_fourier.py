@@ -116,10 +116,10 @@ def test_grid_extrema_in_blocks_equal_the_full_grid():
         sizes.append(theta.size)
         return f.eval(theta)
 
-    # stop at the third grid, 4 * DEFAULT_GRID angles
-    vmin, vmax, grid, inflation, done = lipschitz_grid_extrema(
-        values, f.deriv_sup_bound(), lambda vmin, vmax, inflation: len(sizes) >= 4)
-    assert (grid, done) == (4 * DEFAULT_GRID, True)
+    # decide at the third grid, 4 * DEFAULT_GRID angles
+    vmin, vmax, grid, inflation, verdict = lipschitz_grid_extrema(
+        values, f.deriv_sup_bound(), lambda vmin, vmax: np.inf if len(sizes) >= 4 else 0.0)
+    assert (grid, verdict) == (4 * DEFAULT_GRID, True)
     assert sizes == [DEFAULT_GRID] * 4
     full = f.eval(np.arange(grid) * (TWO_PI / grid))
     assert np.argmin(full) // DEFAULT_GRID != np.argmax(full) // DEFAULT_GRID
@@ -136,12 +136,21 @@ def test_grid_extrema_evaluate_every_angle_once():
         seen.append(theta)
         return np.zeros_like(theta)
 
-    *_, grid, _, done = lipschitz_grid_extrema(values, 1.0, lambda *_: False)
-    assert (grid, done) == (GRID_CAP, False)
+    *_, grid, _, verdict = lipschitz_grid_extrema(values, 1.0, lambda *_: 0.0)
+    assert (grid, verdict) == (GRID_CAP, None)
     assert max(t.size for t in seen) == DEFAULT_GRID
     angles = np.concatenate(seen)
     assert angles.size == GRID_CAP
     assert np.array_equal(np.sort(angles), np.arange(grid) * (TWO_PI / grid))
+
+
+def test_grid_extrema_leave_a_zero_margin_undecided():
+    """1 - cos(theta) is 0.0 exactly at the grid angle 0 and positive
+    elsewhere: a zero margin is neither < 0 nor above any inflation, so the
+    grid runs to the cap and the verdict is None, not False."""
+    f = FourierSeries(1.0, (-1.0,))
+    vmin, _, grid, _, verdict = lipschitz_grid_extrema(f.eval, f.deriv_sup_bound())
+    assert (vmin, grid, verdict) == (0.0, GRID_CAP, None)
 
 
 def test_grid_extrema_equal_a_direct_evaluation_of_the_grid():
@@ -158,12 +167,12 @@ def test_grid_extrema_equal_a_direct_evaluation_of_the_grid():
         lip = f.deriv_sup_bound()
         checked = []
 
-        def stop(vmin, vmax, inflation):
-            checked.append(inflation)
-            return len(checked) > levels
+        def margin(vmin, vmax):
+            checked.append(vmin)
+            return np.inf if len(checked) > levels else 0.0
 
-        vmin, vmax, grid, inflation, done = lipschitz_grid_extrema(f.eval, lip, stop)
-        assert (grid, done) == (DEFAULT_GRID * 2 ** levels, True)
+        vmin, vmax, grid, inflation, verdict = lipschitz_grid_extrema(f.eval, lip, margin)
+        assert (grid, verdict) == (DEFAULT_GRID * 2 ** levels, True)
         full = f.eval(np.arange(grid) * (TWO_PI / grid))
         assert (vmin, vmax) == (float(np.min(full)), float(np.max(full)))
         assert inflation == lip * np.pi / grid

@@ -61,6 +61,16 @@ def test_alpha_not_positive():
     assert "AlphaNotPositive" in err.value.violations
 
 
+def test_alpha_zero_on_a_grid_angle_is_not_positive():
+    """alpha = 1 + cos(theta) is 0.0 exactly at the grid angle pi: the
+    certified loop leaves a zero undecided, which is still a violation."""
+    alpha = F(1.0, (1.0,), ())
+    assert alpha.eval(np.pi) == 0.0
+    with pytest.raises(InvalidModel) as err:
+        validate_config(uncoupled_config(alpha=alpha))
+    assert err.value.violations == ["AlphaNotPositive"]
+
+
 def test_half_integer_m():
     with pytest.raises(InvalidModel) as err:
         validate_config(uncoupled_config(m=0.5))
@@ -209,6 +219,12 @@ def test_return_map_requires_positive_mu():
     model = validate_config(uncoupled_config())
     with pytest.raises(ValueError):
         model.rescaled_step(1.0, np.zeros(1), 0.0, 0.0)
+
+
+def test_step_rejects_a_wrong_y_shape():
+    model = validate_config(uncoupled_config())   # n = 3: one Y component
+    with pytest.raises(ValueError, match="leading axis of length 1"):
+        model.rescaled_step(1.0, np.zeros(2), 0.0, 1e-3)
 
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1e-3])
