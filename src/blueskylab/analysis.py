@@ -323,15 +323,15 @@ def _trig_eval(coef, x):
 
 def _trig_resample(coef, size):
     """The interpolants of ``_trig_eval`` at the ``size`` uniform angles
-    i * 2 pi / size, C-contiguous (size, rows): one zero-padded inverse
-    transform down the columns, or direct evaluation below their node count."""
+    i * 2 pi / size, C-contiguous (size, rows): one inverse transform down
+    the columns, which ``irfft`` pads with zeros itself, or direct
+    evaluation below their node count."""
     n = 2 * (coef.shape[1] - 1)
     if size < n:
         return np.ascontiguousarray(_trig_eval(coef, np.arange(size) * (TWO_PI / size)).T)
-    padded = np.zeros((size // 2 + 1, len(coef)), dtype=complex)
-    padded[: n // 2 + 1] = coef.T
-    padded[n // 2] *= 0.5 if size > n else 1.0     # the Nyquist cosine splits between +-n/2
-    out = np.fft.irfft(padded, size, axis=0)
+    spectrum = coef.T.copy()
+    spectrum[n // 2] *= 0.5 if size > n else 1.0   # the Nyquist cosine splits between +-n/2
+    out = np.fft.irfft(spectrum, size, axis=0)
     out *= size / n
     return out
 
@@ -433,16 +433,19 @@ def graph_transform_curve(model: ValidatedModel, mu: float,
 
 def _certify_circle_map(g_coef) -> float:
     """A certified positive lower bound of 1 + g' over the circle for the
-    lift's ``g_coef``: ``lipschitz_grid_extrema`` on the rows ``1j * k * g_coef``
+    lift's ``g_coef``: ``lipschitz_grid_extrema`` on the row ``1j * k * g_coef``
     with the Lipschitz bound sum_k w_k k^2 |g_k|, where w_k are
     ``_trig_eval``'s weights (1/N at k = N/2, 2/N below; k = 0 adds 0).
+    Each block t of the loop is a uniform grid from t[0], so its values are
+    one inverse FFT of the row times e^{i k t[0]}, exact (no aliasing) for
+    N <= SPECTRAL_NODE_CAP = DEFAULT_GRID.
     NotACircleMap where a grid angle has 1 + g' < 0, or at the grid cap
     (where a zero of 1 + g' on a grid angle leaves it undecided)."""
     k = np.arange(len(g_coef))
     slope = (1j * k * g_coef)[None]
     lip = float(np.sum(np.where(k == k[-1], 1.0, 2.0) * k * k * np.abs(g_coef))) / (2 * k[-1])
     vmin, _, grid, inflation, monotone = lipschitz_grid_extrema(
-        lambda theta: 1.0 + _trig_eval(slope, theta)[0], lip)
+        lambda t: 1.0 + _trig_resample(slope * np.exp(1j * k * t[0]), len(t))[:, 0], lip)
     if monotone is False:
         raise NotACircleMap(f"the curve's circle map folds: min 1 + g' = {vmin:.3e} "
                             f"on {grid} angles")

@@ -9,13 +9,12 @@ which gives exact derivatives and cheap, certified sup-norm bounds
 (|c0| + sum |a_k| + |b_k|).  ``SeriesBank`` is the one evaluator of these
 sums: it stacks the coefficients of several series and their derivatives
 and evaluates them together in two matrix products per batch of angles.
-A single series evaluates as a one-row bank.  ``uniform_grid`` is the one
-source of uniform angle grids, yielded in bounded blocks, and
-``lipschitz_grid_extrema`` the one certified grid loop and the one place
-that turns grid extrema into a verdict: False for a grid margin < 0, True
-for a margin above the Lipschitz inflation, and None (undecided) at the
-grid cap, so a zero margin is never decided.  It doubles its grid by
-evaluating only the new midpoints.
+A single series evaluates as a one-row bank.  ``lipschitz_grid_extrema`` is
+the one certified grid loop and the one place that turns grid extrema into
+a verdict: False for a grid margin < 0, True for a margin above the
+Lipschitz inflation, and None (undecided) at the grid cap, so a zero margin
+is never decided.  It doubles its grid by evaluating only the new
+midpoints, in blocks that are each a uniform grid of the whole circle.
 """
 
 from __future__ import annotations
@@ -171,18 +170,14 @@ class SeriesBank:
         return vals.reshape((rows,) + theta.shape)
 
 
-def uniform_grid(grid: int, step: int = 1):
+def uniform_grid(grid: int):
     """The uniform grid of ``grid`` angles on the circle, point i at
-    i * 2*pi/grid, yielded in blocks of at most DEFAULT_GRID angles (the
-    last one short when they do not fill it; none for a grid of 0).  With
-    ``step`` 2 only the odd points i = 1, 3, ... are yielded: the midpoints
-    that a grid of ``grid`` adds to the grid of grid/2, whose points are
-    its even ones bit for bit (halving 2*pi/grid is exact).  A caller that
-    folds over the blocks holds one block at a time, so its memory does
-    not grow with the grid."""
-    span = step * DEFAULT_GRID
-    for start in range(step - 1, grid, span):
-        yield np.arange(start, min(start + span, grid), step) * (TWO_PI / grid)
+    i * 2*pi/grid, yielded in contiguous blocks of at most DEFAULT_GRID
+    angles (the last one short when they do not fill it; none for a grid
+    of 0).  A caller that folds over the blocks holds one block at a time,
+    so its memory does not grow with the grid."""
+    for start in range(0, grid, DEFAULT_GRID):
+        yield np.arange(start, min(start + DEFAULT_GRID, grid)) * (TWO_PI / grid)
 
 
 def lipschitz_grid_extrema(values, lip: float, margin=lambda vmin, vmax: vmin):
@@ -197,18 +192,20 @@ def lipschitz_grid_extrema(values, lip: float, margin=lambda vmin, vmax: vmin):
     never decided.  Returns (vmin, vmax, grid, inflation, verdict), the
     verdict a bool or None.
 
-    Refinement is nested: a doubled grid evaluates only its new midpoints
-    and folds them into the running extrema of the coarser grids, whose
-    points it keeps bit for bit, so every angle is evaluated once (GRID_CAP
-    angles in all at the cap).  The angles come in blocks of at most
-    DEFAULT_GRID (``uniform_grid``), so memory does not grow with the
-    grid; min and max are exact, so the extrema are those of one
+    Refinement is nested: a doubled grid evaluates only its new (odd)
+    points and folds them into the running extrema of the coarser grids,
+    whose points it keeps bit for bit, so every angle is evaluated once
+    (GRID_CAP angles in all at the cap).  Each call of ``values`` gets one
+    whole-circle block, the angles theta[0] + 2*pi*j/DEFAULT_GRID for j <
+    DEFAULT_GRID (each computed as i * 2*pi/grid), so memory does not grow
+    with the grid; min and max are exact, so the extrema are those of one
     evaluation on the whole grid."""
     grid, step = DEFAULT_GRID, 1
     vmin, vmax = np.inf, -np.inf
     while True:
-        for theta in uniform_grid(grid, step):
-            vals = values(theta)
+        stride = grid // DEFAULT_GRID
+        for first in range(step - 1, stride, step):
+            vals = values(np.arange(first, grid, stride) * (TWO_PI / grid))
             vmin, vmax = np.minimum(vmin, np.min(vals)), np.maximum(vmax, np.max(vals))
         vmin, vmax = float(vmin), float(vmax)
         inflation = lip * np.pi / grid

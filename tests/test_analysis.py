@@ -42,7 +42,7 @@ from blueskylab.analysis import (
     _trig_eval,
     _trig_resample,
 )
-from blueskylab.fourier import lipschitz_grid_extrema
+from blueskylab.fourier import DEFAULT_GRID, GRID_CAP, lipschitz_grid_extrema
 from blueskylab.model import angle_diff, reduce_angle
 
 from helpers import (
@@ -194,7 +194,8 @@ def test_trig_resample_matches_the_row_major_transform(rows):
 def test_curve_keeps_its_samples_and_coefficients():
     """A 2^17-sample curve retains its samples, the solve's coefficients
     (128 nodes: 2 KB) and no angle grid (1.5x the samples with one), and
-    sampling peaks at the padded spectrum plus the samples (3x with a
+    sampling peaks at about the samples alone: ``irfft`` pads the 65-row
+    spectrum itself (2x with a padded spectrum built first, 3x with a
     row-major transform and a transposed copy)."""
     model = demo_model("demo_m1")
     graph_transform_curve(model, 1e-4, 2 ** 17)
@@ -208,7 +209,7 @@ def test_curve_keeps_its_samples_and_coefficients():
     assert "theta_grid" not in vars(curve)
     assert curve.coef.shape == (1 + model.ydim, 65)
     assert retained <= 1.05 * nbytes
-    assert peak <= 2.25 * nbytes
+    assert peak <= 1.25 * nbytes
 
 
 def test_curve_orbits_attracted():
@@ -320,6 +321,70 @@ def test_circle_map_verdict_is_a_bool_or_none(monkeypatch, a, shift, verdict):
         with pytest.raises(NotACircleMap):
             _certify_circle_map(g_coef)
     assert verdicts == [verdict] and type(verdicts[0]) is type(verdict)
+
+
+def _circle_map_values(monkeypatch, g_coef):
+    """The ``values`` function that _certify_circle_map hands to the grid
+    loop for ``g_coef``, whatever the verdict."""
+    seen = []
+
+    def recording(values, *args):
+        seen.append(values)
+        return lipschitz_grid_extrema(values, *args)
+
+    monkeypatch.setattr(bsl.analysis, "lipschitz_grid_extrema", recording)
+    try:
+        _certify_circle_map(g_coef)
+    except NotACircleMap:
+        pass
+    return seen[0]
+
+
+@pytest.mark.parametrize("n", [8, 128, 4096])
+def test_circle_map_block_fft_equals_direct_evaluation(monkeypatch, n):
+    """Each whole-circle block theta0 + 2 pi j / DEFAULT_GRID is one shifted
+    inverse FFT; it equals the direct sum of _trig_eval at those angles to
+    1e-12 of sum_k w_k k |g_k| (at n = 4096 = DEFAULT_GRID the Nyquist mode
+    is not split)."""
+    rng = np.random.default_rng(n)
+    g_coef = np.fft.rfft(rng.standard_normal(n))
+    assert g_coef[-1] != 0.0
+    values = _circle_map_values(monkeypatch, g_coef)
+    k = np.arange(n // 2 + 1)
+    slope = (1j * k * g_coef)[None]
+    scale = np.sum(np.where(k == n // 2, 1.0, 2.0) * k * np.abs(g_coef)) / n
+    for theta0 in (0.0, np.pi / GRID_CAP, np.pi / DEFAULT_GRID, rng.uniform(0.0, TWO_PI)):
+        theta = theta0 + np.arange(DEFAULT_GRID) * (TWO_PI / DEFAULT_GRID)
+        np.testing.assert_allclose(values(theta), 1.0 + _trig_eval(slope, theta)[0],
+                                   rtol=0, atol=1e-12 * scale)
+
+
+def test_circle_map_check_at_the_node_cap_reaches_the_grid_cap_by_fft(monkeypatch):
+    # 1 + g' = 1 - cos(theta - 1) on 4,096 nodes (2,049 modes) is undecided
+    # at the 2^20-angle cap; every block is an inverse FFT, so no direct
+    # evaluation runs (each angle would cost 2,049 products)
+    def direct(*args):
+        raise AssertionError("direct trigonometric evaluation")
+
+    monkeypatch.setattr(bsl.analysis, "_trig_eval", direct)
+    g_coef = np.fft.rfft(-np.sin(np.arange(4096) * (TWO_PI / 4096) - 1.0))
+    with pytest.raises(NotACircleMap, match="undecided at the cap of 1048576 angles"):
+        _certify_circle_map(g_coef)
+
+
+def test_curve_of_a_high_degree_series_starts_on_more_nodes():
+    # h has degree 40 > 128 / 4, so the solve starts on 256 nodes
+    h = F(0.0, (), (0.0,) * 39 + (0.5 / 40,))
+    model = validate_config(uncoupled_config(m=1, gamma=1.0, lam=1.6, beta=2.5, h=h))
+    curve = graph_transform_curve(model, 1e-4, 8)
+    assert curve.coef.shape == (2, 129)
+    assert curve.residual_sup < 1e-8
+
+
+def test_curve_preimages_that_do_not_settle_raise(monkeypatch):
+    monkeypatch.setattr(bsl.analysis, "PREIMAGE_MAX_SWEEPS", 1)
+    with pytest.raises(bsl.NoConvergence, match="did not settle in 1 sweeps"):
+        graph_transform_curve(demo_model("demo_m1"), 1e-4, 8)
 
 
 def test_curve_below_the_spectral_floor_raises_at_the_node_cap(monkeypatch):

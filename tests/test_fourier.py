@@ -107,22 +107,27 @@ def test_series_bank_profile_rows_match_full_evaluation(path):
 
 def test_grid_extrema_in_blocks_equal_the_full_grid():
     """Each doubling evaluates only the new midpoints, DEFAULT_GRID angles
-    at a time: one block at the first two grids, two at the third.  The
-    extrema are those of the whole grid, bit for bit."""
+    at a time: one block at the first two grids, two at the third.  Block
+    b of the third grid holds the points i with i % 4 = 2b + 1, so the
+    points i % 4 = 0, 2, 1, 3 come in blocks 0 to 3.  The extrema are
+    those of the whole grid, bit for bit."""
     f = FourierSeries(0.1, (0.9, 0.0, -0.1), (0.3, 0.05, 0.02))
-    sizes = []
+    blocks = []
 
     def values(theta):
-        sizes.append(theta.size)
+        blocks.append(theta)
         return f.eval(theta)
 
     # decide at the third grid, 4 * DEFAULT_GRID angles
     vmin, vmax, grid, inflation, verdict = lipschitz_grid_extrema(
-        values, f.deriv_sup_bound(), lambda vmin, vmax: np.inf if len(sizes) >= 4 else 0.0)
+        values, f.deriv_sup_bound(), lambda vmin, vmax: np.inf if len(blocks) >= 4 else 0.0)
     assert (grid, verdict) == (4 * DEFAULT_GRID, True)
-    assert sizes == [DEFAULT_GRID] * 4
-    full = f.eval(np.arange(grid) * (TWO_PI / grid))
-    assert np.argmin(full) // DEFAULT_GRID != np.argmax(full) // DEFAULT_GRID
+    angles = np.arange(grid) * (TWO_PI / grid)
+    for block, residue in zip(blocks, (0, 2, 1, 3), strict=True):
+        assert np.array_equal(block, angles[residue::4])
+    full = f.eval(angles)
+    # the extrema lie in different blocks, so the fold spans blocks
+    assert np.argmin(full) % 4 != np.argmax(full) % 4
     assert (vmin, vmax) == (float(np.min(full)), float(np.max(full)))
     assert inflation == f.deriv_sup_bound() * np.pi / grid
 
@@ -138,7 +143,12 @@ def test_grid_extrema_evaluate_every_angle_once():
 
     *_, grid, _, verdict = lipschitz_grid_extrema(values, 1.0, lambda *_: 0.0)
     assert (grid, verdict) == (GRID_CAP, None)
-    assert max(t.size for t in seen) == DEFAULT_GRID
+    # each block is a uniform grid of the whole circle: theta[0] in the
+    # first step, then DEFAULT_GRID angles 2pi/DEFAULT_GRID apart
+    step = TWO_PI / DEFAULT_GRID
+    for theta in seen:
+        assert theta.size == DEFAULT_GRID and 0.0 <= theta[0] < step
+        np.testing.assert_allclose(np.diff(theta), step, rtol=1e-12, atol=0)
     angles = np.concatenate(seen)
     assert angles.size == GRID_CAP
     assert np.array_equal(np.sort(angles), np.arange(grid) * (TWO_PI / grid))
