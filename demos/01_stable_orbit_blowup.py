@@ -22,7 +22,7 @@ def main():
     print(f"saddle multipliers: rho1={model.rho1:.4g}, rho_n={model.rho_n:.4g}, "
           f"|rho1*rho_n|={abs(model.rho1 * model.rho_n):.4g} < 1")
 
-    report = bsl.check_case(bsl.CaseTag.BLUE_SKY, model)
+    report = bsl.check_case(model)
     print(f"\nstable-orbit condition sup|s| < 1: verdict={report.verdict}, "
           f"margin={report.margin:.4f}")
 

@@ -26,7 +26,7 @@ MU = 1e-4
 def show(name):
     model = bsl.load_model(CONFIGS / f"{name}.json")
     print(f"\n== {name}: m={model.m} ==")
-    report = bsl.check_case(bsl.CaseTag.TORUS_OR_KLEIN, model)
+    report = bsl.check_case(model)
     print(f"curve condition 1 + m*s > 0: verdict={report.verdict}, "
           f"min={report.criterion_min:.4f}")
 

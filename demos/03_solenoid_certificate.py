@@ -23,7 +23,7 @@ def main():
     model = bsl.load_model(CONFIG)
     print(f"model: m={model.m}, nu={model.nu:.3f}")
 
-    report = bsl.check_case(bsl.CaseTag.SOLENOID, model)
+    report = bsl.check_case(model)
     print(f"expansion condition inf|m + s| > 1: verdict={report.verdict}, "
           f"min={report.criterion_min:.4f}")
 

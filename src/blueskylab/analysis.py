@@ -20,7 +20,6 @@ from .conditions import (
     CaseTag,
     ConditionReport,
     Inconclusive,
-    case_for_degree,
     certified_angular_expansion,
     check_case,
 )
@@ -185,9 +184,7 @@ def find_fixed_points(model: ValidatedModel, mus) -> list:
     # map's arithmetic bit for bit
     mus = require_mu(np.asarray(mus, dtype=float)[()])
     shape, n, k = np.shape(mus), model.n, model.ydim
-    seed = model.seed_point()
-    X, Y, th, seed_flight = model.advance(np.full(shape, seed.X), np.zeros((k,) + shape),
-                                          np.full(shape, seed.theta), mus, 2)
+    X, Y, th, seed_flight = model.advance(*model.limit_points(np.zeros(shape)), mus, 2)
     escaped = np.isnan(seed_flight)
     singular = np.zeros(shape, dtype=bool)
     active = ~escaped
@@ -400,8 +397,7 @@ def graph_transform_curve(model: ValidatedModel, mu: float,
     while n <= SPECTRAL_NODE_CAP:
         theta = np.arange(n) * (TWO_PI / n)
         if coef is None:
-            radial = np.zeros((1 + model.ydim, n))
-            radial[0] = model.limit_radial(theta)
+            radial = np.vstack(model.limit_points(theta)[:2])
         else:
             radial = _trig_resample(coef, n).T
         preimage = None
@@ -509,7 +505,7 @@ def _trapping_jacobians(model: ValidatedModel, mu: float, grid: int, K: float):
     of ``grid`` angles, one (M_i, n, n) block per block of angles.  ``K``
     is the trapping radius at ``mu``."""
     for theta in uniform_grid(grid):
-        th, X, Y, _ = model.trapping_samples(mu, theta, K=K)
+        th, X, Y = model.trapping_samples(theta, K)
         yield model.rescaled_step(X, Y, th, mu, with_jacobian=True)[4]
 
 
@@ -576,20 +572,15 @@ def _block_maxima(jac) -> np.ndarray:
 
 def _reference_lift(model: ValidatedModel, mu: float, theta):
     """Angular lift along the limit curve (X, Y) = (alpha^nu, 0)."""
-    theta = np.asarray(theta, dtype=float)
-    X = model.limit_radial(theta)
-    Y = np.zeros((model.ydim,) + theta.shape)
-    return model.rescaled_step(X, Y, theta, mu)[2]
+    return model.rescaled_step(*model.limit_points(theta), mu)[2]
 
 
 def circle_degree(model: ValidatedModel, mu: float) -> int:
-    """Winding number of the angular image along the limit curve.
-
-    Read off the unreduced angular lift at 4096 + 1 points over one loop
-    of the input angle, as its change over 2*pi; equals the model degree m
-    for every valid configuration.
-    """
-    lift = _reference_lift(model, mu, np.linspace(0.0, TWO_PI, 4096 + 1))
+    """Winding number of the angular image along the limit curve: the
+    change over 2*pi of the unreduced angular lift, read at the loop's two
+    ends 0 and 2*pi only; equals the model degree m for every valid
+    configuration."""
+    lift = _reference_lift(model, mu, np.array([0.0, TWO_PI]))
     return int(np.round((lift[-1] - lift[0]) / TWO_PI))
 
 
@@ -868,8 +859,7 @@ def _reorthonormalize(J, Q):
 def _ensemble_start(model: ValidatedModel, count: int):
     """``count`` points (X, Y, theta) on the limit curve (alpha^nu, 0) at
     the equally spaced angles ``0.5 + 2*pi*j/count``."""
-    theta = reduce_angle(0.5 + TWO_PI * np.arange(count) / count)
-    return model.limit_radial(theta), np.zeros((model.ydim, count)), theta
+    return model.limit_points(reduce_angle(0.5 + TWO_PI * np.arange(count) / count))
 
 
 def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
@@ -1236,16 +1226,15 @@ def classify_attractors(model: ValidatedModel, mus) -> list:
     whose orbit escapes holds its EscapedTube, unraised, in place of a
     record, and never stops the others.
     """
-    case = case_for_degree(model.m)
     rows = np.ravel(mus).tolist()
     try:
-        condition = check_case(case, model)
+        condition = check_case(model)
     except Undecided as exc:
         return [_undecided(mu, None, exc) for mu in rows]
     if not condition.verdict:
         return [ClassificationRecord(AttractorLabel.INDETERMINATE, mu, condition=condition,
                                      reason="case condition violated") for mu in rows]
-    if case is CaseTag.BLUE_SKY:
+    if model.m == 0:
         return [_fixed_point_record(mu, condition, fp)
                 for mu, fp in zip(rows, find_fixed_points(model, mus))]
     return [_curve_or_cone_record(model, mu, condition) for mu in rows]

@@ -149,8 +149,9 @@ def _case_criterion(case_tag: CaseTag, model: ValidatedModel):
             lambda cmin, cmax: cmin - 1.0)
 
 
-def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
-    """Certify the case inequality for the model's criterion function.
+def check_case(model: ValidatedModel) -> ConditionReport:
+    """Certify the case inequality that the model's degree m picks
+    (``case_for_degree``) for its criterion function.
 
     Evaluates the criterion on a uniform grid of 4096 points and inflates
     by lipschitz * (half spacing).  A grid margin < 0 (a grid angle
@@ -163,10 +164,7 @@ def check_case(case_tag: CaseTag, model: ValidatedModel) -> ConditionReport:
     The outcome does not depend on mu, so it is computed once per model;
     a repeated Inconclusive is raised afresh with the same fields.
     """
-    case_tag = CaseTag(case_tag)
-    m = model.m
-    if case_tag is not case_for_degree(m):
-        raise CaseMismatch(f"{case_tag.value} is inconsistent with degree m={m}")
+    case_tag = case_for_degree(model.m)
 
     def compute():
         lip = criterion_lipschitz(model)  # also bounds 1 + m*s at |m| = 1, and |m + s|
@@ -197,5 +195,5 @@ def certified_angular_expansion(model: ValidatedModel) -> float:
     """
     if model.m == 0:
         raise CaseMismatch("the angular expansion needs |m| >= 1, got m=0")
-    report = check_case(case_for_degree(model.m), model)
+    report = check_case(model)
     return report.criterion_min - report.lipschitz_bound * np.pi / report.grid_size

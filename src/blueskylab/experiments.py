@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import AttractorLabel, classify_attractor, classify_attractors
-from .conditions import CaseTag, Inconclusive, check_case
+from .conditions import CaseMismatch, CaseTag, Inconclusive, case_for_degree, check_case
 from .model import EscapedTube, ValidatedModel, require_count, require_mu
 
 __all__ = [
@@ -92,10 +92,7 @@ def _orbit_mean_flights(model: ValidatedModel, mus: np.ndarray) -> np.ndarray:
     """Flight time averaged over 256 returns, after 64 transient returns,
     along the orbit of the limit-curve point at angle 0.5, at every mu of
     ``mus`` in one ``advance`` (NaN where the orbit escapes)."""
-    p = model.seed_point(0.5)
-    rows = len(mus)
-    X, Y, th, _ = model.advance(np.full(rows, p.X), np.zeros((model.ydim, rows)),
-                                np.full(rows, p.theta), mus, 64)
+    X, Y, th, _ = model.advance(*model.limit_points(np.full(len(mus), 0.5)), mus, 64)
     return model.advance(X, Y, th, mus, 256)[3] / 256
 
 
@@ -223,8 +220,10 @@ class ThresholdStudy:
 
 
 def _condition_outcome(model: ValidatedModel, case_tag: CaseTag) -> tuple[str, float | None]:
+    if case_tag is not case_for_degree(model.m):
+        raise CaseMismatch(f"{case_tag.value} is inconsistent with degree m={model.m}")
     try:
-        report = check_case(case_tag, model)
+        report = check_case(model)
     except Inconclusive:
         return "inconclusive", None
     return ("true" if report.verdict else "false"), report.margin
@@ -240,7 +239,8 @@ def threshold_study(family: Callable[[float], ValidatedModel], case_tag: CaseTag
     smallest ``a`` at which some sampled angle violates the strict
     inequality.  Near the analytic threshold the certified-true region
     may stop an inflation-width early, so the falsification edge is the
-    sharp locator.
+    sharp locator.  Raises CaseMismatch at the first family member whose
+    degree m does not pick ``case_tag`` (``case_for_degree``).
     """
     case_tag = CaseTag(case_tag)
     rows: list[ThresholdRow] = []

@@ -372,8 +372,8 @@ class ValidatedModel:
         Raises
         ------
         EscapedTube if any point escaped (the rule in ``_step``);
-        ValueError for a mu that breaks ``require_mu`` or does not
-        broadcast to S.
+        ValueError for a ``Y`` whose leading axis is not n - 2 long, and
+        for a mu that breaks ``require_mu`` or does not broadcast to S.
         """
         out, escaped = self._step(X, Y, theta, mu, with_jacobian)
         if escaped.any():
@@ -389,17 +389,16 @@ class ValidatedModel:
         (its orbit left the homoclinic tube) when its z0 is not finite and
         positive, or its Xb or any component of its Yb is not finite, or,
         with ``with_jacobian``, any entry of its Jacobian is not finite.
-        Escaped points raise no floating-point warning."""
+        Escaped points raise no floating-point warning.  A ``Y`` whose
+        leading axis is not n - 2 long raises ValueError, an empty one at
+        n = 2 included."""
         mu = require_mu(mu)
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
         Y = np.asarray(Y, dtype=float)
         k = self.ydim
         if Y.shape[:1] != (k,):
-            if k == 0 and Y.size == 0:
-                Y = Y.reshape((0,) + theta.shape)
-            else:
-                raise ValueError(f"Y must have leading axis of length {k}")
+            raise ValueError(f"Y must have leading axis of length {k}")
         if np.ndim(mu):
             shape = np.broadcast_shapes(X.shape, theta.shape, Y.shape[1:])
             if np.broadcast_shapes(mu.shape, shape) != shape:
@@ -488,10 +487,12 @@ class ValidatedModel:
         """The mu -> 0 radial limit X = alpha(theta)^nu of the attractor."""
         return self.cfg.alpha.eval(theta) ** self.nu
 
-    def seed_point(self, theta: float = 0.0) -> TorusPoint:
-        """A point on the limit curve, a convenient orbit seed."""
-        return TorusPoint(theta=theta, X=float(self.limit_radial(theta)),
-                          Y=np.zeros(self.ydim))
+    def limit_points(self, theta):
+        """The limit-curve points (X, Y, theta) = (alpha(theta)^nu, 0, theta)
+        at the angles ``theta`` (any shape S; Y of shape (n-2,) + S), the
+        start of every regime's orbits."""
+        theta = np.asarray(theta, dtype=float)
+        return self.limit_radial(theta), np.zeros((self.ydim,) + theta.shape), theta
 
     # -- trapping region -------------------------------------------------------
 
@@ -554,20 +555,19 @@ class ValidatedModel:
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
         raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
 
-    def trapping_samples(self, mu: float, theta, *, K: float | None = None):
-        """Samples of the trapping solid torus over the angles ``theta``:
-        the core plus the face centres.
+    def trapping_samples(self, theta, K: float):
+        """Samples of the trapping solid torus of radius ``K`` (the caller's
+        ``trapping_radius(mu)``) over the angles ``theta``: the core plus
+        the face centres.
 
-        Returns (theta, X, Y, K) with K = ``trapping_radius(mu)``, theta
-        shape (M,), X shape (M,), Y shape (n-2, M), M = len(theta) * (2(n-1)
-        + 1): at each angle of the 1-d array ``theta`` the core point and
-        the points at -K and +K along each of the n-1 radial axes, all in
-        the closed torus {|X - alpha^nu| <= K, |Y| <= K}.  Callers pass one
-        block of ``fourier.uniform_grid`` at a time, computing K once for
-        all the blocks and passing it in.
+        Returns (theta, X, Y) with theta shape (M,), X shape (M,), Y shape
+        (n-2, M), M = len(theta) * (2(n-1) + 1): at each angle of the 1-d
+        array ``theta`` the core point and the points at -K and +K along
+        each of the n-1 radial axes, all in the closed torus
+        {|X - alpha^nu| <= K, |Y| <= K}.  Callers pass one block of
+        ``fourier.uniform_grid`` at a time, with K computed once for all
+        the blocks.
         """
-        if K is None:
-            K = self.trapping_radius(mu)
         theta = np.asarray(theta, dtype=float)
         r = self.n - 1
         offsets = np.hstack((np.zeros((r, 1)), -K * np.eye(r), K * np.eye(r)))
@@ -575,7 +575,7 @@ class ValidatedModel:
         th = np.repeat(theta, n_off)
         X = np.repeat(self.limit_radial(theta), n_off) + np.tile(offsets[0], theta.size)
         Y = np.tile(offsets[1:], theta.size)
-        return th, X, Y, K
+        return th, X, Y
 
 
 def validate_config(cfg: ModelConfig) -> ValidatedModel:

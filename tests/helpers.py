@@ -150,7 +150,8 @@ def check_trapping(model, mu) -> bool:
     """Sample oracle of the certified trapping torus: the image of every
     ``trapping_samples`` point (core and face centres, 128 angles) lies
     strictly inside the torus of radius ``trapping_radius(mu)``."""
-    th, X, Y, K = model.trapping_samples(mu, next(uniform_grid(128)))
+    K = model.trapping_radius(mu)
+    th, X, Y = model.trapping_samples(next(uniform_grid(128)), K)
     Xb, Yb, th_lift, _ = model.rescaled_step(X, Y, th, mu)
     dev = np.abs(Xb - model.limit_radial(reduce_angle(th_lift)))
     y_norm = np.sqrt(np.sum(Yb ** 2, axis=0))

@@ -642,7 +642,7 @@ def test_certified_annulus_without_a_circle_map():
     bound is negative."""
     model = validate_config(coupled_config(m=1, alpha=F.constant(1.0), h=F(0.0, (), (0.999,)),
                                            scale=2e-2))
-    assert bsl.check_case(bsl.CaseTag.TORUS_OR_KLEIN, model).verdict is True
+    assert bsl.check_case(model).verdict is True
     with pytest.raises(NotACircleMap, match="lower bound .* <= 0"):
         bsl.annulus_diagnostic(model, 1e-2)
 
@@ -826,7 +826,7 @@ def test_ragged_stream_matches_one_block():
     K = model.trapping_radius(mu)
     blocks = list(_trapping_jacobians(model, mu, grid, K))
     assert [len(b) for b in blocks] == [4096 * per_angle, 4096 * per_angle, 5 * per_angle]
-    th, X, Y, _ = model.trapping_samples(mu, np.arange(grid) * (TWO_PI / grid), K=K)
+    th, X, Y = model.trapping_samples(np.arange(grid) * (TWO_PI / grid), K)
     *_, whole = model.rescaled_step(X, Y, th, mu, with_jacobian=True)
     np.testing.assert_array_equal(np.concatenate(blocks), whole)
     one_block = certify_jacobian_field([whole], _certified_record(model, mu, K))
@@ -881,7 +881,8 @@ def test_homotopy_to_skew_product_keeps_certificate():
     along the whole family."""
     model = demo_model("demo_m2")
     mu = 1e-5
-    th, X, Y, K = model.trapping_samples(mu, np.arange(128) * (TWO_PI / 128))
+    K = model.trapping_radius(mu)
+    th, X, Y = model.trapping_samples(np.arange(128) * (TWO_PI / 128), K)
     record = _certified_record(model, mu, K)
     base = model.limit_radial(th)
     delta = 1.0
@@ -979,8 +980,7 @@ def test_cone_certificate_serialization_fields():
 def _single_orbit_top_exponent(model, mu, iterations, transient, warmup=200, blocks=20):
     """Reference QR cocycle along one orbit, one return per rescaled_step
     call; the half-width comes from block averaging."""
-    p = model.seed_point(0.5)
-    X, Y, th = np.array([p.X]), p.Y.reshape(-1, 1), np.array([p.theta])
+    X, Y, th = model.limit_points(np.array([0.5]))
     Q = np.eye(model.n)
     logs = np.empty((iterations, model.n))
     for step in range(transient + iterations):
@@ -1407,7 +1407,7 @@ def test_classify_curve_escape_is_returned_or_raised():
     # z0 = mu alpha + x F_x < 0 on the limit curve: the graph transform escapes
     cfg = dataclasses.replace(demo_model("demo_m1").cfg, coupling_fx=F(-1e3, (), ()))
     model = validate_config(cfg)
-    assert bsl.check_case(bsl.CaseTag.TORUS_OR_KLEIN, model).verdict
+    assert bsl.check_case(model).verdict
     row, = bsl.classify_attractors(model, [1e-4])
     assert isinstance(row, bsl.EscapedTube)
     with pytest.raises(bsl.EscapedTube, match="mu=0.0001"):
@@ -1530,6 +1530,34 @@ def test_prefix_diameters_of_an_itinerary():
     assert all(0.0 < d < TWO_PI for _, d in report.max_diameter_by_depth)
 
 
+def test_prefix_diameters_stop_at_the_first_depth_without_a_group():
+    """16 orbits all have different 7-symbol prefixes, so a 12-symbol
+    itinerary reports the diameters of its first 6 depths only."""
+    report = itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=12, samples=16)
+    assert [k for k, _ in report.max_diameter_by_depth] == [1, 2, 3, 4, 5, 6]
+
+
+def test_itinerary_of_two_depths_fits_no_contraction():
+    """The diameter fit needs three depths: with two, the ratio and the
+    prefactor are nan."""
+    report = itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=2, samples=64)
+    assert [k for k, _ in report.max_diameter_by_depth] == [1, 2]
+    assert np.isnan(report.contraction_ratio) and np.isnan(report.prefactor)
+
+
+def test_find_fixed_point_raises_its_rows_escape():
+    """A coupling of 1e12 throws demo_m0's orbit out of the tube: the
+    batched solve holds the row's EscapedTube and the one-row solve raises
+    it."""
+    data = json.loads((CONFIG_DIR / "demo_m0.json").read_text())
+    data["coupling_fx"] = {"constant": 1e12}
+    model = validate_config(bsl.parse_config(data))
+    row, = find_fixed_points(model, 1e-4)
+    assert isinstance(row, bsl.EscapedTube)
+    with pytest.raises(bsl.EscapedTube):
+        find_fixed_point(model, 1e-4)
+
+
 # -- batched fixed points and sample suprema -----------------------------------
 
 
@@ -1590,7 +1618,8 @@ def _reference_max_norm(blocks):
 @pytest.mark.parametrize("name, grid", [("demo_m2", 256), ("demo_m2", 16384), ("n7", 256)])
 def test_max_operator_norm_is_the_stacked_svd_maximum(name, grid):
     model = validate_config(coupled_config(m=2, n=7)) if name == "n7" else demo_model(name)
-    th, X, Y, K = model.trapping_samples(1e-5, np.arange(grid) * (TWO_PI / grid))
+    K = model.trapping_radius(1e-5)
+    th, X, Y = model.trapping_samples(np.arange(grid) * (TWO_PI / grid), K)
     *_, jac = model.rescaled_step(X, Y, th, 1e-5, with_jacobian=True)
     r = model.n - 1
     p_r, p_t, q_r, q_t = jac[:, :r, :r], jac[:, :r, r], jac[:, r, :r], jac[:, r, r]

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from importlib.metadata import EntryPoint
 
 import pytest
 
@@ -252,6 +253,20 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+def test_console_script_resolves_to_the_cli(monkeypatch, capsys):
+    """The ``[project.scripts]`` entry of pyproject.toml, loaded as an
+    installer loads it and run in-process as its script runs it, validates
+    a config."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(CONFIG_DIR.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["blueskylab"]
+    assert target == "blueskylab.cli:main"
+    entry = EntryPoint(name="blueskylab", value=target, group="console_scripts").load()
+    monkeypatch.setattr(sys, "argv", ["blueskylab", "validate", config("demo_m2")])
+    assert entry() == 0
+    assert "valid" in capsys.readouterr().out
 
 
 def test_module_entry_point():

@@ -16,6 +16,7 @@ from blueskylab import (
     check_case,
     criterion_function,
     parse_config,
+    threshold_study,
     validate_config,
 )
 from blueskylab.fourier import lipschitz_grid_extrema
@@ -72,7 +73,7 @@ def test_criterion_max_against_dense_grid_oracle():
     th = np.linspace(0.0, TWO_PI, 10 ** 6, endpoint=False)
     oracle = float(np.max(np.abs(criterion_function(th, model))))
     assert oracle == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-9)
-    report = check_case(CaseTag.BLUE_SKY, model)
+    report = check_case(model)
     assert report.verdict
     assert max(abs(report.criterion_min), abs(report.criterion_max)) \
         == pytest.approx(oracle, abs=1e-6)
@@ -80,7 +81,7 @@ def test_criterion_max_against_dense_grid_oracle():
 
 def test_check_case_trivial_margin_one():
     model = validate_config(uncoupled_config(m=0))
-    report = check_case(CaseTag.BLUE_SKY, model)
+    report = check_case(model)
     assert report.verdict is True
     assert report.criterion_max == 0.0
     assert report.criterion_min == 0.0
@@ -89,7 +90,7 @@ def test_check_case_trivial_margin_one():
 
 def test_check_case_torus_condition_value():
     model = validate_config(uncoupled_config(m=1, gamma=1.0, alpha=F(1.0, (0.5,), ())))
-    report = check_case(CaseTag.TORUS_OR_KLEIN, model)
+    report = check_case(model)
     assert report.verdict is True
     assert report.criterion_min == pytest.approx(1.0 - 1.0 / np.sqrt(3.0), abs=1e-6)
 
@@ -97,7 +98,7 @@ def test_check_case_torus_condition_value():
 def test_check_case_solenoid_condition_value():
     model = validate_config(
         uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (0.3,))))
-    report = check_case(CaseTag.SOLENOID, model)
+    report = check_case(model)
     assert report.verdict is True
     assert report.criterion_min == pytest.approx(1.7, abs=1e-12)
     assert report.margin == pytest.approx(0.7, abs=1e-3)
@@ -106,11 +107,11 @@ def test_check_case_solenoid_condition_value():
 def test_criterion_scale_invariance_bitwise():
     base = uncoupled_config(m=0, gamma=1.3, alpha=F(1.0, (0.4, 0.1), (0.2,)),
                             h=F(0.0, (0.1,), (0.3,)))
-    ref = check_case(CaseTag.BLUE_SKY, validate_config(base))
+    ref = check_case(validate_config(base))
     for c in (0.5, 2.0):
         scaled = uncoupled_config(m=0, gamma=1.3, alpha=base.alpha.scaled(c),
                                   h=base.h)
-        rep = check_case(CaseTag.BLUE_SKY, validate_config(scaled))
+        rep = check_case(validate_config(scaled))
         assert rep.criterion_min == ref.criterion_min
         assert rep.criterion_max == ref.criterion_max
 
@@ -119,18 +120,27 @@ def test_threshold_sharpness():
     def model_at(a):
         return validate_config(uncoupled_config(m=0, h=F(0.0, (), (a,))))
 
-    assert check_case(CaseTag.BLUE_SKY, model_at(0.99)).verdict is True
-    assert check_case(CaseTag.BLUE_SKY, model_at(1.01)).verdict is False
+    assert check_case(model_at(0.99)).verdict is True
+    assert check_case(model_at(1.01)).verdict is False
     with pytest.raises(Inconclusive):
-        check_case(CaseTag.BLUE_SKY, model_at(1.0))
+        check_case(model_at(1.0))
 
 
 def test_case_mismatch():
+    """check_case reads its case off m; threshold_study checks the tag it is
+    given against the degree of every family member it builds."""
     model = validate_config(uncoupled_config(m=0))
-    with pytest.raises(CaseMismatch):
-        check_case(CaseTag.SOLENOID, model)
-    with pytest.raises(CaseMismatch):
-        check_case(CaseTag.TORUS_OR_KLEIN, model)
+    assert check_case(model).case_tag is CaseTag.BLUE_SKY
+    for tag in (CaseTag.SOLENOID, CaseTag.TORUS_OR_KLEIN):
+        with pytest.raises(CaseMismatch):
+            threshold_study(lambda a: model, tag, [0.5])
+
+    def family(a):
+        return validate_config(uncoupled_config(m=0 if a < 1.0 else 2, n=4,
+                                                h=F(0.0, (), (a,))))
+
+    with pytest.raises(CaseMismatch, match="m=2"):
+        threshold_study(family, CaseTag.BLUE_SKY, [0.5, 1.5])
 
 
 def test_certification_soundness_on_finer_grid():
@@ -138,11 +148,12 @@ def test_certification_soundness_on_finer_grid():
     checked = 0
     while checked < 8:
         model = validate_config(random_config(rng, coupling_scale=0.0))
-        tag = case_for_degree(model.m)
         try:
-            report = check_case(tag, model)
+            report = check_case(model)
         except Inconclusive:
             continue
+        tag = report.case_tag
+        assert tag is case_for_degree(model.m)
         if not report.verdict:
             continue
         checked += 1
@@ -165,7 +176,7 @@ def test_grid_cap_evaluation_runs_in_bounded_memory():
     tracemalloc.start()
     try:
         with pytest.raises(Inconclusive) as err:
-            check_case(CaseTag.BLUE_SKY, model)
+            check_case(model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,7 +193,7 @@ def test_certified_angular_expansion_value():
 
 def test_report_serialization_fields():
     model = validate_config(uncoupled_config(m=0))
-    payload = check_case(CaseTag.BLUE_SKY, model).to_dict()
+    payload = check_case(model).to_dict()
     assert set(payload) == {"case_tag", "criterion_min", "criterion_max",
                             "margin", "verdict", "grid_size", "lipschitz_bound"}
     assert payload["case_tag"] == "BlueSky"
@@ -205,11 +216,11 @@ def criterion_calls(monkeypatch):
 def test_mu_free_conditions_are_computed_once_per_model(criterion_calls):
     model = validate_config(
         uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (0.3,))))
-    report = check_case(CaseTag.SOLENOID, model)
+    report = check_case(model)
     bound = certified_angular_expansion(model)
     sups = model.coupling_sup_bounds()
     evaluations = len(criterion_calls)
-    assert check_case(CaseTag.SOLENOID, model) is report
+    assert check_case(model) is report
     assert certified_angular_expansion(model) == bound
     assert model.coupling_sup_bounds() is sups
     assert len(criterion_calls) == evaluations
@@ -242,7 +253,7 @@ def test_expansion_is_read_off_the_case_report(criterion_calls, build):
     the stand-alone certified loop over |m + s| bit for bit (at |m| = 1,
     where 1 + m*s > 0, the two criteria agree bit for bit)."""
     model = build()
-    report = check_case(case_for_degree(model.m), model)
+    report = check_case(model)
     evaluations = len(criterion_calls)
     bound = certified_angular_expansion(model)
     assert len(criterion_calls) == evaluations
@@ -270,7 +281,7 @@ def test_grid_cap_case_evaluates_the_cap_grid_once(criterion_calls):
     nested refinement evaluates the criterion at 2^20 angles in all."""
     model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (1.0,))))
     with pytest.raises(Inconclusive) as err:
-        check_case(CaseTag.BLUE_SKY, model)
+        check_case(model)
     assert err.value.raw_margin == 0.0
     assert err.value.grid_size == 2 ** 20
     assert err.value.inflation == conditions.criterion_lipschitz(model) * np.pi / 2 ** 20
@@ -280,10 +291,10 @@ def test_grid_cap_case_evaluates_the_cap_grid_once(criterion_calls):
 def test_cached_inconclusive_is_raised_afresh(criterion_calls):
     model = validate_config(uncoupled_config(m=0, h=F(0.0, (), (1.0,))))
     with pytest.raises(Inconclusive) as first:
-        check_case(CaseTag.BLUE_SKY, model)
+        check_case(model)
     evaluations = len(criterion_calls)
     with pytest.raises(Inconclusive) as second:
-        check_case(CaseTag.BLUE_SKY, model)
+        check_case(model)
     assert len(criterion_calls) == evaluations
     assert second.value is not first.value
     for name in ("case_tag", "raw_margin", "inflation", "grid_size"):

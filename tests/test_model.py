@@ -225,6 +225,9 @@ def test_step_rejects_a_wrong_y_shape():
     model = validate_config(uncoupled_config())   # n = 3: one Y component
     with pytest.raises(ValueError, match="leading axis of length 1"):
         model.rescaled_step(1.0, np.zeros(2), 0.0, 1e-3)
+    flat = validate_config(uncoupled_config(m=1, n=2))   # n = 2: an empty Y must be (0,) + S
+    with pytest.raises(ValueError, match="leading axis of length 0"):
+        flat.rescaled_step(1.0, np.zeros((1, 0)), 0.0, 1e-3)
 
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1e-3])
@@ -545,7 +548,8 @@ def test_trapping_region_maps_into_itself():
 def test_trapping_samples_are_the_core_and_face_centres():
     for name, mu in (("demo_m0", 1e-4), ("demo_m1", 1e-4), ("demo_m2", 1e-5)):
         model = demo_model(name)
-        th, X, Y, K = model.trapping_samples(mu, np.arange(64) * (TWO_PI / 64))
+        K = model.trapping_radius(mu)
+        th, X, Y = model.trapping_samples(np.arange(64) * (TWO_PI / 64), K)
         r = model.n - 1
         assert th.shape == X.shape == (64 * (2 * r + 1),)
         assert Y.shape == (model.ydim, th.size)
