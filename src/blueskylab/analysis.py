@@ -75,8 +75,11 @@ PREIMAGE_TOL = 1e-13
 PREIMAGE_MAX_SWEEPS = 50
 # complex exponentials a direct trigonometric evaluation holds at once
 TRIG_BLOCK = 2 ** 16
-# orbits the Lyapunov cocycle advances together
-LYAPUNOV_ENSEMBLE = 256
+# orbits the Lyapunov cocycle advances together, and the most orbits its
+# transient is shared among, so that a larger ensemble shortens no orbit's
+# warm-up
+LYAPUNOV_ENSEMBLE = 1024
+LYAPUNOV_WARMUP_SHARE = 256
 # itinerary coding: transient returns of each drawn orbit, the distance to a
 # branch boundary below which an orbit is redrawn, and the redraw rounds
 ITINERARY_TRANSIENT = 64
@@ -801,9 +804,11 @@ class LyapunovSpectrum:
 
     Directions whose growth rate falls below -50 (total contraction to
     numerical zero, e.g. vanishing couplings) are reported as -inf.
-    ``orbit_length`` is the number of averaged returns and
-    ``transient_discarded`` the transient asked for, both summed over the
-    ensemble; each orbit rounds its share of either up to a whole return.
+    ``orbit_length`` is the number of averaged returns, summed over the
+    ensemble, and ``transient_discarded`` the transient asked for, shared
+    among at most 256 orbits: each orbit discards ``ceil(transient /
+    min(256, B))`` returns whatever the ensemble size ``B``.  Each orbit
+    rounds its share of either up to a whole return.
     ``confidence_halfwidth`` is 1.96 times the across-orbit standard error
     of the top exponent (nan with a single orbit).
     """
@@ -829,13 +834,14 @@ class LyapunovSpectrum:
 def _reorthonormalize(J, Q):
     """One return of the QR cocycle by two-pass classical Gram-Schmidt
     (CGS2): the orthonormal frame of the columns of J Q and their
-    ``log|R_jj|``.  Component-major: ``J`` is (n, n, B), entry (i, j) of
-    the B matrices, and the frames are (column, component, B).  A column
-    left exactly zero gets -inf and becomes ``e_i``, ``i = argmin_i
-    sum_k Q[k, i]**2`` over the earlier columns, projected once (its norm
-    stays >= 1/sqrt(n); the pass is a third, harmless one for the other
-    orbits); a column zero on every orbit skips its two passes.  NaN
-    stays NaN."""
+    ``log|R_jj|``.  Component-major: ``J`` is (n, n, B), ``J[i, j]`` the
+    entry (i, j) of the B matrices in one contiguous row of B <=
+    ``LYAPUNOV_ENSEMBLE`` = 1,024 values (8 n^2 B bytes in all, about
+    400 KB at n = 7), and the frames are (column, component, B).  A column left exactly zero gets
+    -inf and becomes ``e_i``, ``i = argmin_i sum_k Q[k, i]**2`` over the
+    earlier columns, projected once (its norm stays >= 1/sqrt(n); the
+    pass is a third, harmless one for the other orbits); a column zero on
+    every orbit skips its two passes.  NaN stays NaN."""
     V = np.einsum("ijb,kjb->kib", J, Q)
     log_r = np.empty((len(V), V.shape[2]))
     with np.errstate(divide="ignore"):
@@ -868,12 +874,13 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
 
     ``B = min(LYAPUNOV_ENSEMBLE, iterations)`` orbits start on the limit
     curve at the equally spaced angles ``0.5 + 2*pi*j/B`` and are advanced
-    together, one ``rescaled_step`` call per return.  ``transient``
-    counts over the ensemble, as ``iterations`` does: each orbit first
-    discards ``ceil(transient / B)`` returns that already evolve its
-    orthonormal frame, so the averages carry no initial-alignment bias.
-    The orbits start on the attractor's limit curve, where the frames
-    align within a few returns.  Then the analytic Jacobians are
+    together, one ``rescaled_step`` call per return.  ``transient`` is
+    shared among at most ``LYAPUNOV_WARMUP_SHARE`` = 256 orbits: each
+    orbit first discards ``ceil(transient / min(256, B))`` returns that
+    already evolve its orthonormal frame, so the averages carry no
+    initial-alignment bias, and a larger ensemble shortens no orbit's
+    warm-up.  The orbits start on the attractor's limit curve, where the
+    frames align within a few returns.  Then the analytic Jacobians are
     accumulated in the QR cocycle of Benettin et al. (Meccanica 15, 1980),
     one batched two-pass classical Gram-Schmidt (CGS2; Giraud et al.,
     Numer. Math. 101, 87, 2005) per return; a column that comes out
@@ -895,7 +902,7 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
     transient = require_count("transient", transient, 0)
     require_mu(mu)
     B = min(LYAPUNOV_ENSEMBLE, iterations)
-    warmup = -(-transient // B)
+    warmup = -(-transient // min(LYAPUNOV_WARMUP_SHARE, B))
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
 

@@ -30,6 +30,8 @@ from blueskylab import (
     validate_config,
 )
 from blueskylab.analysis import (
+    LYAPUNOV_ENSEMBLE,
+    LYAPUNOV_WARMUP_SHARE,
     _bracketed_roots,
     _certified_record,
     _certify_circle_map,
@@ -770,6 +772,19 @@ def test_certify_inconclusive_on_margin_failure():
     assert err.value.grid_size == 1024
 
 
+def test_contracting_angle_has_an_empty_cone_interval():
+    """|dq/dtheta| = 1/2 on the samples and in the record: no cone
+    aperture exists, the verdict is False and the interval is written as
+    null."""
+    jac = _skew_map_jacobians()
+    jac[:, 1, 1] = 0.5
+    cert = certify_jacobian_field([jac], dict(SKEW_MAP_RECORD, qtheta_lower=0.5))
+    assert cert.verdict is False and cert.L_interval is None
+    payload = cert.to_dict()
+    assert payload["L_interval"] is None
+    json.dumps(payload, allow_nan=False)
+
+
 def test_certify_field_needs_blocks_of_samples():
     jac = _skew_map_jacobians()
     for field in ([], [jac[:0]], (b for b in ())):
@@ -1114,9 +1129,9 @@ def test_cgs2_frames_stay_orthonormal(name):
 def _stacked_lapack_rates(model, mu, iterations, transient):
     """``lyapunov_spectrum``'s ensemble cocycle with a stacked LAPACK QR
     per return: the growth rates, sorted descending.  Each orbit discards
-    ``ceil(transient / B)`` returns while its frame aligns."""
-    B = min(256, iterations)
-    warmup = -(-transient // B)
+    ``ceil(transient / min(256, B))`` returns while its frame aligns."""
+    B = min(LYAPUNOV_ENSEMBLE, iterations)
+    warmup = -(-transient // min(LYAPUNOV_WARMUP_SHARE, B))
     steps = -(-iterations // B)
     last = iterations - B * (steps - 1)
     X, Y, th = _ensemble_start(model, B)
@@ -1139,14 +1154,17 @@ def test_lyapunov_top_matches_stacked_lapack_cocycle():
 
 
 @pytest.mark.parametrize("iterations, transient", [
-    (10 ** 5, 2000),   # 8 returns per orbit
+    (10 ** 5, 2000),   # B = 1,024 > 256: 8 warm-up returns per orbit
     (1000, 0),         # no transient and no warm-up
-    (1000, 100),       # transient < B: one return per orbit
+    (1000, 100),       # transient < 256: one return per orbit
+    (600, 1000),       # 256 < B = 600 < 1,024: ceil(1000 / 256) = 4 returns per orbit
+    (200, 1000),       # B = 200 < 256: ceil(1000 / 200) = 5 returns per orbit
 ])
 def test_lyapunov_transient_counts_over_the_ensemble(monkeypatch, iterations, transient):
-    """Each of the B = 256 orbits discards ceil(transient / B) returns, so
-    the kernel steps B * (ceil(iterations / B) + ceil(transient / B))
-    points, and the spectrum reports the ensemble totals asked for."""
+    """Each of the B = min(1024, iterations) orbits discards
+    ceil(transient / min(256, B)) returns, so the kernel steps
+    B * (ceil(iterations / B) + ceil(transient / min(256, B))) points, and
+    the spectrum reports the totals asked for."""
     model = demo_model("demo_m2")
     step, stepped = model._step, []
 
@@ -1156,9 +1174,23 @@ def test_lyapunov_transient_counts_over_the_ensemble(monkeypatch, iterations, tr
 
     monkeypatch.setattr(model, "_step", counting_step)
     spectrum = lyapunov_spectrum(model, 1e-5, iterations, transient=transient)
-    assert sum(stepped) == 256 * (-(-iterations // 256) + -(-transient // 256))
+    B = min(LYAPUNOV_ENSEMBLE, iterations)
+    share = min(LYAPUNOV_WARMUP_SHARE, B)
+    assert sum(stepped) == B * (-(-iterations // B) + -(-transient // share))
     assert spectrum.transient_discarded == transient
     assert spectrum.orbit_length == iterations
+
+
+@pytest.mark.parametrize("name", ["demo_m2", "high_n_m2"])
+def test_lyapunov_spectrum_does_not_depend_on_the_ensemble_size(monkeypatch, name):
+    """1,024 orbits and 256 orbits, each with the same warm-up, give tops
+    within the sum of their half-widths."""
+    model = demo_model(name) if name == "demo_m2" else _high_n_m2()
+    large = lyapunov_spectrum(model, 1e-5, 10 ** 5, transient=2000)
+    monkeypatch.setattr(bsl.analysis, "LYAPUNOV_ENSEMBLE", 256)
+    small = lyapunov_spectrum(model, 1e-5, 10 ** 5, transient=2000)
+    assert small.top != large.top
+    assert abs(small.top - large.top) <= small.confidence_halfwidth + large.confidence_halfwidth
 
 
 def test_lyapunov_never_calls_lapack_qr(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,8 @@ from importlib.metadata import EntryPoint
 
 import pytest
 
-from blueskylab import cone_certify, load_model
-from blueskylab.cli import main
+from blueskylab import cli, cone_certify, load_model
+from blueskylab.cli import apply_overrides, main
 
 from helpers import CONFIG_DIR
 
@@ -130,6 +131,29 @@ def test_certify_not_expanding_is_indeterminate(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "angular-derivative lower bound" in err
+
+
+def test_certify_prints_an_empty_interval(monkeypatch, capsys, tmp_path):
+    cert = cone_certify(load_model(config("demo_m2")), 1e-5, 64)
+    monkeypatch.setattr(cli, "cone_certify",
+                        lambda *args: dataclasses.replace(cert, L_interval=None, verdict=False))
+    assert run("certify", config("demo_m2"), "--mu", "1e-5", "--out", str(tmp_path)) == 1
+    assert "L_interval: (empty)\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "certificate.json").read_text())["L_interval"] is None
+
+
+def test_override_value_that_is_not_json_is_a_string(capsys):
+    assert apply_overrides({"m": 2}, ["m=two"]) == {"m": "two"}
+    assert run("validate", config("demo_m2"), "--set", "m=two") == 2
+    assert capsys.readouterr().err == "usage error: ValueError: m must be a number, got str\n"
+
+
+def test_override_descends_into_a_list():
+    data = json.loads((CONFIG_DIR / "demo_m2.json").read_text(encoding="utf-8"))
+    want = json.loads(json.dumps(data))
+    want["coupling_fy"][1]["cos"][0] = 0.002
+    assert apply_overrides(data, ["coupling_fy.1.cos.0=0.002"]) == want
+    assert run("validate", config("demo_m2"), "--set", "coupling_fy.1.cos.0=0.002") == 0
 
 
 def test_sweep_writes_csv_and_fit(capsys, tmp_path):

@@ -17,7 +17,7 @@ from blueskylab import (
     validate_config,
     write_sweep_csv,
 )
-from blueskylab.experiments import CSV_HEADER
+from blueskylab.experiments import CSV_HEADER, SweepRecord
 
 from helpers import coupled_config, demo_model, uncoupled_config
 
@@ -105,6 +105,20 @@ def test_csv_shape_and_determinism(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1e-4)
     assert first[-1] == "false"
+
+
+def test_sweep_of_no_mu_is_empty():
+    assert mu_sweep(demo_model("demo_m0"), []) == []
+    assert sweep_csv_text([]) == ",".join(CSV_HEADER) + "\n"
+
+
+def test_csv_cells_by_type():
+    """None is an empty cell, a bool is lower case, a float its shortest
+    round-trip repr and anything else its str (an int mu here, which
+    ``mu_sweep`` never writes: its cells are floats, bools or None)."""
+    record = SweepRecord(mu=3, classification="Escaped", period_proxy=0.1,
+                         theta_at_fixed_point=None, top_lyapunov=None, escape_flag=True)
+    assert sweep_csv_text([record]).split("\n")[1] == "3,Escaped,0.1,,,true"
 
 
 def test_threshold_flip_blue_sky():

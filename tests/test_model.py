@@ -241,6 +241,27 @@ def test_mu_input_rule(mu):
         bsl.geometric_mu_grid(1e-6, mu)
 
 
+def test_trapping_radius_gives_up_after_eight_rounds(monkeypatch):
+    """A Y feedback too strong for any radius: every round's excursion
+    bounds are finite and keep the angular speed positive, yet the Y
+    bound exceeds K, so K grows round after round until the eighth."""
+    cfg = uncoupled_config()
+    cfg.coupling_hy = (F.constant(100.0),)
+    model = validate_config(cfg)
+    bounds, radii = model._excursion_bounds, []
+
+    def recording(mu, K):
+        radii.append(K)
+        out = bounds(mu, K)
+        assert out[3] > 0.0          # u_lo: no NoTrappingRadius before the rounds end
+        return out
+
+    monkeypatch.setattr(model, "_excursion_bounds", recording)
+    with pytest.raises(bsl.NoTrappingRadius, match="no trapping radius certified at mu=0.5"):
+        model.trapping_radius(0.5)
+    assert len(radii) == 8 and all(b > a for a, b in zip(radii, radii[1:]))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1e-3, float("inf")])
 def test_mu_input_rule_on_arrays(bad):
     model = demo_model("demo_m2")
