@@ -80,9 +80,8 @@ TRIG_BLOCK = 2 ** 16
 # warm-up
 LYAPUNOV_ENSEMBLE = 1024
 LYAPUNOV_WARMUP_SHARE = 256
-# itinerary coding: transient returns of each drawn orbit, the distance to a
-# branch boundary below which an orbit is redrawn, and the redraw rounds
-ITINERARY_TRANSIENT = 64
+# itinerary coding: the distance to a branch boundary below which an orbit
+# is redrawn, and the redraw rounds
 BOUNDARY_TOL = 1e-9
 MAX_RESAMPLE_ROUNDS = 8
 # bracketed root solves of the branch boundaries: the bracket width taken as
@@ -941,8 +940,9 @@ def lyapunov_spectrum(model: ValidatedModel, mu: float, iterations: int,
 
 @dataclass
 class ItineraryReport:
-    """Finite-depth symbolic coding of attractor orbits over the degree-m
-    expanding circle factor.
+    """Finite-depth symbolic coding over the degree-m expanding circle
+    factor of ``samples`` orbits drawn in the trapping torus, each past its
+    certified transient (Undecided where no contraction is certified).
 
     ``shift_consistent`` records that the branch index assigned from the
     angular partition agrees, at every step of every sampled orbit, with
@@ -1061,14 +1061,17 @@ def _prefix_diameters(angles: np.ndarray, symbols: np.ndarray,
                       n_sym: int) -> list[tuple[int, float]]:
     """[(k, largest diameter of the groups of ``angles`` sharing the first k
     rows of ``symbols``)] up to the first k without a group of two; a
-    group's diameter is the full circle minus its largest gap (wrap included)."""
+    group's diameter is the full circle minus its largest gap (wrap included).
+    Sorted by angle once, then stably by each depth's code: groups keep angle order."""
     angles = reduce_angle(angles)
+    order = np.argsort(angles, kind="stable")
     code = np.zeros(len(angles), dtype=np.int64)
     out: list[tuple[int, float]] = []
     for k in range(1, len(symbols) + 1):
-        code = code * n_sym + symbols[k - 1]
-        order = np.lexsort((angles, code))
-        a, c = angles[order], code[order]
+        code = code * n_sym + symbols[k - 1, order]
+        regroup = np.argsort(code, kind="stable")
+        order, c = order[regroup], code[regroup]
+        a = angles[order]
         start = np.r_[True, c[1:] != c[:-1]]
         first = np.flatnonzero(start)
         last = np.r_[first[1:], len(a)] - 1
@@ -1079,7 +1082,7 @@ def _prefix_diameters(angles: np.ndarray, symbols: np.ndarray,
         gaps[last] = (a[first] + TWO_PI) - a[last]
         widest = np.maximum.reduceat(gaps, first)
         out.append((k, float(np.max(TWO_PI - widest[multi]))))
-        code[order] = np.cumsum(start) - 1     # group ranks keep the codes small
+        code = np.cumsum(start) - 1     # group ranks, in ``order``, keep the codes small
     return out
 
 
@@ -1087,19 +1090,32 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
                             samples: int = 4096, rng_seed: int = 0) -> ItineraryReport:
     """Code attractor orbits by the branches of the degree-m circle factor.
 
-    Each sampled orbit is assigned, at every step, the index of the
-    monotone pre-image branch containing its angle.  The report checks
-    that this static assignment matches the winding window of the actual
-    step (shift consistency), and fits diameter ~ C * rho^depth over the
-    groups of samples sharing an itinerary prefix.  Orbits within
-    BOUNDARY_TOL of a branch boundary are redrawn, at most
-    MAX_RESAMPLE_ROUNDS times.  Raises ValueError unless ``depth`` and
-    ``samples`` are integers >= 1.
+    The orbits start uniformly in the trapping torus of radius K =
+    ``trapping_radius(mu)`` and discard the fewest t >= 1 returns with
+    2 sqrt(2) K cross_pr^t <= 2^-52: each return contracts the fiber over
+    an image angle, 2 sqrt(2) K across, by the certified cross-form rate
+    ``cross_pr`` (``_certified_record``; cone fields, Katok and Hasselblatt
+    1995, 6.2).  At every step each orbit gets the index of the monotone
+    pre-image branch containing its angle; the report checks that this
+    matches the winding window of the actual step (shift consistency), and
+    fits diameter ~ C * rho^depth over the groups of samples sharing an
+    itinerary prefix.  Orbits within BOUNDARY_TOL of a branch boundary are
+    redrawn, at most MAX_RESAMPLE_ROUNDS times.  Raises ValueError unless
+    ``depth``, ``samples`` >= 1 and ``rng_seed`` >= 0 are integers, then
+    ``branch_boundaries``' and the record's errors, Undecided at cross_pr >= 1.
     """
     depth = require_count("depth", depth, 1)
     samples = require_count("samples", samples, 1)
+    rng_seed = require_count("rng_seed", rng_seed, 0)
     m = model.m
     boundaries, t0 = branch_boundaries(model, mu)
+    K = model.trapping_radius(mu)
+    cross = _certified_record(model, mu, K)["cross_pr"]
+    if not cross < 1.0:
+        raise Undecided(f"cross-form rate {cross:.6g} >= 1: no certified contraction")
+    transient = 1
+    while 2.0 * np.sqrt(2.0) * K * cross ** transient > 2.0 ** -52:
+        transient += 1
     n_sym = abs(m)
     sign = 1.0 if m > 0 else -1.0
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
@@ -1113,9 +1129,9 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
 
     def draw(count):
         th = rng.uniform(0.0, TWO_PI, count)
-        X = model.limit_radial(th) * (1.0 + 0.01 * rng.uniform(-1, 1, count))
-        Y = 0.01 * rng.uniform(-1, 1, (model.ydim, count))
-        return model.advance(X, Y, th, mu, ITINERARY_TRANSIENT)[:3]
+        X = model.limit_radial(th) + K * rng.uniform(-1, 1, count)
+        Y = K / np.sqrt(max(1, model.ydim)) * rng.uniform(-1, 1, (model.ydim, count))
+        return model.advance(X, Y, th, mu, transient)[:3]
 
     resampled = 0
     X, Y, th = draw(samples)
@@ -1158,13 +1174,12 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
     else:
         rho, pref = np.nan, np.nan
 
-    expansion = certified_angular_expansion(model)
     return ItineraryReport(
         n_symbols=n_sym, depth=depth, samples=samples,
         shift_consistent=shift_consistent,
         max_diameter_by_depth=diam_by_depth,
         contraction_ratio=rho, prefactor=pref,
-        expansion_lower_bound=expansion,
+        expansion_lower_bound=certified_angular_expansion(model),
         boundaries=boundaries, resampled=resampled,
     )
 

@@ -37,6 +37,7 @@ from blueskylab.analysis import (
     _certify_circle_map,
     _ensemble_start,
     _max_operator_norm,
+    _preimages,
     _prefix_diameters,
     _reorthonormalize,
     _sample_maxima,
@@ -387,6 +388,15 @@ def test_curve_preimages_that_do_not_settle_raise(monkeypatch):
     monkeypatch.setattr(bsl.analysis, "PREIMAGE_MAX_SWEEPS", 1)
     with pytest.raises(bsl.NoConvergence, match="did not settle in 1 sweeps"):
         graph_transform_curve(demo_model("demo_m1"), 1e-4, 8)
+
+
+def test_preimages_of_a_map_with_slope_below_minus_one_raise():
+    """g = -1.5 sin(theta) has 1 + g' = -0.5 at 0: theta + g is no circle
+    map there, and the first Newton sweep says so."""
+    theta = np.arange(8) * (TWO_PI / 8)
+    g = -1.5 * np.sin(theta)
+    with pytest.raises(NotACircleMap, match="not strictly monotone"):
+        _preimages(np.fft.rfft(g), theta + g, np.zeros(1), np.zeros(1))
 
 
 def test_curve_below_the_spectral_floor_raises_at_the_node_cap(monkeypatch):
@@ -751,6 +761,17 @@ def test_cone_certify_not_expanding():
         uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (1.5,))))
     with pytest.raises(NotExpandingInTheta):
         cone_certify(model, 1e-5, grid=64)
+
+
+def test_certificate_of_a_field_with_a_vanishing_angular_derivative():
+    """A sampled dq/dtheta of 0 makes the cross form undefined: the field
+    is NotACircleMap before any bound is read."""
+    jac = np.tile(np.diag([0.5, 0.5, 0.5, 2.0]), (3, 1, 1))
+    jac[1, 3, 3] = 0.0
+    bounds = dict(pr=0.5, ptheta=0.1, qr=0.1, cross_pr=0.6, cross_ptheta_bar=0.1,
+                  qtheta_lower=2.0)
+    with pytest.raises(NotACircleMap, match="vanishing angular derivative"):
+        certify_jacobian_field([jac], bounds)
 
 
 def test_cone_certify_case_mismatch():
@@ -1323,6 +1344,14 @@ def test_bracketed_roots_step_cap():
     assert len(calls) == 8 and 1.0 <= root <= 1.5
 
 
+def test_branch_boundaries_of_a_non_monotone_lift_raise(monkeypatch):
+    """A lift 2 theta + 3 sin(theta) falls near pi: no branch coding."""
+    monkeypatch.setattr(bsl.analysis, "_reference_lift",
+                        lambda model, mu, theta: 2.0 * theta + 3.0 * np.sin(theta))
+    with pytest.raises(NotACircleMap, match="not strictly monotone along the limit curve"):
+        branch_boundaries(demo_model("demo_m2"), 1e-5)
+
+
 def test_itinerary_doubling_map_binary_expansion():
     model = validate_config(uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))
     mu = float(np.exp(-4.0 * np.pi))   # angular drift is an exact multiple of 2*pi
@@ -1382,7 +1411,8 @@ def test_itinerary_report_to_dict():
 
 
 @pytest.mark.parametrize("size", [dict(depth=0), dict(samples=0), dict(depth=2.5),
-                                  dict(depth=-1)])
+                                  dict(depth=-1), dict(rng_seed=None), dict(rng_seed=1.5),
+                                  dict(rng_seed="3"), dict(rng_seed=-1)])
 def test_itinerary_count_rule(size):
     with pytest.raises(ValueError, match=next(iter(size))):
         itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, **size)
@@ -1391,6 +1421,58 @@ def test_itinerary_count_rule(size):
 def test_itinerary_requires_expanding_degree():
     with pytest.raises(CaseMismatch):
         itinerary_semiconjugacy(demo_model("demo_m0"), 1e-5)
+
+
+@pytest.mark.parametrize("name, mu, transient", [
+    ("demo_m2", 1e-7, 3), ("demo_m2", 1e-5, 3), ("demo_m2", 1e-4, 4), ("demo_m2", 1e-3, 4),
+    ("doubling", float(np.exp(-4.0 * np.pi)), 1),     # cross_pr = 0: one return
+])
+def test_itinerary_steps_its_certified_transient(monkeypatch, name, mu, transient):
+    """Each orbit discards the fewest t >= 1 returns that take the fiber
+    diameter 2 sqrt(2) K down to one ulp at the record's cross-form rate,
+    then steps ``depth`` times: (t + depth) * samples points past the
+    branch coding, which also steps the n_symbols arc midpoints."""
+    model = demo_model(name) if name == "demo_m2" else validate_config(
+        uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))
+    K = model.trapping_radius(mu)
+    cross = _certified_record(model, mu, K)["cross_pr"]
+    diameter = 2.0 * np.sqrt(2.0) * K
+    assert diameter * cross ** transient <= 2.0 ** -52
+    assert transient == 1 or diameter * cross ** (transient - 1) > 2.0 ** -52
+    assert (cross == 0.0) == (name == "doubling")
+    coding = branch_boundaries(model, mu)
+    monkeypatch.setattr(bsl.analysis, "branch_boundaries", lambda model, mu: coding)
+    step, stepped = model._step, []
+
+    def counting_step(X, Y, theta, mu, with_jacobian=False):
+        stepped.append(np.size(theta))
+        return step(X, Y, theta, mu, with_jacobian)
+
+    monkeypatch.setattr(model, "_step", counting_step)
+    report = itinerary_semiconjugacy(model, mu, depth=5, samples=256)
+    assert report.resampled == 0 and report.shift_consistent
+    assert sum(stepped) == report.n_symbols + (transient + 5) * 256
+
+
+def test_itinerary_raises_the_records_not_expanding():
+    """h = 1.5 sin(theta) leaves a monotone lift, so the branches exist,
+    but the record certifies no expansion and so no transient."""
+    model = validate_config(
+        uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (1.5,))))
+    branch_boundaries(model, 1e-5)
+    with pytest.raises(NotExpandingInTheta):
+        itinerary_semiconjugacy(model, 1e-5, depth=3, samples=64)
+
+
+def test_itinerary_without_a_certified_contraction_is_undecided(monkeypatch):
+    record = _certified_record
+
+    def uncontracted(model, mu, K):
+        return record(model, mu, K) | {"cross_pr": 1.0}
+
+    monkeypatch.setattr(bsl.analysis, "_certified_record", uncontracted)
+    with pytest.raises(bsl.Undecided, match="cross-form rate 1 >= 1"):
+        itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=3, samples=64)
 
 
 # -- classification ------------------------------------------------------------------
@@ -1563,10 +1645,27 @@ def test_prefix_diameters_of_an_itinerary():
 
 
 def test_prefix_diameters_stop_at_the_first_depth_without_a_group():
-    """16 orbits all have different 7-symbol prefixes, so a 12-symbol
-    itinerary reports the diameters of its first 6 depths only."""
+    """16 angles in 8 pairs that share their first 6 symbols and differ in
+    the 7th: a 12-symbol coding reports the diameters of depths 1 to 6."""
+    rng = np.random.default_rng(7)
+    angles = rng.uniform(0.0, TWO_PI, 16)
+    pair = np.arange(16) // 2
+    symbols = rng.integers(0, 2, (12, 16))
+    symbols[:3] = (pair >> np.arange(3)[:, None]) & 1
+    symbols[3:6] = 0
+    symbols[6] = np.arange(16) % 2
+    got = _prefix_diameters(angles, symbols, 2)
+    assert [k for k, _ in got] == [1, 2, 3, 4, 5, 6]
+    assert got == _dict_of_tuples_diameters(angles, symbols)
+
+
+def test_itinerary_of_few_orbits_reports_consecutive_depths():
+    """16 orbits share some 3-symbol prefix (16 > 2^3), so an itinerary
+    reports depths 1 to k for some 3 <= k <= depth, whatever the draw."""
     report = itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=12, samples=16)
-    assert [k for k, _ in report.max_diameter_by_depth] == [1, 2, 3, 4, 5, 6]
+    ks = [k for k, _ in report.max_diameter_by_depth]
+    assert 3 <= len(ks) <= 12 and ks == list(range(1, len(ks) + 1))
+    assert all(0.0 <= d < TWO_PI for _, d in report.max_diameter_by_depth)
 
 
 def test_itinerary_of_two_depths_fits_no_contraction():
