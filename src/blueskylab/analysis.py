@@ -600,16 +600,17 @@ class ConeCertificate:
     (worst-case bounds over the whole trapping region) so that a true
     verdict has positive certified margins.  ``L_interval`` is the
     certified admissible cone aperture range, computed from those bounds,
-    with +inf for an unbounded upper end and None when empty.
+    with +inf for an unbounded upper end and None when empty.  The sample
+    maxima are None where a classification's record decides the verdict.
     """
 
-    sup_pr: float
-    sup_ptheta: float
-    sup_qtheta_inv: float
-    sup_qr: float
-    cross_sup_pr: float
-    cross_sup_ptheta_bar: float
-    cross_sup_qr: float
+    sup_pr: float | None
+    sup_ptheta: float | None
+    sup_qtheta_inv: float | None
+    sup_qr: float | None
+    cross_sup_pr: float | None
+    cross_sup_ptheta_bar: float | None
+    cross_sup_qr: float | None
     L_interval: tuple[float, float] | None
     verdict: bool
     certified: dict = field(default_factory=dict, repr=False)
@@ -658,6 +659,13 @@ def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt):
     return c_forward and c_cross and interval is not None, interval
 
 
+def _record_checks(record: dict):
+    """``_cone_checks`` on a certified record: the verdict and interval."""
+    qt = record["qtheta_lower"]
+    return _cone_checks(record["pr"], record["ptheta"], 1.0 / qt, record["qr"] / qt,
+                        record["cross_pr"], record["cross_ptheta_bar"])
+
+
 def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     """Cone certificate of a solid-torus map from its certified record,
     with sampled derivatives to tell a violated condition from an
@@ -687,12 +695,11 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     """
     sups, count = _sample_maxima(jacobians)
     cert = dict(bounds)
-    qt_inv, qr_over_qt = 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"]
-    verdict, interval = _cone_checks(cert["pr"], cert["ptheta"], qt_inv, qr_over_qt,
-                                     cert["cross_pr"], cert["cross_ptheta_bar"])
+    verdict, interval = _record_checks(cert)
     if not verdict and _cone_checks(
             sups["sup_pr"], sups["sup_ptheta"], sups["sup_qtheta_inv"], sups["cross_sup_qr"],
             sups["cross_sup_pr"], sups["cross_sup_ptheta_bar"])[0]:
+        qt_inv, qr_over_qt = 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"]
         margin = (1.0 - cert["cross_pr"]) * (1.0 - qt_inv) - cert["cross_ptheta_bar"] * qr_over_qt
         raise Inconclusive(CaseTag.SOLENOID, margin, None, count)
     return ConeCertificate(**sups, L_interval=interval, verdict=verdict, certified=cert)
@@ -1192,7 +1199,8 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
 @dataclass
 class ClassificationRecord:
     """Outcome of the trichotomy for one (model, mu): the attractor label
-    plus the supporting condition report and case-specific certificate."""
+    plus the supporting condition report and case-specific certificate
+    (without sample maxima where its record decides; ``classify_attractor``)."""
 
     label: AttractorLabel
     mu: float
@@ -1223,12 +1231,14 @@ class ClassificationRecord:
 
 def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord:
     """Run the case condition and the case-appropriate computation: a
-    Newton fixed point, a graph-transform curve, or a cone certificate on
-    256 angles.  The curve is solved on 128 to 4,096 trigonometric nodes,
-    its circle map certified monotone, and the record keeps it sampled on
-    SPECTRAL_NODES angles; its ``residual_sup`` is the invariance residual
-    at the solve's nodes (see InvariantCurve).  The orientation follows
-    from m: the curve's circle map has the lift's degree.
+    Newton fixed point, a graph-transform curve, or a cone certificate
+    decided by its certified record, with samples on 256 angles drawn only
+    where the record fails (None maxima otherwise).  The curve is solved
+    on 128 to 4,096 trigonometric nodes, its circle map certified
+    monotone, and the record keeps it sampled on SPECTRAL_NODES angles;
+    its ``residual_sup`` is the invariance residual at the solve's nodes
+    (see InvariantCurve).  The orientation follows from m: the curve's
+    circle map has the lift's degree.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
     Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
@@ -1246,7 +1256,8 @@ def classify_attractors(model: ValidatedModel, mus) -> list:
     array), one entry per row: the mu-free case condition runs once and the
     m = 0 fixed points come from one ``find_fixed_points`` call.  A row
     whose orbit escapes holds its EscapedTube, unraised, in place of a
-    record, and never stops the others.
+    record, and never stops the others.  A |m| >= 2 row draws trapping
+    samples only where its certified record fails.
     """
     rows = np.ravel(mus).tolist()
     try:
@@ -1285,7 +1296,14 @@ def _curve_or_cone_record(model: ValidatedModel, mu, condition):
             curve = graph_transform_curve(model, mu, SPECTRAL_NODES)
             label = AttractorLabel.INVARIANT_TORUS if model.m == 1 else AttractorLabel.KLEIN_BOTTLE
             return ClassificationRecord(label, mu, condition=condition, curve=curve)
-        certificate = cone_certify(model, mu)
+        K = model.trapping_radius(mu)
+        record = _certified_record(model, mu, K)
+        verdict, interval = _record_checks(record)
+        if verdict:     # decided by the record alone: no sample is drawn
+            certificate = ConeCertificate(**dict.fromkeys(_SAMPLE_MAXIMA), L_interval=interval,
+                                          verdict=True, certified=record)
+        else:
+            certificate = certify_jacobian_field(_trapping_jacobians(model, mu, 256, K), record)
     except Undecided as exc:
         return _undecided(mu, condition, exc)
     except EscapedTube as exc:

@@ -372,14 +372,29 @@ class ValidatedModel:
         Raises
         ------
         EscapedTube if any point escaped (the rule in ``_step``);
-        ValueError for a ``Y`` whose leading axis is not n - 2 long, and
-        for a mu that breaks ``require_mu`` or does not broadcast to S.
+        ValueError for a state that breaks ``_require_state``, which runs
+        once per call, before ``_step``.
         """
-        out, escaped = self._step(X, Y, theta, mu, with_jacobian)
+        out, escaped = self._step(X, Y, theta, self._require_state(X, Y, theta, mu),
+                                  with_jacobian)
         if escaped.any():
             raise EscapedTube(f"orbit left the homoclinic tube at mu={mu!r}: z0 not finite "
                               f"and positive, or image or Jacobian not finite")
         return out
+
+    def _require_state(self, X, Y, theta, mu):
+        """``require_mu``, a ``Y`` axis n - 2 long (empty at n = 2) and a mu
+        that broadcasts to the state's shape S, checked once per call of
+        ``rescaled_step`` and ``advance``.  Returns ``require_mu(mu)``."""
+        mu = require_mu(mu)
+        if np.shape(Y)[:1] != (self.ydim,):
+            raise ValueError(f"Y must have leading axis of length {self.ydim}")
+        if np.ndim(mu):
+            shape = np.broadcast_shapes(np.shape(X), np.shape(theta), np.shape(Y)[1:])
+            if np.broadcast_shapes(mu.shape, shape) != shape:
+                raise ValueError(f"mu of shape {mu.shape} does not broadcast to the "
+                                 f"state's shape {shape}")
+        return mu
 
     def _step(self, X, Y, theta, mu, with_jacobian=False):
         """``rescaled_step`` with escapes reported per point instead of
@@ -389,22 +404,13 @@ class ValidatedModel:
         (its orbit left the homoclinic tube) when its z0 is not finite and
         positive, or its Xb or any component of its Yb is not finite, or,
         with ``with_jacobian``, any entry of its Jacobian is not finite.
-        Escaped points raise no floating-point warning.  A ``Y`` whose
-        leading axis is not n - 2 long raises ValueError, an empty one at
-        n = 2 included."""
-        mu = require_mu(mu)
+        Escaped points raise no floating-point warning.  The state is not
+        checked here: callers check it with ``_require_state`` first, or
+        pass arrays of the shapes that ``_step`` returned for such a state."""
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
         Y = np.asarray(Y, dtype=float)
         k = self.ydim
-        if Y.shape[:1] != (k,):
-            raise ValueError(f"Y must have leading axis of length {k}")
-        if np.ndim(mu):
-            shape = np.broadcast_shapes(X.shape, theta.shape, Y.shape[1:])
-            if np.broadcast_shapes(mu.shape, shape) != shape:
-                raise ValueError(f"mu of shape {mu.shape} does not broadcast to the "
-                                 f"state's shape {shape}")
-
         gamma, nu, bg, d, m = self.gamma, self.nu, self.beta_over_gamma, self.d, self.m
         # escaped points compute whatever IEEE arithmetic gives; the mask NaNs them
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -469,9 +475,12 @@ class ValidatedModel:
         image and the flight time summed over the steps, per point.  A point
         that escapes (the rule in ``_step``) is NaN from that step on, its
         flight included, and the other points go on; ``mu`` may be an
-        array, one value per point."""
+        array, one value per point.  The state is checked once per call
+        (``_require_state``), ``steps = 0`` included."""
+        steps = require_count("steps", steps, 0)
+        mu = self._require_state(X, Y, theta, mu)
         flight = 0.0
-        for _ in range(require_count("steps", steps, 0)):
+        for _ in range(steps):
             (X, Y, lift, step_flight), _ = self._step(X, Y, theta, mu)
             theta = reduce_angle(lift)
             flight = flight + step_flight

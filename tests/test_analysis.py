@@ -1547,6 +1547,84 @@ def test_classify_record_serializes():
     assert "condition" in payload
 
 
+def _cone_oracle_models():
+    """demo_m2, the n = 7 model, demo_m2 with the cone-violating H_x of
+    ``test_classify_violated_cone_is_indeterminate``, and 24 random
+    |m| >= 2 models with coupling amplitudes from 1e-2 to 1."""
+    violated = dataclasses.replace(demo_model("demo_m2").cfg, coupling_hx=F(1e4, (), ()))
+    models = [demo_model("demo_m2"), _high_n_m2(), validate_config(violated)]
+    for seed in range(24):
+        rng = np.random.default_rng([seed, 33])
+        n, m = int(rng.integers(4, 7)), int(rng.choice([-3, -2, 2, 3]))
+        scale = float(rng.choice([1e-2, 0.1, 0.3, 1.0]))
+        models.append(validate_config(random_config(rng, m=m, n=n, coupling_scale=scale)))
+    return models
+
+
+def _cone_path_row(model, mu):
+    """A |m| >= 2 row decided by the full, always sampled ``cone_certify``:
+    (label, reason, escaped, certificate)."""
+    try:
+        cert = cone_certify(model, mu)
+    except bsl.EscapedTube:
+        return None, None, True, None
+    except bsl.Undecided as exc:
+        return AttractorLabel.INDETERMINATE, f"{type(exc).__name__}: {exc}", False, None
+    if not cert.verdict:
+        return AttractorLabel.INDETERMINATE, "cone conditions violated", False, cert
+    return AttractorLabel.SOLENOID, None, False, cert
+
+
+def test_record_decided_rows_match_the_sampled_certificate(monkeypatch):
+    """On mu across 1e-8..0.9, every |m| >= 2 ``classify_attractors`` row
+    and every ``mu_sweep`` label match the full ``cone_certify`` path:
+    label, reason, escape outcome, verdict, ``L_interval`` and certified
+    record.  A row that its record decides folds no trapping sample and
+    reports None sample maxima; every other row folds the samples the full
+    path folds and reports their maxima."""
+    original, folded = bsl.analysis._trapping_jacobians, []
+
+    def counted(model, mu, grid, K):
+        for block in original(model, mu, grid, K):
+            folded.append(mu)
+            yield block
+
+    monkeypatch.setattr(bsl.analysis, "_trapping_jacobians", counted)
+    mus = np.geomspace(1e-8, 0.9, 12)
+    seen = set()
+    for model in _cone_oracle_models():
+        folded.clear()
+        rows = bsl.classify_attractors(model, mus)
+        by_rows = list(folded)
+        labels = []
+        for mu, row in zip(mus.tolist(), rows):
+            folded.clear()
+            label, reason, escaped, cert = _cone_path_row(model, mu)
+            decided = cert is not None and cert.verdict
+            assert by_rows.count(mu) == (0 if decided else len(folded))
+            assert isinstance(row, bsl.EscapedTube) is escaped
+            if escaped:
+                labels.append(None)
+                continue
+            labels.append(label.value)
+            seen.add("Solenoid" if decided else reason.split(":")[0])
+            assert row.label is label and row.reason == reason
+            if cert is None:
+                assert row.certificate is None
+                continue
+            got = row.certificate
+            assert (got.verdict, got.L_interval, got.certified) == \
+                (cert.verdict, cert.L_interval, cert.certified)
+            sample_maxima = {k: v for k, v in got.to_dict().items() if "sup_" in k}
+            want = {k: None if decided else v for k, v in cert.to_dict().items() if "sup_" in k}
+            assert sample_maxima == want
+        for record, label in zip(bsl.mu_sweep(model, mus), labels):
+            seen.add("Escaped" if record.escape_flag else "swept")
+            assert record.escape_flag or record.classification == label
+    assert seen >= {"Solenoid", "cone conditions violated", "Inconclusive",
+                    "NoTrappingRadius", "NotExpandingInTheta", "Escaped"}
+
+
 # -- input rules and bit-for-bit pins ----------------------------------------------
 
 

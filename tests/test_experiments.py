@@ -113,12 +113,15 @@ def test_sweep_of_no_mu_is_empty():
 
 
 def test_csv_cells_by_type():
-    """None is an empty cell, a bool is lower case, a float its shortest
-    round-trip repr and anything else its str (an int mu here, which
-    ``mu_sweep`` never writes: its cells are floats, bools or None)."""
-    record = SweepRecord(mu=3, classification="Escaped", period_proxy=0.1,
+    """None is an empty cell, a bool is lower case and a float its shortest
+    round-trip repr; any other type (an int mu here, which ``mu_sweep``
+    never writes) raises TypeError naming it."""
+    record = SweepRecord(mu=3e-5, classification="Escaped", period_proxy=0.1,
                          theta_at_fixed_point=None, top_lyapunov=None, escape_flag=True)
-    assert sweep_csv_text([record]).split("\n")[1] == "3,Escaped,0.1,,,true"
+    assert sweep_csv_text([record]).split("\n")[1] == "3e-05,Escaped,0.1,,,true"
+    record.mu = 3
+    with pytest.raises(TypeError, match="got int"):
+        sweep_csv_text([record])
 
 
 def test_threshold_flip_blue_sky():
@@ -242,7 +245,8 @@ def _count_kernel_calls(monkeypatch, model):
 def test_sweep_solves_every_row_in_one_batch(monkeypatch):
     """A 101-row m = 0 sweep makes two seed steps and one step per Newton
     iteration of its slowest row; a 21-row solenoid sweep averages every
-    orbit flight in 64 + 256 steps, not 21 times that."""
+    orbit flight in 64 + 256 steps, not 21 times that, and steps no
+    certificate sample, since the certified record decides every row."""
     model = demo_model("demo_m0")
     mus = geometric_mu_grid(1e-8, 1e-3, per_decade=20)
     slowest = max(fp.newton_iterations for fp in bsl.find_fixed_points(model, mus))
@@ -256,4 +260,4 @@ def test_sweep_solves_every_row_in_one_batch(monkeypatch):
     calls = _count_kernel_calls(monkeypatch, model)
     assert len(mu_sweep(model, mus)) == 21
     assert calls.count(21) == 64 + 256
-    assert len(calls) == 64 + 256 + 21       # and one certificate step per row
+    assert len(calls) == 64 + 256

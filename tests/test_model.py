@@ -288,6 +288,39 @@ def test_mu_must_broadcast_to_the_state(state_shape, mu_shape):
         model.rescaled_step(X, Y, np.zeros(state_shape), np.full(mu_shape, 1e-5))
 
 
+@pytest.mark.parametrize("n, Y_shape, mu, message", [
+    (3, (2, 4), 1e-3, "leading axis of length 1"),
+    (2, (1, 4), 1e-3, "leading axis of length 0"),      # n = 2: an empty Y must be (0, 4)
+    (3, (1, 4), np.full(3, 1e-3), "broadcast"),
+    (3, (1, 4), float("nan"), "mu must be finite and positive"),
+    (3, (1, 4), np.array([1e-3, np.inf, 1e-3, 1e-3]), "mu must be finite and positive"),
+])
+def test_state_rules_hold_in_step_and_advance(n, Y_shape, mu, message):
+    """``rescaled_step`` and ``advance`` raise the same ValueError for a
+    state that breaks a rule, ``advance`` with ``steps = 0`` included."""
+    model = validate_config(uncoupled_config(m=1, n=n))
+    X, Y, theta = np.ones(4), np.zeros(Y_shape), np.zeros(4)
+    with pytest.raises(ValueError, match=message):
+        model.rescaled_step(X, Y, theta, mu)
+    for steps in (0, 3):
+        with pytest.raises(ValueError, match=message):
+            model.advance(X, Y, theta, mu, steps)
+
+
+def test_advance_checks_the_state_once(monkeypatch):
+    """``advance`` checks its state once per call and then steps the
+    unchecked kernel on every return; ``rescaled_step`` checks once too."""
+    model = demo_model("demo_m2")
+    checks, steps = [], []
+    check, step = model._require_state, model._step
+    monkeypatch.setattr(model, "_require_state", lambda *a: checks.append(1) or check(*a))
+    monkeypatch.setattr(model, "_step", lambda *a: steps.append(1) or step(*a))
+    model.advance(*model.limit_points(np.zeros(5)), np.full(5, 1e-5), 7)
+    assert (len(checks), len(steps)) == (1, 7)
+    model.rescaled_step(*model.limit_points(np.zeros(5)), 1e-5)
+    assert (len(checks), len(steps)) == (2, 8)
+
+
 @pytest.mark.parametrize("name", ["demo_m0", "demo_m2", "demo_m1"])
 def test_mu_array_matches_scalar_steps(name):
     """One mu per point gives each point its scalar step, Jacobian included."""
