@@ -10,7 +10,7 @@ against the degree-m expanding circle factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -621,23 +621,10 @@ class ConeCertificate:
         return self.certified["qtheta_lower"]
 
     def to_dict(self) -> dict:
-        if self.L_interval is None:
-            interval = None
-        else:
-            low, high = self.L_interval
-            interval = [low, None if np.isinf(high) else high]
-        return {
-            "sup_pr": self.sup_pr,
-            "sup_ptheta": self.sup_ptheta,
-            "sup_qtheta_inv": self.sup_qtheta_inv,
-            "sup_qr": self.sup_qr,
-            "cross_sup_pr": self.cross_sup_pr,
-            "cross_sup_ptheta_bar": self.cross_sup_ptheta_bar,
-            "cross_sup_qr": self.cross_sup_qr,
-            "L_interval": interval,
-            "verdict": self.verdict,
-            "certified": dict(self.certified),
-        }
+        interval = self.L_interval
+        if interval is not None:
+            interval = [interval[0], None if np.isinf(interval[1]) else interval[1]]
+        return {**asdict(self), "L_interval": interval}
 
 
 def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt):
@@ -656,7 +643,7 @@ def _cone_checks(pr, ptheta, qt_inv, qr_over_qt, cross_pr, cross_pt):
         high = np.inf if qr_over_qt == 0.0 else (1.0 - qt_inv) / qr_over_qt
         if low < high:
             interval = (float(low), float(high))
-    return c_forward and c_cross and interval is not None, interval
+    return bool(c_forward and c_cross and interval is not None), interval
 
 
 def _record_checks(record: dict):
@@ -705,48 +692,50 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
     return ConeCertificate(**sups, L_interval=interval, verdict=verdict, certified=cert)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
     """Worst-case bounds of the return-map partials over the trapping torus,
     the one record behind the cone (|m| >= 2) and the annulus (|m| = 1).
 
-    Built from Fourier coefficient sums, the certified minimum of alpha,
-    and the certified angular expansion read off the case report; over
-    {|X - alpha^nu| <= K, |Y| <= K} every bound dominates the true
-    supremum, and ``qtheta_lower`` lies below the infimum of |dq/dtheta|,
-    each rounded outward by the relative ``RECORD_ROUNDING``.
-    Raises NotExpandingInTheta when ``qtheta_lower`` <= 1 at |m| >= 2,
-    NotACircleMap when it is <= 0, and Inconclusive wherever the case
-    condition is undecided.
+    Built from the model's profile bounds (``sup_bounds``,
+    ``deriv_sup_bounds``), the certified minimum of alpha, and the certified
+    angular expansion read off the case report; over {|X - alpha^nu| <= K,
+    |Y| <= K} every bound dominates the true supremum, and ``qtheta_lower``
+    lies below the infimum of |dq/dtheta|, each rounded outward by the
+    relative ``RECORD_ROUNDING``.  Computed in float64, where an overflow
+    gives inf; returns Python floats.  Raises NotExpandingInTheta when
+    ``qtheta_lower`` <= 1 at |m| >= 2, NotACircleMap when it is <= 0,
+    Undecided naming its first value that is not finite, and Inconclusive
+    wherever the case condition is undecided.
     """
     nu, bg, d, gamma, m = model.nu, model.beta_over_gamma, model.d, model.gamma, model.m
-    cfg = model.cfg
-    sup = model.coupling_sup_bounds()
     k = model.ydim
-    a_hi, a_lo = model.alpha_sup, model.alpha_min
-    a1 = cfg.alpha.deriv_sup_bound()
-
+    a_hi, _, fx, hx, fy, hy, _ = model.sup_bounds
+    a1, _, fx1, hx1, fy1, hy1, g01 = model.deriv_sup_bounds
+    a_lo = model.alpha_min
+    x_abs, c_max, delta, u_lo, u_hi, y0_max = model._excursion_bounds(mu, K)
+    mu = np.float64(mu)
     mu_nu = mu ** nu
     c_y = mu ** (bg - nu)
     d_pow = d ** (1.0 - nu)
-    x_abs, c_max, delta, u_lo, u_hi, y0_max = model._excursion_bounds(mu, K)
-    fy1_norm = float(np.sqrt(np.sum(sup["fy1"] ** 2)))
-    ct_max = d_pow * sup["fx1"] * x_abs + fy1_norm * K
+    fy1_norm = float(np.sqrt(np.sum(fy1 ** 2)))
+    ct_max = d_pow * fx1 * x_abs + fy1_norm * K
     ut_max = a1 + mu ** (nu - 1.0) * ct_max
 
-    y0t_max = sup["g01"] + mu_nu * (d_pow * sup["fy1"] * x_abs + sup["hy1"] * K)
+    y0t_max = g01 + mu_nu * (d_pow * fy1 * x_abs + hy1 * K)
 
     # radial block, entrywise bounds -> Frobenius dominates the operator norm
     w_hi = nu * u_hi ** (nu - 1.0) * mu ** (nu - 1.0)
-    row_x = np.concatenate(([w_hi * d_pow * sup["fx"]], w_hi * sup["fy"]))
+    row_x = np.concatenate(([w_hi * d_pow * fx], w_hi * fy))
     b_pr_sq = float(np.sum(row_x ** 2))
     v_hi = c_y * bg * u_hi ** (bg - 1.0) * mu ** (nu - 1.0)
     q_hi = c_y * u_hi ** bg
     for i in range(k):
         row = np.concatenate((
-            [v_hi * d_pow * sup["fx"] * y0_max[i] + q_hi * mu_nu * d_pow * sup["fy"][i]],
-            v_hi * sup["fy"] * y0_max[i],
+            [v_hi * d_pow * fx * y0_max[i] + q_hi * mu_nu * d_pow * fy[i]],
+            v_hi * fy * y0_max[i],
         ))
-        row[1 + i] += q_hi * mu_nu * sup["hy"][i]
+        row[1 + i] += q_hi * mu_nu * hy[i]
         b_pr_sq += float(np.sum(row ** 2))
     b_pr = float(np.sqrt(b_pr_sq))
 
@@ -754,13 +743,13 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
     y_th = v_hi / mu ** (nu - 1.0) * ut_max * y0_max + q_hi * y0t_max
     b_ptheta = float(np.sqrt(w_th ** 2 + np.sum(y_th ** 2)))
 
-    qr_x = mu_nu * d_pow * sup["hx"] + mu ** (nu - 1.0) * d_pow * sup["fx"] / (gamma * u_lo)
-    qr_y = mu_nu * sup["hy"] + mu ** (nu - 1.0) * sup["fy"] / (gamma * u_lo)
+    qr_x = mu_nu * d_pow * hx + mu ** (nu - 1.0) * d_pow * fx / (gamma * u_lo)
+    qr_y = mu_nu * hy + mu ** (nu - 1.0) * fy / (gamma * u_lo)
     b_qr = float(np.sqrt(qr_x ** 2 + np.sum(qr_y ** 2)))
 
     # angular derivative: m + s(theta) plus bounded corrections
-    hy1_sum = float(np.sqrt(np.sum(sup["hy1"] ** 2)))
-    corr = mu_nu * d_pow * sup["hx1"] * x_abs + mu_nu * hy1_sum * K \
+    hy1_sum = float(np.sqrt(np.sum(hy1 ** 2)))
+    corr = mu_nu * d_pow * hx1 * x_abs + mu_nu * hy1_sum * K \
         + mu ** (nu - 1.0) * (a1 * c_max + a_hi * ct_max) / (gamma * a_lo * u_lo)
     qtheta_lo = (certified_angular_expansion(model) - corr) * (1.0 - RECORD_ROUNDING)
     if abs(m) >= 2 and qtheta_lo <= 1.0:
@@ -769,7 +758,7 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
         raise NotACircleMap(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 0")
     up = 1.0 + RECORD_ROUNDING
     b_pr, b_ptheta, b_qr = b_pr * up, b_ptheta * up, b_qr * up
-    return {
+    record = {
         "pr": b_pr,
         "ptheta": b_ptheta,
         "qr": b_qr,
@@ -777,6 +766,10 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
         "cross_ptheta_bar": b_ptheta / qtheta_lo * up,
         "qtheta_lower": qtheta_lo,
     }
+    bad = next((key for key, value in record.items() if not np.isfinite(value)), None)
+    if bad is not None:
+        raise Undecided(f"certified record not finite at mu={float(mu)!r}: {bad} = {record[bad]}")
+    return {key: float(value) for key, value in record.items()}
 
 
 def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCertificate:
@@ -829,12 +822,8 @@ class LyapunovSpectrum:
         return self.exponents[0]
 
     def to_dict(self) -> dict:
-        return {
-            "exponents": [e if np.isfinite(e) else None for e in self.exponents],
-            "orbit_length": self.orbit_length,
-            "transient_discarded": self.transient_discarded,
-            "confidence_halfwidth": self.confidence_halfwidth,
-        }
+        return {**asdict(self),
+                "exponents": [e if np.isfinite(e) else None for e in self.exponents]}
 
 
 def _reorthonormalize(J, Q):
@@ -967,21 +956,11 @@ class ItineraryReport:
     contraction_ratio: float
     prefactor: float
     expansion_lower_bound: float
-    boundaries: np.ndarray
     resampled: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_symbols": self.n_symbols,
-            "depth": self.depth,
-            "samples": self.samples,
-            "shift_consistent": self.shift_consistent,
-            "max_diameter_by_depth": [[k, d] for k, d in self.max_diameter_by_depth],
-            "contraction_ratio": self.contraction_ratio,
-            "prefactor": self.prefactor,
-            "expansion_lower_bound": self.expansion_lower_bound,
-            "resampled": self.resampled,
-        }
+        return {**asdict(self),
+                "max_diameter_by_depth": [list(p) for p in self.max_diameter_by_depth]}
 
 
 def _bracketed_roots(g, targets, nodes, values):
@@ -1186,8 +1165,7 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
         shift_consistent=shift_consistent,
         max_diameter_by_depth=diam_by_depth,
         contraction_ratio=rho, prefactor=pref,
-        expansion_lower_bound=certified_angular_expansion(model),
-        boundaries=boundaries, resampled=resampled,
+        expansion_lower_bound=certified_angular_expansion(model), resampled=resampled,
     )
 
 

@@ -24,7 +24,7 @@ grid cap, so a margin of exactly 0 is never decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -95,15 +95,7 @@ class ConditionReport:
     lipschitz_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "case_tag": self.case_tag.value,
-            "criterion_min": self.criterion_min,
-            "criterion_max": self.criterion_max,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "grid_size": self.grid_size,
-            "lipschitz_bound": self.lipschitz_bound,
-        }
+        return {**asdict(self), "case_tag": self.case_tag.value}
 
 
 def case_for_degree(m: int) -> CaseTag:
@@ -129,7 +121,7 @@ def criterion_lipschitz(model: ValidatedModel) -> float:
     """Global Lipschitz bound for s: sup|h''| + (sup|a''|/min a + (sup|a'|/min a)^2)/gamma."""
     cfg = model.cfg
     a_lo = model.alpha_min
-    a1 = cfg.alpha.deriv_sup_bound()
+    a1 = model.deriv_sup_bounds[0]
     a2 = cfg.alpha.deriv().deriv_sup_bound()
     h2 = cfg.h.deriv().deriv_sup_bound()
     return h2 + (a2 / a_lo + (a1 / a_lo) ** 2) / model.gamma

@@ -277,7 +277,9 @@ class ValidatedModel:
         self.nu = cfg.lam / cfg.gamma
         self.beta_over_gamma = cfg.beta / cfg.gamma
         self.alpha_min = alpha_min          # certified positive lower bound
-        self.alpha_sup = cfg.alpha.sup_bound()
+        self.sup_bounds = self._profile_bounds(FourierSeries.sup_bound)
+        self.deriv_sup_bounds = self._profile_bounds(FourierSeries.deriv_sup_bound)
+        self.alpha_sup = self.sup_bounds[0]
         self._memo: dict = {}
         self._bank = SeriesBank(cfg.all_series())
 
@@ -334,6 +336,13 @@ class ValidatedModel:
         axis of length n - 2; rows past the last g0 are ignored."""
         k = self.ydim
         return (*rows[:4], rows[4 : 4 + k], rows[4 + k : 4 + 2 * k], rows[4 + 2 * k : 4 + 3 * k])
+
+    def _profile_bounds(self, bound):
+        """The coefficient-sum ``bound`` (``FourierSeries.sup_bound`` or
+        ``deriv_sup_bound``) of every series, split by ``_profiles``: four
+        floats, then (n - 2,) arrays for F_y, H_y and g0."""
+        values = self._profiles([bound(s) for s in self.cfg.all_series()])
+        return (*values[:4], *map(np.array, values[4:]))
 
     def _t1(self, vals, x1, y1, theta1, mu):
         """The global map on the series-bank values ``vals`` at ``theta1``."""
@@ -505,39 +514,23 @@ class ValidatedModel:
 
     # -- trapping region -------------------------------------------------------
 
-    def coupling_sup_bounds(self) -> dict:
-        """Sup bounds of every coupling profile and its derivative (shared; do not mutate)."""
-        cfg = self.cfg
-        return self.memoized("coupling_sup_bounds", lambda: {
-            "fx": cfg.coupling_fx.sup_bound(),
-            "hx": cfg.coupling_hx.sup_bound(),
-            "fy": np.array([s.sup_bound() for s in cfg.coupling_fy]),
-            "hy": np.array([s.sup_bound() for s in cfg.coupling_hy]),
-            "g0": np.array([s.sup_bound() for s in cfg.g0]),
-            "fx1": cfg.coupling_fx.deriv_sup_bound(),
-            "hx1": cfg.coupling_hx.deriv_sup_bound(),
-            "fy1": np.array([s.deriv_sup_bound() for s in cfg.coupling_fy]),
-            "hy1": np.array([s.deriv_sup_bound() for s in cfg.coupling_hy]),
-            "g01": np.array([s.deriv_sup_bound() for s in cfg.g0]),
-        })
-
     def _excursion_bounds(self, mu: float, K: float) -> tuple:
         """(x_abs, c_max, delta, u_lo, u_hi, y0_max), bounds over the torus of
         radius K: |X| <= x_abs, the coupling part of z0 / mu^nu <= c_max,
         u_lo <= u = z0 / mu <= u_hi with |u - alpha| <= delta, and
         |y0_i| <= y0_max[i].  Raises NoTrappingRadius when u_lo <= 0."""
         nu, d = self.nu, self.d
-        sup = self.coupling_sup_bounds()
+        a_hi, _, fx, _, fy, hy, g0 = self.sup_bounds
         d_pow = d ** (1.0 - nu)
-        fy_norm = float(np.sqrt(np.sum(sup["fy"] ** 2)))
-        x_abs = self.alpha_sup ** nu + K
-        c_max = d_pow * sup["fx"] * x_abs + fy_norm * K
+        fy_norm = float(np.sqrt(np.sum(fy ** 2)))
+        x_abs = a_hi ** nu + K
+        c_max = d_pow * fx * x_abs + fy_norm * K
         delta = mu ** (nu - 1.0) * c_max
         u_lo = self.alpha_min - delta
         if u_lo <= 0.0:
             raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
-        y0_max = sup["g0"] + mu ** nu * (d_pow * sup["fy"] * x_abs + sup["hy"] * K)
-        return x_abs, c_max, delta, u_lo, self.alpha_sup + delta, y0_max
+        y0_max = g0 + mu ** nu * (d_pow * fy * x_abs + hy * K)
+        return x_abs, c_max, delta, u_lo, a_hi + delta, y0_max
 
     def trapping_radius(self, mu: float) -> float:
         """Radius K of a solid torus {|X - alpha(theta)^nu| < K, |Y| < K}

@@ -806,6 +806,43 @@ def test_contracting_angle_has_an_empty_cone_interval():
     json.dumps(payload, allow_nan=False)
 
 
+def _with_hx(name, hx):
+    """The demo model ``name`` with the constant coupling H_x = ``hx``."""
+    return validate_config(dataclasses.replace(demo_model(name).cfg, coupling_hx=F.constant(hx)))
+
+
+def test_cone_verdict_is_a_python_bool_for_numpy_inputs():
+    """A numpy-float mu, and a record of numpy floats, give a Python
+    ``bool`` verdict: ``verdict is False`` holds and the JSON dumps."""
+    jac = _skew_map_jacobians()
+    jac[:, 1, 1] = 0.5
+    record = {key: np.float64(value)
+              for key, value in dict(SKEW_MAP_RECORD, qtheta_lower=0.5).items()}
+    for cert in (cone_certify(_with_hx("demo_m2", 1e4), np.float64(0.3)),
+                 certify_jacobian_field([jac], record)):
+        assert cert.verdict is False
+        json.dumps(cert.to_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("mu", [1e-5, np.float64(1e-5)], ids=["float", "float64"])
+def test_an_overflowing_record_is_undecided(mu):
+    """H_x = 1e200 squares past float64 in the record: Undecided names the
+    first value that is not finite, whatever the type of mu, and no
+    floating-point warning escapes."""
+    model = _with_hx("demo_m2", 1e200)
+    with pytest.raises(bsl.Undecided, match=r"not finite at mu=1e-05: qr = inf$"):
+        _certified_record(model, mu, model.trapping_radius(mu))
+    with pytest.raises(bsl.Undecided, match="certified record not finite"):
+        bsl.annulus_diagnostic(_with_hx("demo_m1", 1e200), mu)
+
+
+def test_the_record_holds_python_floats():
+    model = demo_model("demo_m2")
+    for mu in (1e-5, np.float64(1e-5)):
+        record = _certified_record(model, mu, model.trapping_radius(mu))
+        assert all(type(value) is float for value in record.values())
+
+
 def test_certify_field_needs_blocks_of_samples():
     jac = _skew_map_jacobians()
     for field in ([], [jac[:0]], (b for b in ())):
@@ -1011,6 +1048,17 @@ def test_cone_certificate_serialization_fields():
     }
     low, high = payload["L_interval"]
     assert low > 0.0 and (high is None or high > low)
+
+
+@pytest.mark.parametrize("report", [
+    lambda: bsl.check_case(demo_model("demo_m2")),
+    lambda: cone_certify(demo_model("demo_m2"), 1e-5, grid=64),
+    lambda: lyapunov_spectrum(demo_model("demo_m2"), 1e-5, 512, transient=0),
+    lambda: itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=4, samples=256),
+], ids=["condition", "cone", "lyapunov", "itinerary"])
+def test_report_keys_are_the_dataclass_fields(report):
+    report = report()
+    assert list(report.to_dict()) == [f.name for f in dataclasses.fields(report)]
 
 
 def _single_orbit_top_exponent(model, mu, iterations, transient, warmup=200, blocks=20):
@@ -1401,7 +1449,7 @@ def test_itinerary_three_symbols():
 def test_itinerary_report_to_dict():
     report = itinerary_semiconjugacy(demo_model("demo_m2"), 1e-5, depth=4, samples=256)
     payload = report.to_dict()
-    fields = {f.name for f in dataclasses.fields(report)} - {"boundaries"}
+    fields = {f.name for f in dataclasses.fields(report)}
     assert set(payload) == fields
     assert payload["max_diameter_by_depth"] == [[k, d] for k, d in report.max_diameter_by_depth]
     assert [k for k, _ in payload["max_diameter_by_depth"]] == [1, 2, 3, 4]

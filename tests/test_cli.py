@@ -142,6 +142,29 @@ def test_certify_prints_an_empty_interval(monkeypatch, capsys, tmp_path):
     assert json.loads((tmp_path / "certificate.json").read_text())["L_interval"] is None
 
 
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_an_overflowing_record_is_undecided(capsys, command):
+    """H_x = 1e200 overflows the certified record: exit 3, and the reason
+    names the value, on stdout (classify) or as one stderr line (certify)."""
+    code = run(command, config("demo_m2"), "--mu", "1e-5", "--set", "coupling_hx.constant=1e200")
+    assert code == 3
+    captured = capsys.readouterr()
+    reason = "Undecided: certified record not finite at mu=1e-05: qr = inf\n"
+    if command == "classify":
+        assert captured.out.endswith("reason: " + reason)
+    else:
+        assert captured.err == "undecided: " + reason
+
+
+def test_sweep_survives_an_overflowing_record(tmp_path):
+    code = run("sweep", config("demo_m2"), "--set", "coupling_hx.constant=1e200",
+               "--mu-min", "1e-7", "--mu-max", "1e-3", "--per-decade", "2",
+               "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["Indeterminate"] * 9
+
+
 def test_override_value_that_is_not_json_is_a_string(capsys):
     assert apply_overrides({"m": 2}, ["m=two"]) == {"m": "two"}
     assert run("validate", config("demo_m2"), "--set", "m=two") == 2

@@ -218,11 +218,9 @@ def test_mu_free_conditions_are_computed_once_per_model(criterion_calls):
         uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0, h=F(0.0, (), (0.3,))))
     report = check_case(model)
     bound = certified_angular_expansion(model)
-    sups = model.coupling_sup_bounds()
     evaluations = len(criterion_calls)
     assert check_case(model) is report
     assert certified_angular_expansion(model) == bound
-    assert model.coupling_sup_bounds() is sups
     assert len(criterion_calls) == evaluations
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.margin = 0.0

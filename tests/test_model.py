@@ -241,6 +241,26 @@ def test_mu_input_rule(mu):
         bsl.geometric_mu_grid(1e-6, mu)
 
 
+def test_profile_bounds_are_the_coefficient_sums_of_each_series():
+    """``sup_bounds`` and ``deriv_sup_bounds`` hold each named profile's
+    bound exactly, in ``_profiles``' order: floats for alpha, h, F_x and
+    H_x, (n - 2,) arrays for F_y, H_y and g0."""
+    rng = np.random.default_rng(35)
+    models = [demo_model(name) for name in ("demo_m0", "demo_m1", "demo_m-1", "demo_m2")]
+    models += [validate_config(random_config(rng, coupling_scale=scale))
+               for scale in (1e-2, 1e-1, 1.0) for _ in range(70)]
+    for model in models:
+        c = model.cfg
+        for bounds, bound in ((model.sup_bounds, F.sup_bound),
+                              (model.deriv_sup_bounds, F.deriv_sup_bound)):
+            scalars = [bound(s) for s in (c.alpha, c.h, c.coupling_fx, c.coupling_hx)]
+            assert list(bounds[:4]) == scalars
+            assert all(type(b) is float for b in bounds[:4])
+            for got, series in zip(bounds[4:], (c.coupling_fy, c.coupling_hy, c.g0)):
+                assert got.shape == (model.ydim,) and got.tolist() == [bound(s) for s in series]
+        assert model.alpha_sup == c.alpha.sup_bound()
+
+
 def test_trapping_radius_gives_up_after_eight_rounds(monkeypatch):
     """A Y feedback too strong for any radius: every round's excursion
     bounds are finite and keep the angular speed positive, yet the Y
