@@ -36,8 +36,6 @@ def main():
     print(f"  |dp/dr| <= {bound['pr']:.3e}   |dp/dtheta| <= {bound['ptheta']:.4f}")
     print(f"  |(dq/dtheta)^-1| <= {1.0 / bound['qtheta_lower']:.4f}   "
           f"|dq/dr| <= {bound['qr']:.3e}")
-    print(f"  sample maxima: |dp/dr| {cert.sup_pr:.3e}   |dp/dtheta| {cert.sup_ptheta:.4f}   "
-          f"|(dq/dtheta)^-1| {cert.sup_qtheta_inv:.4f}   |dq/dr| {cert.sup_qr:.3e}")
     low, high = cert.L_interval
     high_txt = "inf" if np.isinf(high) else f"{high:.4g}"
     print(f"  certified admissible cone apertures: L in ({low:.4g}, {high_txt})")

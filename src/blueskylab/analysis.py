@@ -413,7 +413,8 @@ def graph_transform_curve(model: ValidatedModel, mu: float,
             coef = np.fft.rfft(radial)
             g_coef = np.fft.rfft(w - theta)
             defect = mapped - _trig_eval(coef, reduce_angle(lift))
-            residual = float(np.sqrt(np.sum(defect * defect, axis=0)).max())
+            with np.errstate(over="ignore"):        # +inf: not converged
+                residual = float(np.sqrt(np.sum(defect * defect, axis=0)).max())
             tail = float(np.abs(coef[:, 3 * n // 8 :]).max()) * 2.0 / n
             if residual < CURVE_TOL and tail < CURVE_TOL:
                 _certify_circle_map(g_coef)
@@ -593,24 +594,16 @@ def circle_degree(model: ValidatedModel, mu: float) -> int:
 
 @dataclass
 class ConeCertificate:
-    """Sup-norms of the solid-torus map partials and the cone verdict.
+    """The cone verdict at degree |m| >= 2 and the record it rests on.
 
-    The ``sup_*`` and ``cross_sup_*`` fields are maxima over the samples,
-    kept as diagnostics; the verdict uses only the ``certified`` record
-    (worst-case bounds over the whole trapping region) so that a true
+    ``certified`` is the record of worst-case bounds over the trapping
+    torus (``_certified_record``); the verdict is True exactly when that
+    record satisfies the forward and cross-form conditions, so a true
     verdict has positive certified margins.  ``L_interval`` is the
-    certified admissible cone aperture range, computed from those bounds,
-    with +inf for an unbounded upper end and None when empty.  The sample
-    maxima are None where a classification's record decides the verdict.
+    certified admissible cone aperture range, with +inf for an unbounded
+    upper end and None when empty.
     """
 
-    sup_pr: float | None
-    sup_ptheta: float | None
-    sup_qtheta_inv: float | None
-    sup_qr: float | None
-    cross_sup_pr: float | None
-    cross_sup_ptheta_bar: float | None
-    cross_sup_qr: float | None
     L_interval: tuple[float, float] | None
     verdict: bool
     certified: dict = field(default_factory=dict, repr=False)
@@ -689,7 +682,7 @@ def certify_jacobian_field(jacobians, bounds: dict) -> ConeCertificate:
         qt_inv, qr_over_qt = 1.0 / cert["qtheta_lower"], cert["qr"] / cert["qtheta_lower"]
         margin = (1.0 - cert["cross_pr"]) * (1.0 - qt_inv) - cert["cross_ptheta_bar"] * qr_over_qt
         raise Inconclusive(CaseTag.SOLENOID, margin, None, count)
-    return ConeCertificate(**sups, L_interval=interval, verdict=verdict, certified=cert)
+    return ConeCertificate(interval, verdict, cert)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -751,12 +744,12 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
     hy1_sum = float(np.sqrt(np.sum(hy1 ** 2)))
     corr = mu_nu * d_pow * hx1 * x_abs + mu_nu * hy1_sum * K \
         + mu ** (nu - 1.0) * (a1 * c_max + a_hi * ct_max) / (gamma * a_lo * u_lo)
-    qtheta_lo = (certified_angular_expansion(model) - corr) * (1.0 - RECORD_ROUNDING)
+    down, up = 1.0 - RECORD_ROUNDING, 1.0 + RECORD_ROUNDING  # round operands, not a difference
+    qtheta_lo = certified_angular_expansion(model) * down - corr * up
     if abs(m) >= 2 and qtheta_lo <= 1.0:
         raise NotExpandingInTheta(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 1")
     if qtheta_lo <= 0.0:
         raise NotACircleMap(f"certified angular-derivative lower bound {qtheta_lo:.6g} <= 0")
-    up = 1.0 + RECORD_ROUNDING
     b_pr, b_ptheta, b_qr = b_pr * up, b_ptheta * up, b_qr * up
     record = {
         "pr": b_pr,
@@ -775,21 +768,23 @@ def _certified_record(model: ValidatedModel, mu: float, K: float) -> dict:
 def cone_certify(model: ValidatedModel, mu: float, grid: int = 256) -> ConeCertificate:
     """Cone-condition certificate of uniform hyperbolicity at degree |m| >= 2.
 
-    Samples the trapping solid torus (``grid`` angles times the core and
-    the 2(n-1) radial face centres), computes the analytic return-map
-    derivatives, and checks the forward and cross-form inequalities.  The
-    verdict and ``L_interval`` use worst-case upper bounds over the whole
-    region, so a true verdict has positive certified margins; the samples
-    only tell a violated condition (False) from an Inconclusive one.  The
-    samples stream through the certificate one block of angles at a time,
-    so memory does not grow with ``grid`` (an integer >= 1).
+    The verdict and ``L_interval`` come from the certified record over the
+    trapping solid torus alone (see ConeCertificate).  Only a record that
+    fails draws samples: the derivatives at ``grid`` angles (an integer
+    >= 1) times the core and the 2(n-1) radial face centres, streamed one
+    block of angles at a time through ``certify_jacobian_field``, which
+    returns the False verdict where they violate the conditions too and
+    raises Inconclusive where they satisfy them.
     """
     if abs(model.m) < 2:
         raise CaseMismatch(f"cone certification requires |m| >= 2, got m={model.m}")
     require_count("grid", grid, 1)
     K = model.trapping_radius(mu)
-    return certify_jacobian_field(_trapping_jacobians(model, mu, grid, K),
-                                  _certified_record(model, mu, K))
+    record = _certified_record(model, mu, K)
+    verdict, interval = _record_checks(record)
+    if verdict:     # decided by the record alone: no sample is drawn
+        return ConeCertificate(interval, True, record)
+    return certify_jacobian_field(_trapping_jacobians(model, mu, grid, K), record)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,7 +1173,7 @@ def itinerary_semiconjugacy(model: ValidatedModel, mu: float, depth: int = 12,
 class ClassificationRecord:
     """Outcome of the trichotomy for one (model, mu): the attractor label
     plus the supporting condition report and case-specific certificate
-    (without sample maxima where its record decides; ``classify_attractor``)."""
+    (``classify_attractor``)."""
 
     label: AttractorLabel
     mu: float
@@ -1209,14 +1204,13 @@ class ClassificationRecord:
 
 def classify_attractor(model: ValidatedModel, mu: float) -> ClassificationRecord:
     """Run the case condition and the case-appropriate computation: a
-    Newton fixed point, a graph-transform curve, or a cone certificate
-    decided by its certified record, with samples on 256 angles drawn only
-    where the record fails (None maxima otherwise).  The curve is solved
-    on 128 to 4,096 trigonometric nodes, its circle map certified
-    monotone, and the record keeps it sampled on SPECTRAL_NODES angles;
-    its ``residual_sup`` is the invariance residual at the solve's nodes
-    (see InvariantCurve).  The orientation follows from m: the curve's
-    circle map has the lift's degree.
+    Newton fixed point, a graph-transform curve, or a ``cone_certify``
+    certificate at its default grid.  The curve is solved on 128 to 4,096
+    trigonometric nodes, its circle map certified monotone, and the record
+    keeps it sampled on SPECTRAL_NODES angles; its ``residual_sup`` is the
+    invariance residual at the solve's nodes (see InvariantCurve).  The
+    orientation follows from m: the curve's circle map has the lift's
+    degree.
 
     Returns one of StablePeriodicOrbit / InvariantTorus / KleinBottle /
     Solenoid, or Indeterminate whenever a hypothesis fails or a condition,
@@ -1234,8 +1228,7 @@ def classify_attractors(model: ValidatedModel, mus) -> list:
     array), one entry per row: the mu-free case condition runs once and the
     m = 0 fixed points come from one ``find_fixed_points`` call.  A row
     whose orbit escapes holds its EscapedTube, unraised, in place of a
-    record, and never stops the others.  A |m| >= 2 row draws trapping
-    samples only where its certified record fails.
+    record, and never stops the others.
     """
     rows = np.ravel(mus).tolist()
     try:
@@ -1274,14 +1267,7 @@ def _curve_or_cone_record(model: ValidatedModel, mu, condition):
             curve = graph_transform_curve(model, mu, SPECTRAL_NODES)
             label = AttractorLabel.INVARIANT_TORUS if model.m == 1 else AttractorLabel.KLEIN_BOTTLE
             return ClassificationRecord(label, mu, condition=condition, curve=curve)
-        K = model.trapping_radius(mu)
-        record = _certified_record(model, mu, K)
-        verdict, interval = _record_checks(record)
-        if verdict:     # decided by the record alone: no sample is drawn
-            certificate = ConeCertificate(**dict.fromkeys(_SAMPLE_MAXIMA), L_interval=interval,
-                                          verdict=True, certified=record)
-        else:
-            certificate = certify_jacobian_field(_trapping_jacobians(model, mu, 256, K), record)
+        certificate = cone_certify(model, mu)
     except Undecided as exc:
         return _undecided(mu, condition, exc)
     except EscapedTube as exc:

@@ -194,8 +194,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     require_mu(args.mu)
     cert = cone_certify(_load_model(args), args.mu, args.grid)
     print(f"verdict: {cert.verdict}")
-    print(f"sup|dp/dr|={cert.sup_pr:.6g} sup|dp/dtheta|={cert.sup_ptheta:.6g} "
-          f"sup|(dq/dtheta)^-1|={cert.sup_qtheta_inv:.6g} sup|dq/dr|={cert.sup_qr:.6g}")
     print(f"L_interval: {_format_interval(cert.L_interval)}")
     print(f"certified angular expansion >= {cert.expansion_lower_bound:.6g}")
     _write_json(args.out, "certificate.json", cert.to_dict())

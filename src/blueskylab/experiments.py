@@ -103,13 +103,12 @@ def mu_sweep(model: ValidatedModel, mu_values: Sequence[float]) -> list[SweepRec
     plus the global transit constant, and ``top_lyapunov`` is the largest
     log-multiplier; otherwise the orbit-averaged flight time is used and
     ``top_lyapunov`` is None.  The rows are solved together: the mu-free
-    case condition once (``classify_attractors``, sampling a |m| >= 2 row
-    only where its record fails), every m = 0 fixed point in one batched
-    Newton solve, and every orbit average in one batched ``advance`` (one
-    state check each).  At |m| >= 2 the orbit average runs along a chaotic
-    orbit, so it reproduces only to about 1e-3 relative under last-bit
-    changes of the arithmetic (repeated runs on one machine stay
-    bit-identical).
+    case condition once (``classify_attractors``), every m = 0 fixed point
+    in one batched Newton solve, and every orbit average in one batched
+    ``advance`` (one state check each).  At |m| >= 2 the orbit average runs
+    along a chaotic orbit, so it reproduces only to about 1e-3 relative
+    under last-bit changes of the arithmetic (repeated runs on one machine
+    stay bit-identical).
     Escapes are flagged per record and never abort the sweep; raises
     ValueError if any mu is not finite and positive.
     """

@@ -528,20 +528,21 @@ class ValidatedModel:
         delta = mu ** (nu - 1.0) * c_max
         u_lo = self.alpha_min - delta
         if u_lo <= 0.0:
-            raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
+            raise NoTrappingRadius(f"no trapping radius certified at mu={float(mu)!r}")
         y0_max = g0 + mu ** nu * (d_pow * fy * x_abs + hy * K)
         return x_abs, c_max, delta, u_lo, a_hi + delta, y0_max
 
+    @np.errstate(over="ignore", invalid="ignore")
     def trapping_radius(self, mu: float) -> float:
         """Radius K of a solid torus {|X - alpha(theta)^nu| < K, |Y| < K}
         mapped strictly into itself.
 
         K is the oscillation of alpha^nu plus a worst-case bound, derived
         from the coupling amplitudes, on how far images deviate from the
-        limit curve.  Raises NoTrappingRadius if no radius can be certified
-        at this mu (mu too large for the given couplings).
+        limit curve, in float64 (an overflow gives inf).  Raises
+        NoTrappingRadius if no finite radius is certified at this mu.
         """
-        require_mu(mu)
+        mu = np.float64(require_mu(mu))
         nu, bg = self.nu, self.beta_over_gamma
         a_hi = self.alpha_sup
         osc = a_hi ** nu - self.alpha_min ** nu
@@ -555,7 +556,7 @@ class ValidatedModel:
             if osc + x_dev < K and y_bound < K:
                 return float(K)
             K = max(osc + 2.0 * x_dev + floor, 2.0 * y_bound, K)
-        raise NoTrappingRadius(f"no trapping radius certified at mu={mu!r}")
+        raise NoTrappingRadius(f"no trapping radius certified at mu={float(mu)!r}")
 
     def trapping_samples(self, theta, K: float):
         """Samples of the trapping solid torus of radius ``K`` (the caller's
@@ -586,9 +587,10 @@ def validate_config(cfg: ModelConfig) -> ValidatedModel:
     Rules: every scalar and series coefficient finite; nu = lam/gamma > 1;
     beta > lam (strong-stable block dominated); alpha strictly positive on
     the circle (simultaneous splitting, checked only on finite input, by
-    the certified grid loop, whose undecided cap counts as a violation); m an
-    integer; and the dimension constraint on m (n = 2 forces m = 1, n = 3
-    allows |m| <= 1, n >= 4 allows any integer).
+    the certified grid loop, whose undecided cap counts as a violation);
+    alpha^nu bounded in float64 (LimitCurveNotFinite); m an integer; and
+    the dimension constraint on m (n = 2 forces m = 1, n = 3 allows
+    |m| <= 1, n >= 4 allows any integer).
     """
     violations: list[str] = []
     numbers = [cfg.m, cfg.gamma, cfg.lam, cfg.beta, cfg.d, cfg.n]
@@ -605,6 +607,10 @@ def validate_config(cfg: ModelConfig) -> ValidatedModel:
         violations.append("DNotPositive")
     if cfg.gamma > 0.0 and cfg.lam <= cfg.gamma:
         violations.append("NuNotGreaterThanOne")
+    with np.errstate(over="ignore", divide="ignore"):
+        if finite and cfg.gamma > 0.0 and \
+                not np.isfinite(np.float64(cfg.alpha.sup_bound()) ** (cfg.lam / cfg.gamma)):
+            violations.append("LimitCurveNotFinite")
     if cfg.beta <= cfg.lam:
         violations.append("BetaNotGreaterThanLambda")
 

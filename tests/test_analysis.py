@@ -686,27 +686,30 @@ def _skew_map_jacobians(n_theta=1024):
 
 def test_skew_map_certificate_hand_values():
     cert = certify_jacobian_field([_skew_map_jacobians()], SKEW_MAP_RECORD)
-    assert cert.sup_pr == pytest.approx(0.3, abs=1e-9)
-    assert cert.sup_ptheta == pytest.approx(0.1, abs=1e-9)
-    assert cert.sup_qtheta_inv == pytest.approx(0.5, abs=1e-9)
-    assert cert.sup_qr == pytest.approx(0.0, abs=1e-12)
-    assert cert.cross_sup_pr == pytest.approx(0.3, abs=1e-9)
-    assert cert.cross_sup_ptheta_bar == pytest.approx(0.05, abs=1e-9)
-    assert cert.cross_sup_qr == pytest.approx(0.0, abs=1e-12)
+    sups, _ = _sample_maxima([_skew_map_jacobians()])
+    assert sups["sup_pr"] == pytest.approx(0.3, abs=1e-9)
+    assert sups["sup_ptheta"] == pytest.approx(0.1, abs=1e-9)
+    assert sups["sup_qtheta_inv"] == pytest.approx(0.5, abs=1e-9)
+    assert sups["sup_qr"] == pytest.approx(0.0, abs=1e-12)
+    assert sups["cross_sup_pr"] == pytest.approx(0.3, abs=1e-9)
+    assert sups["cross_sup_ptheta_bar"] == pytest.approx(0.05, abs=1e-9)
+    assert sups["cross_sup_qr"] == pytest.approx(0.0, abs=1e-12)
     low, high = cert.L_interval
     assert low == pytest.approx(1.0 / 14.0, abs=1e-9)
     assert np.isinf(high)
     assert cert.verdict is True
     # forward condition value (1 - 0.3)(1 - 0.5) = 0.35 > 0
-    assert (1.0 - cert.sup_pr) * (1.0 - cert.sup_qtheta_inv) == pytest.approx(0.35, abs=1e-9)
+    forward = (1.0 - sups["sup_pr"]) * (1.0 - sups["sup_qtheta_inv"])
+    assert forward == pytest.approx(0.35, abs=1e-9)
 
 
 def test_cone_certify_uncoupled_degree_two():
     model = validate_config(uncoupled_config(m=2, n=4, gamma=1.0, lam=1.7, beta=3.0))
     cert = cone_certify(model, 1e-5, grid=128)
     assert cert.verdict is True
-    assert cert.sup_pr == 0.0
-    assert cert.sup_qtheta_inv == pytest.approx(0.5, abs=1e-12)
+    sups, _ = _sample_maxima(_trapping_jacobians(model, 1e-5, 128, model.trapping_radius(1e-5)))
+    assert sups["sup_pr"] == 0.0
+    assert sups["sup_qtheta_inv"] == pytest.approx(0.5, abs=1e-12)
     low, high = cert.L_interval
     assert low == 0.0
     assert np.isinf(high)
@@ -860,17 +863,26 @@ def test_cone_certify_needs_an_angle():
             cone_certify(demo_model("demo_m2"), 1e-5, grid)
 
 
+def _failing_cone_model():
+    """demo_m2 with H_x's constant term at 1e4: at mu = 1e-2 its record
+    fails, and so do the samples (verdict False)."""
+    cfg = demo_model("demo_m2").cfg
+    return validate_config(dataclasses.replace(
+        cfg, coupling_hx=dataclasses.replace(cfg.coupling_hx, constant_term=1e4)))
+
+
 def test_cone_certify_memory_is_bounded_in_the_grid():
-    """The samples stream through the certificate one block of 4096 angles
-    at a time; holding all 2^16 angles' Jacobians at once peaks near 290 MB."""
-    model = demo_model("demo_m2")
+    """Where the record fails, the samples stream through the certificate
+    one block of 4096 angles at a time; holding all 2^16 angles' Jacobians
+    at once peaks near 290 MB."""
+    model = _failing_cone_model()
     tracemalloc.start()
     try:
-        cert = cone_certify(model, 1e-5, 2 ** 16)
+        cert = cone_certify(model, 1e-2, 2 ** 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cert.verdict is True
+    assert cert.verdict is False
     assert peak < 32 * 2 ** 20
 
 
@@ -878,13 +890,13 @@ def test_cone_certify_holds_one_block_at_a_time():
     """Two blocks of 4096 angles peak as one: the fold releases each block
     before the generator computes the next (one block more, about 6 MB,
     while it held the previous one)."""
-    model = demo_model("demo_m2")
-    cone_certify(model, 1e-5, 4096)
+    model = _failing_cone_model()
+    cone_certify(model, 1e-2, 4096)
     peaks = []
     for grid in (4096, 8192):
         tracemalloc.start()
         try:
-            cone_certify(model, 1e-5, grid)
+            cone_certify(model, 1e-2, grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -894,7 +906,7 @@ def test_cone_certify_holds_one_block_at_a_time():
 def test_ragged_stream_matches_one_block():
     """8197 angles stream as blocks of 4096, 4096 and 5 angles; the folded
     certificate equals the one from a single block of every sample."""
-    model, mu, grid = demo_model("demo_m2"), 1e-5, 8197
+    model, mu, grid = _failing_cone_model(), 1e-2, 8197
     per_angle = 2 * (model.n - 1) + 1
     K = model.trapping_radius(mu)
     blocks = list(_trapping_jacobians(model, mu, grid, K))
@@ -911,7 +923,7 @@ def test_ragged_stream_matches_one_block():
 def test_trapping_radius_computed_once_per_certificate(monkeypatch):
     """Three blocks of samples, one trapping radius for the certificate and
     one for the diagnostic."""
-    for model, run in ((demo_model("demo_m2"), lambda m: cone_certify(m, 1e-5, 8197)),
+    for model, run in ((_failing_cone_model(), lambda m: cone_certify(m, 1e-2, 8197)),
                        (demo_model("demo_m1"), lambda m: bsl.annulus_diagnostic(m, 1e-4))):
         calls = []
         radius = model.trapping_radius
@@ -923,6 +935,24 @@ def test_trapping_radius_computed_once_per_certificate(monkeypatch):
         monkeypatch.setattr(model, "trapping_radius", counted)
         run(model)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_cone_certify_samples_only_where_the_record_fails(monkeypatch, failing):
+    """A record that passes decides alone; a failing one draws the samples
+    once per block of 4096 angles (8197 angles: three blocks)."""
+    model, mu = (_failing_cone_model(), 1e-2) if failing else (demo_model("demo_m2"), 1e-5)
+    calls = []
+    samples = model.trapping_samples
+
+    def counted(theta, K):
+        calls.append(len(theta))
+        return samples(theta, K)
+
+    monkeypatch.setattr(model, "trapping_samples", counted)
+    cert = cone_certify(model, mu, 8197)
+    assert cert.verdict is not failing
+    assert calls == ([4096, 4096, 5] if failing else [])
 
 
 def test_itinerary_branch_ambiguity_error(monkeypatch):
@@ -974,12 +1004,13 @@ def test_homotopy_to_skew_product_keeps_certificate():
         cert = certify_jacobian_field([jac], record)
         assert cert.verdict is True
         # every member's sample maxima lie within the full map's record
-        assert cert.sup_pr <= record["pr"] and cert.sup_ptheta <= record["ptheta"]
-        assert cert.sup_qr <= record["qr"]
-        assert cert.sup_qtheta_inv <= 1.0 / record["qtheta_lower"]
-        assert cert.cross_sup_pr <= record["cross_pr"]
-        assert cert.cross_sup_ptheta_bar <= record["cross_ptheta_bar"]
-        assert cert.cross_sup_qr <= record["qr"] / record["qtheta_lower"]
+        sups, _ = _sample_maxima([jac])
+        assert sups["sup_pr"] <= record["pr"] and sups["sup_ptheta"] <= record["ptheta"]
+        assert sups["sup_qr"] <= record["qr"]
+        assert sups["sup_qtheta_inv"] <= 1.0 / record["qtheta_lower"]
+        assert sups["cross_sup_pr"] <= record["cross_pr"]
+        assert sups["cross_sup_ptheta_bar"] <= record["cross_ptheta_bar"]
+        assert sups["cross_sup_qr"] <= record["qr"] / record["qtheta_lower"]
 
 
 # -- lyapunov spectrum -----------------------------------------------------------
@@ -1037,11 +1068,7 @@ def test_lyapunov_bounded_by_certificate():
 def test_cone_certificate_serialization_fields():
     cert = cone_certify(demo_model("demo_m2"), 1e-5, grid=64)
     payload = cert.to_dict()
-    assert set(payload) == {
-        "sup_pr", "sup_ptheta", "sup_qtheta_inv", "sup_qr",
-        "cross_sup_pr", "cross_sup_ptheta_bar", "cross_sup_qr",
-        "L_interval", "verdict", "certified",
-    }
+    assert set(payload) == {"L_interval", "verdict", "certified"}
     assert set(payload["certified"]) == {
         "pr", "ptheta", "qr", "qtheta_lower",
         "cross_pr", "cross_ptheta_bar",
@@ -1610,10 +1637,13 @@ def _cone_oracle_models():
 
 
 def _cone_path_row(model, mu):
-    """A |m| >= 2 row decided by the full, always sampled ``cone_certify``:
-    (label, reason, escaped, certificate)."""
+    """A |m| >= 2 row decided by the always sampled path, the certified
+    record folded with the samples on 256 angles: (label, reason, escaped,
+    certificate)."""
     try:
-        cert = cone_certify(model, mu)
+        K = model.trapping_radius(mu)
+        cert = certify_jacobian_field(bsl.analysis._trapping_jacobians(model, mu, 256, K),
+                                      _certified_record(model, mu, K))
     except bsl.EscapedTube:
         return None, None, True, None
     except bsl.Undecided as exc:
@@ -1625,11 +1655,10 @@ def _cone_path_row(model, mu):
 
 def test_record_decided_rows_match_the_sampled_certificate(monkeypatch):
     """On mu across 1e-8..0.9, every |m| >= 2 ``classify_attractors`` row
-    and every ``mu_sweep`` label match the full ``cone_certify`` path:
-    label, reason, escape outcome, verdict, ``L_interval`` and certified
-    record.  A row that its record decides folds no trapping sample and
-    reports None sample maxima; every other row folds the samples the full
-    path folds and reports their maxima."""
+    and every ``mu_sweep`` label match the always sampled path: label,
+    reason, escape outcome, verdict, ``L_interval`` and certified record.
+    A row that its record decides folds no trapping sample; every other
+    row folds the samples the sampled path folds."""
     original, folded = bsl.analysis._trapping_jacobians, []
 
     def counted(model, mu, grid, K):
@@ -1663,9 +1692,6 @@ def test_record_decided_rows_match_the_sampled_certificate(monkeypatch):
             got = row.certificate
             assert (got.verdict, got.L_interval, got.certified) == \
                 (cert.verdict, cert.L_interval, cert.certified)
-            sample_maxima = {k: v for k, v in got.to_dict().items() if "sup_" in k}
-            want = {k: None if decided else v for k, v in cert.to_dict().items() if "sup_" in k}
-            assert sample_maxima == want
         for record, label in zip(bsl.mu_sweep(model, mus), labels):
             seen.add("Escaped" if record.escape_flag else "swept")
             assert record.escape_flag or record.classification == label
@@ -1883,8 +1909,8 @@ def test_max_operator_norm_is_the_stacked_svd_maximum(name, grid):
     cross_pr = p_r - np.einsum("mi,mj->mij", p_t, q_r * (1.0 / q_t)[:, None])
     want_pr, want_cross = _reference_max_norm(p_r), _reference_max_norm(cross_pr)
     assert _max_operator_norm(p_r) == want_pr and _max_operator_norm(cross_pr) == want_cross
-    cert = certify_jacobian_field([jac], _certified_record(model, 1e-5, K))
-    assert cert.sup_pr == want_pr and cert.cross_sup_pr == want_cross
+    sups, _ = _sample_maxima([jac])
+    assert sups["sup_pr"] == want_pr and sups["cross_sup_pr"] == want_cross
 
 
 def test_max_operator_norm_of_identical_and_single_blocks():

@@ -133,6 +133,16 @@ def test_certify_not_expanding_is_indeterminate(capsys):
     assert err.count("\n") == 1 and "angular-derivative lower bound" in err
 
 
+def test_a_cancelling_expansion_bound_is_not_expanding(capsys):
+    """The expansion and its correction are each rounded outward before the
+    subtraction: at |m| = 10^4 the bound lands at 1, not just above it."""
+    code = run("classify", config("demo_m2"), "--set", "m=10000",
+               "--set", "coupling_hx.sin=[19942.08570102509]", "--mu", "0.4358218662903499")
+    assert code == 3
+    assert capsys.readouterr().out.endswith(
+        "reason: NotExpandingInTheta: certified angular-derivative lower bound 1 <= 1\n")
+
+
 def test_certify_prints_an_empty_interval(monkeypatch, capsys, tmp_path):
     cert = cone_certify(load_model(config("demo_m2")), 1e-5, 64)
     monkeypatch.setattr(cli, "cone_certify",
@@ -163,6 +173,31 @@ def test_sweep_survives_an_overflowing_record(tmp_path):
     assert code == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["Indeterminate"] * 9
+
+
+@pytest.mark.parametrize("command, name, override, code, stderr", [
+    ("classify", "demo_m0", "alpha.constant=1e200", 1,
+     "error: InvalidModel: invalid model: LimitCurveNotFinite\n"),
+    ("certify", "demo_m2", "alpha.constant=1e200", 1,
+     "error: InvalidModel: invalid model: LimitCurveNotFinite\n"),
+    ("classify", "demo_m1", "alpha.constant=1e200", 1,
+     "error: InvalidModel: invalid model: LimitCurveNotFinite\n"),
+    ("classify", "demo_m-1", "coupling_fx.constant=1e100", 3, ""),
+    ("certify", "demo_m2", "g0.0.constant=1e200", 3,
+     "undecided: NoTrappingRadius: no trapping radius certified at mu=1e-05\n"),
+    ("classify", "demo_m2", "coupling_fy.0.constant=1e200", 3, ""),
+    ("sweep", "demo_m2", "alpha.constant=1e200", 1,
+     "error: InvalidModel: invalid model: LimitCurveNotFinite\n"),
+], ids=["classify-m0-alpha", "certify-m2-alpha", "classify-m1-alpha", "classify-m-1-fx",
+        "certify-m2-g0", "classify-m2-fy", "sweep-m2-alpha"])
+def test_huge_finite_coefficients_end_in_an_exit_code(capsys, tmp_path, command, name,
+                                                      override, code, stderr):
+    """A huge but finite coefficient ends in a documented exit code and at
+    most one stderr line, with no floating-point warning (the suite raises
+    warnings as errors)."""
+    mu = ["--mu-min", "1e-7", "--mu-max", "1e-3"] if command == "sweep" else ["--mu", "1e-5"]
+    assert run(command, config(name), "--set", override, *mu, "--out", str(tmp_path)) == code
+    assert capsys.readouterr().err == stderr
 
 
 def test_override_value_that_is_not_json_is_a_string(capsys):
